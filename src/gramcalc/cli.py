@@ -112,9 +112,9 @@ def _cmd_triangle(args) -> tuple[str, int]:
 def _cmd_cops(args) -> tuple[str, int]:
     if args.n < 1:
         raise GramcalcError(f"--n must be at least 1, got {args.n}")
-    cops = list(oracles.enumerate_cops(args.n))
     if args.format == "csv":
         raise GramcalcError("cops output has no CSV form; use text or json")
+    cops = list(oracles.enumerate_cops(args.n))
     if args.format == "json":
         payload = {"n": args.n, "cops": [[list(b) for b in cop] for cop in cops]}
         return _json_text(payload), 0

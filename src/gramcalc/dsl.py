@@ -10,10 +10,11 @@ Grammar:
     atom    := INT | IDENT | '(' expr ')'
 
 Multiplication is always explicit and '^' takes a positive integer
-exponent.  Whitespace, including newlines, only separates tokens.  The
-word ``const`` is reserved and declares letters whose derivative is
-zero.  Syntax errors carry a 1-based line and column plus the set of
-token kinds that would have been accepted.
+exponent.  Parentheses nest at most ``MAX_NESTING`` deep.  Whitespace,
+including newlines, only separates tokens.  The word ``const`` is
+reserved and declares letters whose derivative is zero.  Syntax errors
+carry a 1-based line and column plus the set of token kinds that would
+have been accepted.
 """
 
 from __future__ import annotations
@@ -111,10 +112,16 @@ def _tokenize(src: str) -> list[Token]:
     return tokens
 
 
+# Deepest parenthesis nesting the recursive descent parser accepts; deeper
+# input raises ParseError well before the interpreter's recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, src: str):
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -185,9 +192,15 @@ class _Parser:
             self.advance()
             return Polynomial.letter(tok.value)
         if tok.kind == "lparen":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING}", tok.line, tok.col
+                )
             self.advance()
+            self.depth += 1
             p = self.expr()
             self.expect("rparen")
+            self.depth -= 1
             return p
         self.fail(tok, ("int", "ident", "lparen"))
 

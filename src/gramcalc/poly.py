@@ -23,17 +23,24 @@ Monomial = tuple[tuple[str, int], ...]
 CONST_MONO: Monomial = ()
 
 
+def _exact(value: object, what: str) -> int:
+    """value itself when it is an int; floats, bools and the rest raise ValueError."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an int, got {value!r}")
+    return value
+
+
 def mono_from_exps(exps: Mapping[str, int]) -> Monomial:
     """Build a canonical monomial from a letter-to-exponent mapping.
 
-    Zero exponents are dropped; negative exponents and non-identifier
-    letter names are rejected.
+    Zero exponents are dropped; negative or non-int exponents and
+    non-identifier letter names are rejected.
     """
     items = []
     for letter, exp in exps.items():
         if not isinstance(letter, str) or not letter.isidentifier():
             raise ValueError(f"letter must be an identifier string, got {letter!r}")
-        if exp < 0:
+        if _exact(exp, f"exponent of {letter!r}") < 0:
             raise ValueError(f"exponent of {letter!r} must be nonnegative, got {exp}")
         if exp:
             items.append((letter, exp))
@@ -96,16 +103,8 @@ class Polynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        clean: dict[Monomial, int] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                key = mono_from_exps(dict(mono))
-                c = clean.get(key, 0) + int(coeff)
-                if c:
-                    clean[key] = c
-                elif key in clean:
-                    del clean[key]
-        self._terms = clean
+        pairs = ((dict(mono), coeff) for mono, coeff in (terms or {}).items())
+        self._terms = Polynomial.from_terms(pairs)._terms
 
     @classmethod
     def _raw(cls, terms: dict[Monomial, int]) -> "Polynomial":
@@ -124,7 +123,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, c: int) -> "Polynomial":
-        c = int(c)
+        c = _exact(c, "coefficient")
         return cls._raw({CONST_MONO: c} if c else {})
 
     @classmethod
@@ -134,17 +133,18 @@ class Polynomial:
     @classmethod
     def term(cls, coeff: int, **exps: int) -> "Polynomial":
         """Single-term polynomial, e.g. ``Polynomial.term(3, x=1, y=2)``."""
-        coeff = int(coeff)
-        if not coeff:
+        mono = mono_from_exps(exps)
+        if not _exact(coeff, "coefficient"):
             return cls.zero()
-        return cls._raw({mono_from_exps(exps): coeff})
+        return cls._raw({mono: coeff})
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[Mapping[str, int], int]]) -> "Polynomial":
+        """Sum of (exponents, coefficient) terms, canonicalised; the one checked path."""
         acc: dict[Monomial, int] = {}
         for exps, coeff in terms:
             key = mono_from_exps(exps)
-            c = acc.get(key, 0) + int(coeff)
+            c = acc.get(key, 0) + _exact(coeff, "coefficient")
             if c:
                 acc[key] = c
             elif key in acc:
@@ -196,7 +196,7 @@ class Polynomial:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
             return self._terms == other._terms
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):
             return self._terms == Polynomial.constant(other)._terms
         return NotImplemented
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import InternalMismatch, UnknownTriangle
 
@@ -40,17 +40,24 @@ def factorial(n: int) -> int:
     return math.factorial(n)
 
 
+def _two_term(row, n: int, kmin: int, a, b) -> tuple[int, ...]:
+    """Row n, k = kmin..n, of T(n, k) = a(k) T(n-1, k) + b(k) T(n-1, k-1).
+
+    ``row(n - 1)`` must hold row n-1 over k = kmin..n-1; cells outside a
+    row read as 0.
+    """
+    prev = (0, *row(n - 1), 0)
+    return tuple(
+        a(k) * prev[k - kmin + 1] + b(k) * prev[k - kmin] for k in range(kmin, n + 1)
+    )
+
+
 @lru_cache(maxsize=None)
 def stirling_row(n: int) -> tuple[int, ...]:
     """Row n of the second-kind Stirling triangle, k = 0..n."""
     if n == 0:
         return (1,)
-    prev = stirling_row(n - 1)
-
-    def prev_at(k: int) -> int:
-        return prev[k] if 0 <= k < len(prev) else 0
-
-    return tuple(prev_at(k - 1) + k * prev_at(k) for k in range(n + 1))
+    return _two_term(stirling_row, n, 0, lambda k: k, lambda k: 1)
 
 
 def stirling2(n: int, k: int) -> int:
@@ -66,14 +73,7 @@ def eulerian_row(n: int) -> tuple[int, ...]:
         return ()
     if n == 1:
         return (1,)
-    prev = eulerian_row(n - 1)
-
-    def prev_at(k: int) -> int:
-        return prev[k - 1] if 1 <= k <= len(prev) else 0
-
-    return tuple(
-        k * prev_at(k) + (n - k + 1) * prev_at(k - 1) for k in range(1, n + 1)
-    )
+    return _two_term(eulerian_row, n, 1, lambda k: k, lambda k: n - k + 1)
 
 
 def eulerian(n: int, k: int) -> int:
@@ -87,16 +87,7 @@ def type_b_row(n: int) -> tuple[int, ...]:
     """Row n of the type-B Eulerian triangle, k = 0..n."""
     if n == 0:
         return (1,)
-    prev = type_b_row(n - 1)
-
-    def prev_at(k: int) -> int:
-        return prev[k] if 0 <= k < len(prev) else 0
-
-    m = n - 1
-    return tuple(
-        (2 * k + 1) * prev_at(k) + (2 * m - 2 * k + 3) * prev_at(k - 1)
-        for k in range(n + 1)
-    )
+    return _two_term(type_b_row, n, 0, lambda k: 2 * k + 1, lambda k: 2 * n - 2 * k + 1)
 
 
 def type_b_eulerian(n: int, k: int) -> int:
@@ -110,16 +101,7 @@ def matching_row(n: int) -> tuple[int, ...]:
     """Row n of the odd-opener matching triangle, k = 0..n."""
     if n == 0:
         return (1,)
-    prev = matching_row(n - 1)
-
-    def prev_at(k: int) -> int:
-        return prev[k] if 0 <= k < len(prev) else 0
-
-    m = n - 1
-    return tuple(
-        2 * k * prev_at(k) + (2 * m - 2 * k + 3) * prev_at(k - 1)
-        for k in range(n + 1)
-    )
+    return _two_term(matching_row, n, 0, lambda k: 2 * k, lambda k: 2 * n - 2 * k + 1)
 
 
 def matching_count(n: int, k: int) -> int:
@@ -132,14 +114,7 @@ def matching_count(n: int, k: int) -> int:
 def _whitney_row(m: int, n: int) -> tuple[int, ...]:
     if n == 0:
         return (1,)
-    prev = _whitney_row(m, n - 1)
-
-    def prev_at(k: int) -> int:
-        return prev[k] if 0 <= k < len(prev) else 0
-
-    return tuple(
-        prev_at(k - 1) + (1 + m * k) * prev_at(k) for k in range(n + 1)
-    )
+    return _two_term(lambda r: _whitney_row(m, r), n, 0, lambda k: 1 + m * k, lambda k: 1)
 
 
 def _whitney_sum(m: int, n: int, k: int) -> int:
@@ -244,11 +219,17 @@ def _fill(table: TriangleTable, n: int, kmin: int, kmax: int, value_at) -> None:
             table.entries[(n, k)] = value
 
 
-_RECURRENCE_TABLES = ("stirling2", "eulerian", "type_b_eulerian", "matching")
+# Recurrence-driven triangles by name: the first k of each row, and the lookup.
+_TABLES = {
+    "stirling2": (0, stirling2),
+    "eulerian": (1, eulerian),
+    "type_b_eulerian": (0, type_b_eulerian),
+    "matching": (0, matching_count),
+}
 
 
 def triangle_names() -> tuple[str, ...]:
-    return _RECURRENCE_TABLES + ("whitney:<m>",)
+    return (*_TABLES, "whitney:<m>")
 
 
 def build_table(name: str, max_n: int) -> TriangleTable:
@@ -259,29 +240,19 @@ def build_table(name: str, max_n: int) -> TriangleTable:
     """
     if max_n < 0:
         raise ValueError(f"max_n must be nonnegative, got {max_n}")
-    table = TriangleTable(name=name, max_n=max_n)
-    if name == "stirling2":
-        for n in range(max_n + 1):
-            _fill(table, n, 0, n, lambda k, n=n: stirling2(n, k))
-    elif name == "eulerian":
-        for n in range(max_n + 1):
-            _fill(table, n, 1, n, lambda k, n=n: eulerian(n, k))
-    elif name == "type_b_eulerian":
-        for n in range(max_n + 1):
-            _fill(table, n, 0, n, lambda k, n=n: type_b_eulerian(n, k))
-    elif name == "matching":
-        for n in range(max_n + 1):
-            _fill(table, n, 0, n, lambda k, n=n: matching_count(n, k))
-    elif name.startswith("whitney:"):
+    if name.startswith("whitney:"):
         raw = name.split(":", 1)[1]
         if not raw.isdigit() or int(raw) < 1:
             raise UnknownTriangle(f"whitney order must be a positive integer, got {raw!r}")
-        m = int(raw)
-        for n in range(max_n + 1):
-            _fill(table, n, 0, n, lambda k, n=n: whitney(m, n, k))
+        kmin, lookup = 0, partial(whitney, int(raw))
+    elif name in _TABLES:
+        kmin, lookup = _TABLES[name]
     else:
         raise UnknownTriangle(
             f"unknown triangle {name!r}; recurrence tables: "
             + ", ".join(triangle_names())
         )
+    table = TriangleTable(name=name, max_n=max_n)
+    for n in range(max_n + 1):
+        _fill(table, n, kmin, n, partial(lookup, n))
     return table

@@ -7,6 +7,14 @@ cell by cell over a box slightly larger than the expansion's support, so
 vanishing outside the support is verified rather than assumed.  Results
 come back as a CheckReport; nothing is printed here.
 
+Every suite is a plain function that writes its identities inline and
+leaves the shared control flow to one run object, ``_Suite``.  The run
+object checks the depth against the verify cap, picks the builtin or the
+override grammar and notes an override, derives the coefficient grids,
+loops over levels while checking that each grid stays inside the box,
+counts checks, runs the opener censuses up to the cops cap, and skips
+oracle products above the permutations cap, noting each kind of skip.
+
 Suite names follow the short labels used by the command line tool: T1
 through T6 for the six grammar studies, plus "golden" for byte-exact
 snapshots of small expansions.
@@ -14,7 +22,9 @@ snapshots of small expansions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import product
 
 from . import config, oracles
 from .dsl import builtin_grammar, parse_polynomial
@@ -105,13 +115,41 @@ class CheckReport:
         )
 
 
-class _Run:
-    """Accumulates check outcomes for one suite."""
+class _Suite:
+    """One suite run: its depth, grammar and report, and the loops all suites share.
 
-    def __init__(self, suite: str, nmax: int):
-        self.report = CheckReport(suite=suite, nmax=nmax)
+    ``grammar`` overrides the builtin grammar named ``builtin``; the
+    override is noted, with ``scope`` appended to the note.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        nmax: int | None,
+        grammar: Grammar | None = None,
+        builtin: str | None = None,
+        scope: str = "",
+    ):
+        if nmax is None:
+            nmax = _DEFAULT_NMAX[name]
+        elif nmax < 0:
+            raise ValueError(f"nmax must be nonnegative, got {nmax}")
+        config.check("verify", nmax)
+        self.nmax = nmax
+        self.side = nmax + 2
+        self.caps = config.get_caps()
+        self.report = CheckReport(suite=name, nmax=nmax)
+        self.skipped: set[str] = set()
+        if grammar is not None:
+            self.note(f"grammar override: {grammar.to_dsl()}{scope}")
+        elif builtin is not None:
+            grammar = builtin_grammar(builtin)
+        self.grammar = grammar
 
     def check(self, identity: str, indices: tuple, expected, actual) -> None:
+        """Count one check; an expected value of None means a cap skipped it."""
+        if expected is None:
+            return
         self.report.checks_run += 1
         if expected != actual:
             self.report.failures.append(
@@ -121,58 +159,108 @@ class _Run:
     def note(self, text: str) -> None:
         self.report.notes.append(text)
 
+    def derive(self, start: str, grammar: Grammar | None = None) -> list[Polynomial]:
+        grammar = self.grammar if grammar is None else grammar
+        return grammar.derive_levels(parse_polynomial(start), self.nmax)
+
+    def grids(self, start: str, imap: IndexMap, grammar: Grammar | None = None) -> list[Counter]:
+        """Coefficient arrays of levels 0..nmax; absent cells read as 0."""
+        return [Counter(extract_coeffs(p, imap)) for p in self.derive(start, grammar)]
+
+    def box(self, grid: dict, n: int) -> None:
+        stray = sorted(key for key in grid if key[0] > self.side or key[1] > self.side)
+        self.check("indices_within_box", (n,), [], stray)
+
+    def levels(self, *grids: list[Counter]):
+        """Levels 1..nmax, each after checking that every grid stays in the box."""
+        for n in range(1, self.nmax + 1):
+            for grid in grids:
+                self.box(grid[n], n)
+            yield n
+
+    def cells(self):
+        """Every (i, j) of the box, row by row."""
+        return product(range(self.side + 1), repeat=2)
+
+    def cop_levels(self, what: str, offset: int) -> range:
+        """Levels n whose census of [n + offset] fits the cops cap, noting a cut."""
+        last = self.nmax + 1 - offset
+        top = min(last, self.caps.cops - offset)
+        if top < last:
+            self.note(
+                f"{what} checks stop at n={top}: enumerating"
+                f" cyclically ordered partitions of [{self.nmax + 1}] exceeds the cops cap"
+            )
+        return range(1, top + 1)
+
+    def census(self, what: str, identity: str, stat: str, grids: list, key) -> None:
+        """Check grid cells against the census of [n + 1] by opener statistic.
+
+        ``key(i, j)`` gives the (blocks, value) cell of the census, or None
+        for a grid cell that the identity leaves out.
+        """
+        for n in self.cop_levels(what, 1):
+            table = oracles.cop_stat_table(n + 1, stat)
+            for i, j in self.cells():
+                cell = key(i, j)
+                if cell is not None:
+                    self.check(identity, (n, i, j), table.get(cell, 0), grids[n][i, j])
+
+    def perm_row(self, oracle, size: int, skip_note: str) -> dict | None:
+        """oracle(size), or None above the permutations cap; the skip is kept."""
+        if size > self.caps.permutations:
+            self.skipped.add(skip_note)
+            return None
+        return oracle(size)
+
+    def oracle_product(self, s: int, oracle, size: int, key: int, skip_note: str) -> int | None:
+        """s times oracle(size)[key], or None when the oracle is skipped."""
+        if not s:
+            return 0
+        row = self.perm_row(oracle, size, skip_note)
+        return None if row is None else s * row.get(key, 0)
+
+    def note_skipped(self, skip_note: str) -> None:
+        if skip_note in self.skipped:
+            self.note(skip_note)
+
 
 class _Tally:
-    """Informational match counter for cells outside an asserted range."""
+    """Match counter for cells that are reported but not asserted."""
 
     def __init__(self):
         self.seen = 0
-        self.mismatched = 0
+        self.matched = 0
         self.first = None
 
     def add(self, where: tuple, expected: int, actual: int) -> None:
         self.seen += 1
-        if expected != actual:
-            self.mismatched += 1
-            if self.first is None:
-                self.first = (where, expected, actual)
+        if expected == actual:
+            self.matched += 1
+        elif self.first is None:
+            self.first = (where, expected, actual)
 
-    def note(self, label: str) -> str:
-        text = (
-            f"informational: {label} also matches at"
-            f" {self.seen - self.mismatched}/{self.seen} boundary cells"
-            " (i=0 or j=0), outside its asserted range"
-        )
-        if self.first is not None:
-            where, expected, actual = self.first
-            text += f"; first mismatch at {where}: expected {expected}, got {actual}"
-        return text
+    def note(self, text: str, mismatch: str) -> str:
+        """text with the match ratio filled in, then the first mismatch, if any."""
+        text = text.format(f"{self.matched}/{self.seen}")
+        return text if self.first is None else text + mismatch.format(*self.first)
 
 
-def _resolve_nmax(suite: str, nmax: int | None) -> int:
-    if nmax is None:
-        nmax = _DEFAULT_NMAX[suite]
-    elif nmax < 0:
-        raise ValueError(f"nmax must be nonnegative, got {nmax}")
-    config.check("verify", nmax)
-    return nmax
-
-
-def _grids(
-    grammar: Grammar, start: str, nmax: int, index_map: IndexMap
-) -> list[dict[tuple[int, int], int]]:
-    levels = grammar.derive_levels(parse_polynomial(start), nmax)
-    return [extract_coeffs(p, index_map) for p in levels]
-
-
-def _box_cover(run: _Run, grid: dict, n: int, side: int) -> None:
-    stray = sorted(key for key in grid if key[0] > side or key[1] > side)
-    run.check("indices_within_box", (n,), [], stray)
+def _boundary_note(tally: _Tally, label: str) -> str:
+    return tally.note(
+        f"informational: {label} also matches at {{}} boundary cells"
+        " (i=0 or j=0), outside its asserted range",
+        "; first mismatch at {}: expected {}, got {}",
+    )
 
 
 def _cop_count(nn: int) -> int:
     """Number of cyclically ordered partitions of an nn element set."""
     return sum(factorial(m - 1) * stirling2(nn, m) for m in range(1, nn + 1))
+
+
+_PEAKS_SKIPPED = "left-peak product checks above the permutations cap were skipped"
+_LAS_SKIPPED = "alternating-length product checks above the permutations cap were skipped"
 
 
 def suite_t1(nmax: int | None = None, grammar: Grammar | None = None) -> CheckReport:
@@ -182,53 +270,34 @@ def suite_t1(nmax: int | None = None, grammar: Grammar | None = None) -> CheckRe
     Eulerian closed form, the census of cyclically ordered partitions by
     opener descents, and the row sum against the partition count.
     """
-    nmax = _resolve_nmax("T1", nmax)
-    g = grammar if grammar is not None else builtin_grammar("g1")
-    run = _Run("T1", nmax)
-    if grammar is not None:
-        run.note(f"grammar override: {g.to_dsl()}")
-    grids = _grids(g, "x", nmax, IndexMap.identity())
-    side = nmax + 2
-    for n in range(1, nmax + 1):
+    run = _Suite("T1", nmax, grammar, "g1")
+    grids = run.grids("x", IndexMap.identity())
+    for n in run.levels(grids):
         cur, prev = grids[n], grids[n - 1]
-        _box_cover(run, cur, n, side)
-        for i in range(side + 1):
-            for j in range(side + 1):
-                actual = cur.get((i, j), 0)
+        for i, j in run.cells():
+            actual = cur[i, j]
+            run.check(
+                "transport_recurrence",
+                (n, i, j),
+                (i + j) * prev[i, j] + i * prev[i, j - 1] + j * prev[i - 1, j],
+                actual,
+            )
+            if i >= 1 and j >= 1:
+                s = stirling2(n + 1, i + j)
                 run.check(
-                    "transport_recurrence",
+                    "stirling_eulerian_product",
                     (n, i, j),
-                    (i + j) * prev.get((i, j), 0)
-                    + i * prev.get((i, j - 1), 0)
-                    + j * prev.get((i - 1, j), 0),
+                    s * eulerian(i + j - 1, i) if s else 0,
                     actual,
                 )
-                if i >= 1 and j >= 1:
-                    s = stirling2(n + 1, i + j)
-                    run.check(
-                        "stirling_eulerian_product",
-                        (n, i, j),
-                        s * eulerian(i + j - 1, i) if s else 0,
-                        actual,
-                    )
         run.check("cop_count_row_sum", (n,), _cop_count(n + 1), sum(cur.values()))
-    cop_max = min(nmax, config.get_caps().cops - 1)
-    if cop_max < nmax:
-        run.note(
-            f"opener-descent census checks stop at n={cop_max}: enumerating"
-            f" cyclically ordered partitions of [{nmax + 1}] exceeds the cops cap"
-        )
-    for n in range(1, cop_max + 1):
-        table = oracles.cop_stat_table(n + 1, "descents")
-        cur = grids[n]
-        for i in range(side + 1):
-            for j in range(side + 1):
-                run.check(
-                    "opener_descent_census",
-                    (n, i, j),
-                    table.get((i + j, i - 1), 0),
-                    cur.get((i, j), 0),
-                )
+    run.census(
+        "opener-descent census",
+        "opener_descent_census",
+        "descents",
+        grids,
+        lambda i, j: (i + j, i - 1),
+    )
     return run.report
 
 
@@ -241,76 +310,54 @@ def suite_t2(nmax: int | None = None, grammar: Grammar | None = None) -> CheckRe
     the row sum.  The valley table itself is validated both against its
     product form and against brute enumeration.
     """
-    nmax = _resolve_nmax("T2", nmax)
-    g = grammar if grammar is not None else builtin_grammar("g2")
-    run = _Run("T2", nmax)
-    if grammar is not None:
-        run.note(f"grammar override: {g.to_dsl()}")
-    grids = _grids(g, "x", nmax, IndexMap.identity())
-    side = nmax + 2
-    caps = config.get_caps()
-    u = oracles.u_table(nmax + 1)
-    peaks_skipped = False
-    for n in range(1, nmax + 1):
+    run = _Suite("T2", nmax, grammar, "g2")
+    grids = run.grids("x", IndexMap.identity())
+    u = oracles.u_table(run.nmax + 1)
+    for n in run.levels(grids):
         cur, prev = grids[n], grids[n - 1]
-        _box_cover(run, cur, n, side)
-        for i in range(side + 1):
-            for j in range(side + 1):
-                actual = cur.get((i, j), 0)
-                if i % 2 == 0:
-                    run.check("even_x_power_vanishes", (n, i, j), 0, actual)
+        for i, j in run.cells():
+            actual = cur[i, j]
+            if i % 2 == 0:
+                run.check("even_x_power_vanishes", (n, i, j), 0, actual)
+            run.check(
+                "transport_recurrence",
+                (n, i, j),
+                (i + j) * prev[i, j] + i * prev[i, j - 1] + (j + 1) * prev[i - 2, j + 1],
+                actual,
+            )
+            if i % 2 == 1:
                 run.check(
-                    "transport_recurrence",
+                    "stirling_left_peak_product",
                     (n, i, j),
-                    (i + j) * prev.get((i, j), 0)
-                    + i * prev.get((i, j - 1), 0)
-                    + (j + 1) * prev.get((i - 2, j + 1), 0),
+                    run.oracle_product(
+                        stirling2(n + 1, i + j),
+                        oracles.left_peak_counts,
+                        i + j - 1,
+                        (i - 1) // 2,
+                        _PEAKS_SKIPPED,
+                    ),
                     actual,
                 )
-                if i % 2 == 1:
-                    s = stirling2(n + 1, i + j)
-                    if not s:
-                        run.check("stirling_left_peak_product", (n, i, j), 0, actual)
-                    elif i + j - 1 <= caps.permutations:
-                        run.check(
-                            "stirling_left_peak_product",
-                            (n, i, j),
-                            s * oracles.left_peak_counts(i + j - 1).get((i - 1) // 2, 0),
-                            actual,
-                        )
-                    else:
-                        peaks_skipped = True
-                    run.check(
-                        "valley_table_agreement",
-                        (n, i, j),
-                        u.get((n + 1, i + j, (i - 1) // 2), 0),
-                        actual,
-                    )
-        run.check("cop_count_row_sum", (n,), _cop_count(n + 1), sum(cur.values()))
-    cop_max = min(nmax, caps.cops - 1)
-    if cop_max < nmax:
-        run.note(
-            f"opener-valley census checks stop at n={cop_max}: enumerating"
-            f" cyclically ordered partitions of [{nmax + 1}] exceeds the cops cap"
-        )
-    for n in range(1, cop_max + 1):
-        table = oracles.cop_stat_table(n + 1, "right_valleys")
-        cur = grids[n]
-        for i in range(1, side + 1, 2):
-            for j in range(side + 1):
                 run.check(
-                    "opener_valley_census",
+                    "valley_table_agreement",
                     (n, i, j),
-                    table.get((i + j, (i - 1) // 2), 0),
-                    cur.get((i, j), 0),
+                    u.get((n + 1, i + j, (i - 1) // 2), 0),
+                    actual,
                 )
+        run.check("cop_count_row_sum", (n,), _cop_count(n + 1), sum(cur.values()))
+    run.census(
+        "opener-valley census",
+        "opener_valley_census",
+        "right_valleys",
+        grids,
+        lambda i, j: (i + j, (i - 1) // 2) if i % 2 else None,
+    )
     # The valley table feeding the agreement check, validated on its own.
-    for n in range(1, nmax + 2):
+    for n in range(1, run.nmax + 2):
         for k in range(1, n + 1):
-            if k - 1 > caps.permutations:
-                peaks_skipped = True
+            peaks = run.perm_row(oracles.left_peak_counts, k - 1, _PEAKS_SKIPPED)
+            if peaks is None:
                 continue
-            peaks = oracles.left_peak_counts(k - 1)
             for l in range((k - 1) // 2 + 1):
                 run.check(
                     "valley_table_product",
@@ -318,47 +365,28 @@ def suite_t2(nmax: int | None = None, grammar: Grammar | None = None) -> CheckRe
                     stirling2(n, k) * peaks.get(l, 0),
                     u.get((n, k, l), 0),
                 )
-    if peaks_skipped:
-        run.note("left-peak product checks above the permutations cap were skipped")
-    u_cop_max = min(nmax + 1, caps.cops)
-    if u_cop_max < nmax + 1:
-        run.note(
-            f"valley table enumeration checks stop at n={u_cop_max}: enumerating"
-            f" cyclically ordered partitions of [{nmax + 1}] exceeds the cops cap"
-        )
-    for n in range(1, u_cop_max + 1):
+    run.note_skipped(_PEAKS_SKIPPED)
+    for n in run.cop_levels("valley table enumeration", 0):
         table = oracles.cop_stat_table(n, "right_valleys")
         for k in range(1, n + 1):
             for l in range((k - 1) // 2 + 1):
                 run.check(
-                    "valley_table_census",
-                    (n, k, l),
-                    table.get((k, l), 0),
-                    u.get((n, k, l), 0),
+                    "valley_table_census", (n, k, l), table.get((k, l), 0), u.get((n, k, l), 0)
                 )
     # The same product with the left-peak row taken one size up fails;
     # recorded here so the shift in the asserted form stays visible.
-    total = mismatched = 0
-    first = None
+    shifted = _Tally()
     for (n, k, l), value in sorted(u.items()):
-        if k > caps.permutations:
-            continue
-        total += 1
-        shifted = stirling2(n, k) * oracles.left_peak_counts(k).get(l, 0)
-        if shifted != value:
-            mismatched += 1
-            if first is None:
-                first = (n, k, l, value, shifted)
-    text = (
-        "informational: with the left-peak row taken at k instead of k-1 the"
-        f" valley product matches {total - mismatched}/{total} nonzero cells"
-    )
-    if first is not None:
-        text += (
-            f"; first mismatch at (n,k,l)={first[:3]}:"
-            f" table={first[3]}, shifted product={first[4]}"
+        if k <= run.caps.permutations:
+            product_k = stirling2(n, k) * oracles.left_peak_counts(k).get(l, 0)
+            shifted.add((n, k, l), value, product_k)
+    run.note(
+        shifted.note(
+            "informational: with the left-peak row taken at k instead of k-1 the"
+            " valley product matches {} nonzero cells",
+            "; first mismatch at (n,k,l)={}: table={}, shifted product={}",
         )
-    run.note(text)
+    )
     return run.report
 
 
@@ -371,67 +399,41 @@ def suite_t3(nmax: int | None = None, grammar: Grammar | None = None) -> CheckRe
     census of partition openers by longest alternating subsequence, and
     the row sum.
     """
-    nmax = _resolve_nmax("T3", nmax)
-    g = grammar if grammar is not None else builtin_grammar("g3")
-    run = _Run("T3", nmax)
-    if grammar is not None:
-        run.note(f"grammar override: {g.to_dsl()}")
-    grids = _grids(g, "w", nmax, IndexMap.identity(fixed={"w": 1}))
-    side = nmax + 2
-    caps = config.get_caps()
-    las_skipped = False
-    for n in range(1, nmax + 1):
+    run = _Suite("T3", nmax, grammar, "g3")
+    grids = run.grids("w", IndexMap.identity(fixed={"w": 1}))
+    for n in run.levels(grids):
         cur, prev = grids[n], grids[n - 1]
-        _box_cover(run, cur, n, side)
-        run.check("constant_term_one", (n,), 1, cur.get((0, 0), 0))
-        for j in range(1, side + 1):
-            run.check("pure_y_vanishes", (n, 0, j), 0, cur.get((0, j), 0))
-        for i in range(side + 1):
-            for j in range(side + 1):
-                actual = cur.get((i, j), 0)
-                run.check(
-                    "transport_recurrence",
-                    (n, i, j),
-                    (1 + i + j) * prev.get((i, j), 0)
-                    + prev.get((i - 1, j), 0)
-                    + i * prev.get((i, j - 1), 0)
-                    + (j + 1) * prev.get((i - 2, j + 1), 0),
-                    actual,
-                )
-                s = stirling2(n + 1, i + j + 1)
-                if not s:
-                    run.check("stirling_las_product", (n, i, j), 0, actual)
-                elif i + j <= caps.permutations:
-                    run.check(
-                        "stirling_las_product",
-                        (n, i, j),
-                        s * oracles.las_counts(i + j).get(i, 0),
-                        actual,
-                    )
-                else:
-                    las_skipped = True
+        run.check("constant_term_one", (n,), 1, cur[0, 0])
+        for j in range(1, run.side + 1):
+            run.check("pure_y_vanishes", (n, 0, j), 0, cur[0, j])
+        for i, j in run.cells():
+            actual = cur[i, j]
+            run.check(
+                "transport_recurrence",
+                (n, i, j),
+                (1 + i + j) * prev[i, j]
+                + prev[i - 1, j]
+                + i * prev[i, j - 1]
+                + (j + 1) * prev[i - 2, j + 1],
+                actual,
+            )
+            run.check(
+                "stirling_las_product",
+                (n, i, j),
+                run.oracle_product(
+                    stirling2(n + 1, i + j + 1), oracles.las_counts, i + j, i, _LAS_SKIPPED
+                ),
+                actual,
+            )
         run.check("cop_count_row_sum", (n,), _cop_count(n + 1), sum(cur.values()))
-    if las_skipped:
-        run.note("alternating-length product checks above the permutations cap were skipped")
-    cop_max = min(nmax, caps.cops - 1)
-    if cop_max < nmax:
-        run.note(
-            f"opener alternating-length census checks stop at n={cop_max}: enumerating"
-            f" cyclically ordered partitions of [{nmax + 1}] exceeds the cops cap"
-        )
-    for n in range(1, cop_max + 1):
-        table = oracles.cop_stat_table(n + 1, "las")
-        cur = grids[n]
-        for i in range(side + 1):
-            for j in range(side + 1):
-                if i == 0 and j == 0:
-                    continue
-                run.check(
-                    "opener_las_census",
-                    (n, i, j),
-                    table.get((i + j + 1, i), 0),
-                    cur.get((i, j), 0),
-                )
+    run.note_skipped(_LAS_SKIPPED)
+    run.census(
+        "opener alternating-length census",
+        "opener_las_census",
+        "las",
+        grids,
+        lambda i, j: (i + j + 1, i) if i or j else None,
+    )
     return run.report
 
 
@@ -442,39 +444,29 @@ def suite_t4(nmax: int | None = None, grammar: Grammar | None = None) -> CheckRe
     binomial closed form, and the row sum against the count of ordered
     set partitions with a marked prefix.
     """
-    nmax = _resolve_nmax("T4", nmax)
-    g = grammar if grammar is not None else builtin_grammar("g4")
-    run = _Run("T4", nmax)
-    if grammar is not None:
-        run.note(f"grammar override: {g.to_dsl()}")
-    grids = _grids(g, "x", nmax, IndexMap.identity())
-    side = nmax + 2
-    for n in range(1, nmax + 1):
+    run = _Suite("T4", nmax, grammar, "g4")
+    grids = run.grids("x", IndexMap.identity())
+    for n in run.levels(grids):
         cur, prev = grids[n], grids[n - 1]
-        _box_cover(run, cur, n, side)
-        for i in range(side + 1):
-            for j in range(side + 1):
-                actual = cur.get((i, j), 0)
-                run.check(
-                    "transport_recurrence",
-                    (n, i, j),
-                    (i + j) * prev.get((i, j), 0)
-                    + (i + j - 1) * (prev.get((i - 1, j), 0) + prev.get((i, j - 1), 0)),
-                    actual,
-                )
-                s = stirling2(n + 1, i + j)
-                run.check(
-                    "factorial_stirling_binomial_product",
-                    (n, i, j),
-                    factorial(i + j - 1) * s * binomial(i + j - 1, j) if s else 0,
-                    actual,
-                )
+        for i, j in run.cells():
+            actual = cur[i, j]
+            run.check(
+                "transport_recurrence",
+                (n, i, j),
+                (i + j) * prev[i, j] + (i + j - 1) * (prev[i - 1, j] + prev[i, j - 1]),
+                actual,
+            )
+            s = stirling2(n + 1, i + j)
+            run.check(
+                "factorial_stirling_binomial_product",
+                (n, i, j),
+                factorial(i + j - 1) * s * binomial(i + j - 1, j) if s else 0,
+                actual,
+            )
         run.check(
             "doubled_cop_row_sum",
             (n,),
-            sum(
-                2**k * factorial(k) * stirling2(n + 1, k + 1) for k in range(n + 1)
-            ),
+            sum(2**k * factorial(k) * stirling2(n + 1, k + 1) for k in range(n + 1)),
             sum(cur.values()),
         )
     return run.report
@@ -494,76 +486,61 @@ def suite_t5(nmax: int | None = None, grammar: Grammar | None = None) -> CheckRe
     The second grammar collapses onto single diagonals given by the
     matching and signed descent triangles, checked over the full box.
     """
-    nmax = _resolve_nmax("T5", nmax)
-    g = grammar if grammar is not None else builtin_grammar("g5")
-    run = _Run("T5", nmax)
-    if grammar is not None:
-        run.note(
-            f"grammar override: {g.to_dsl()}"
-            " (applies to the first grammar; diagonal checks keep the builtin)"
-        )
-    e = _grids(g, "x", nmax, _EVEN_MAP)
-    f = _grids(g, "x*y", nmax, _ODD_MAP)
-    side = nmax + 2
+    scope = " (applies to the first grammar; diagonal checks keep the builtin)"
+    run = _Suite("T5", nmax, grammar, "g5", scope)
+    e = run.grids("x", _EVEN_MAP)
+    f = run.grids("x*y", _ODD_MAP)
     e_boundary = _Tally()
     f_boundary = _Tally()
-    for n in range(1, nmax + 1):
-        ecur, eprev = e[n], e[n - 1]
-        fcur, fprev = f[n], f[n - 1]
-        _box_cover(run, ecur, n, side)
-        _box_cover(run, fcur, n, side)
-        for i in range(side + 1):
-            for j in range(side + 1):
-                ea = ecur.get((i, j), 0)
-                fa = fcur.get((i, j), 0)
-                run.check(
-                    "even_transport_recurrence",
-                    (n, i, j),
-                    (2 * i + 2 * j + 1) * eprev.get((i, j), 0)
-                    + (2 * i + 1) * eprev.get((i, j - 1), 0)
-                    + 2 * j * eprev.get((i - 1, j), 0),
-                    ea,
-                )
-                run.check(
-                    "odd_transport_recurrence",
-                    (n, i, j),
-                    (2 * i + 2 * j + 2) * fprev.get((i, j), 0)
-                    + (2 * i + 1) * fprev.get((i, j - 1), 0)
-                    + (2 * j + 1) * fprev.get((i - 1, j), 0),
-                    fa,
-                )
-                w = whitney(2, n, i + j)
-                e_expected = w * matching_count(i + j, j) if w else 0
-                s = stirling2(n + 1, i + j + 1)
-                f_expected = 2 ** (n - i - j) * s * type_b_eulerian(i + j, j) if s else 0
-                if i >= 1 and j >= 1:
-                    run.check("whitney_matching_product", (n, i, j), e_expected, ea)
-                    run.check("scaled_stirling_signed_product", (n, i, j), f_expected, fa)
-                else:
-                    e_boundary.add((n, i, j), e_expected, ea)
-                    f_boundary.add((n, i, j), f_expected, fa)
-    run.note(e_boundary.note("the Whitney times matching product"))
-    run.note(f_boundary.note("the scaled Stirling times signed descent product"))
+    for n in run.levels(e, f):
+        eprev, fprev = e[n - 1], f[n - 1]
+        for i, j in run.cells():
+            ea, fa = e[n][i, j], f[n][i, j]
+            run.check(
+                "even_transport_recurrence",
+                (n, i, j),
+                (2 * i + 2 * j + 1) * eprev[i, j]
+                + (2 * i + 1) * eprev[i, j - 1]
+                + 2 * j * eprev[i - 1, j],
+                ea,
+            )
+            run.check(
+                "odd_transport_recurrence",
+                (n, i, j),
+                (2 * i + 2 * j + 2) * fprev[i, j]
+                + (2 * i + 1) * fprev[i, j - 1]
+                + (2 * j + 1) * fprev[i - 1, j],
+                fa,
+            )
+            w = whitney(2, n, i + j)
+            e_expected = w * matching_count(i + j, j) if w else 0
+            s = stirling2(n + 1, i + j + 1)
+            f_expected = 2 ** (n - i - j) * s * type_b_eulerian(i + j, j) if s else 0
+            if i >= 1 and j >= 1:
+                run.check("whitney_matching_product", (n, i, j), e_expected, ea)
+                run.check("scaled_stirling_signed_product", (n, i, j), f_expected, fa)
+            else:
+                e_boundary.add((n, i, j), e_expected, ea)
+                f_boundary.add((n, i, j), f_expected, fa)
+    run.note(_boundary_note(e_boundary, "the Whitney times matching product"))
+    run.note(_boundary_note(f_boundary, "the scaled Stirling times signed descent product"))
     gb = builtin_grammar("gB")
-    px = _grids(gb, "x", nmax, _EVEN_MAP)
-    pxy = _grids(gb, "x*y", nmax, _ODD_MAP)
-    for n in range(1, nmax + 1):
-        _box_cover(run, px[n], n, side)
-        _box_cover(run, pxy[n], n, side)
-        for i in range(side + 1):
-            for j in range(side + 1):
-                run.check(
-                    "matching_diagonal_pattern",
-                    (n, i, j),
-                    matching_count(n, j) if i + j == n else 0,
-                    px[n].get((i, j), 0),
-                )
-                run.check(
-                    "signed_diagonal_pattern",
-                    (n, i, j),
-                    type_b_eulerian(n, j) if i + j == n else 0,
-                    pxy[n].get((i, j), 0),
-                )
+    px = run.grids("x", _EVEN_MAP, gb)
+    pxy = run.grids("x*y", _ODD_MAP, gb)
+    for n in run.levels(px, pxy):
+        for i, j in run.cells():
+            run.check(
+                "matching_diagonal_pattern",
+                (n, i, j),
+                matching_count(n, j) if i + j == n else 0,
+                px[n][i, j],
+            )
+            run.check(
+                "signed_diagonal_pattern",
+                (n, i, j),
+                type_b_eulerian(n, j) if i + j == n else 0,
+                pxy[n][i, j],
+            )
     return run.report
 
 
@@ -575,14 +552,9 @@ def suite_t6(nmax: int | None = None, grammar: Grammar | None = None) -> CheckRe
     the box agree with an Eulerian row, and the x-linear slice agrees
     with the next Eulerian row.
     """
-    nmax = _resolve_nmax("T6", nmax)
-    g = grammar if grammar is not None else builtin_grammar("g6")
-    run = _Run("T6", nmax)
-    if grammar is not None:
-        run.note(f"grammar override: {g.to_dsl()}")
-    levels = g.derive_levels(parse_polynomial("x"), nmax)
-    side = nmax + 2
-    for n in range(1, nmax + 1):
+    run = _Suite("T6", nmax, grammar, "g6")
+    levels = run.derive("x")
+    for n in range(1, run.nmax + 1):
         p = levels[n]
         degrees = sorted({mono_degree(m) for m in p.terms()})
         run.check("homogeneous_degree", (n,), [n + 1], degrees)
@@ -590,31 +562,16 @@ def suite_t6(nmax: int | None = None, grammar: Grammar | None = None) -> CheckRe
             continue
         imap = IndexMap({"x": (0, 1, 0), "y": (0, 0, 1), "z": (n + 1, -1, -1)})
         try:
-            cur = extract_coeffs(p, imap)
+            cur = Counter(extract_coeffs(p, imap))
         except PatternViolation as exc:
-            run.check(
-                "index_pattern",
-                (n,),
-                "all monomials fit x^i y^j z^(n+1-i-j)",
-                str(exc),
-            )
+            run.check("index_pattern", (n,), "all monomials fit x^i y^j z^(n+1-i-j)", str(exc))
             continue
-        _box_cover(run, cur, n, side)
-        for i in range(side + 1):
-            run.check("pure_z_slice_eulerian", (n, i), eulerian(n, i), cur.get((i, 0), 0))
-            run.check(
-                "no_z_slice_eulerian",
-                (n, i),
-                eulerian(n, i),
-                cur.get((i, n + 1 - i), 0),
-            )
-        for j in range(side + 1):
-            run.check(
-                "x_linear_slice_eulerian",
-                (n, j),
-                eulerian(n + 1, j + 1),
-                cur.get((1, j), 0),
-            )
+        run.box(cur, n)
+        for i in range(run.side + 1):
+            run.check("pure_z_slice_eulerian", (n, i), eulerian(n, i), cur[i, 0])
+            run.check("no_z_slice_eulerian", (n, i), eulerian(n, i), cur[i, n + 1 - i])
+        for j in range(run.side + 1):
+            run.check("x_linear_slice_eulerian", (n, j), eulerian(n + 1, j + 1), cur[1, j])
     return run.report
 
 
@@ -645,12 +602,11 @@ _GOLDEN: tuple[tuple[str, str, int, str], ...] = (
 
 def suite_golden(nmax: int | None = None) -> CheckReport:
     """Byte-exact snapshots of small expansions of the builtin grammars."""
-    nmax = _resolve_nmax("golden", nmax)
-    run = _Run("golden", nmax)
+    run = _Suite("golden", nmax)
     cache: dict[tuple[str, str], list[Polynomial]] = {}
-    depth = min(nmax, max(entry[2] for entry in _GOLDEN))
+    depth = min(run.nmax, max(entry[2] for entry in _GOLDEN))
     for name, start, n, expected in _GOLDEN:
-        if n > nmax:
+        if n > run.nmax:
             continue
         key = (name, start)
         if key not in cache:

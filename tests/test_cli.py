@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from gramcalc import config
+from gramcalc import config, oracles
 from gramcalc.cli import main
 
 
@@ -117,6 +117,20 @@ def test_derive_bad_depth(capsys):
     assert "exceeds the configured cap" in err
 
 
+def test_derive_deep_parentheses_exit_2(capsys):
+    start = "(" * 300 + "x" + ")" * 300
+    code, out, err = run_cli(capsys, "derive", "--grammar", "x -> x", "--start", start, "--n", "1")
+    assert code == 2
+    assert out == ""
+    assert "line 1, column 101: parentheses nested deeper than 100" in err
+
+
+def test_derive_parentheses_at_the_limit(capsys):
+    start = "(" * 100 + "x" + ")" * 100
+    code, out, _ = run_cli(capsys, "derive", "--grammar", "x -> x", "--start", start, "--n", "1")
+    assert (code, out) == (0, "x\n")
+
+
 def test_triangle_text(capsys):
     code, out, _ = run_cli(capsys, "triangle", "stirling2", "--nmax", "3")
     assert code == 0
@@ -185,6 +199,17 @@ def test_cops_json(capsys):
 def test_cops_rejects_csv(capsys):
     code, _, err = run_cli(capsys, "cops", "--n", "2", "--format", "csv")
     assert code == 2
+    assert "no CSV form" in err
+
+
+def test_cops_rejects_csv_before_enumerating(capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError("enumerated before the format was checked")
+
+    monkeypatch.setattr(oracles, "enumerate_cops", refuse)
+    code, out, err = run_cli(capsys, "cops", "--n", "8", "--format", "csv")
+    assert code == 2
+    assert out == ""
     assert "no CSV form" in err
 
 

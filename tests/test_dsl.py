@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from gramcalc.dsl import (
     BUILTIN_SOURCES,
+    MAX_NESTING,
     builtin_grammar,
     builtin_names,
     parse_grammar,
@@ -149,3 +150,30 @@ def test_grammar_round_trip(ruled, rhs):
     constants = [l for l in _letters if l not in ruled]
     g = Grammar({l: rhs for l in ruled}, constants=constants)
     assert parse_grammar(g.to_dsl()) == g
+
+
+def test_nesting_at_the_limit_parses():
+    src = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_polynomial(src) == x
+    assert parse_grammar(f"x -> {src}") == parse_grammar("x -> x")
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 300, 5000])
+def test_nesting_past_the_limit_is_a_parse_error(depth):
+    src = "(" * depth + "x" + ")" * depth
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(src)
+    assert (info.value.line, info.value.col) == (1, MAX_NESTING + 1)
+    assert f"nested deeper than {MAX_NESTING}" in str(info.value)
+
+
+def test_nesting_error_reports_rule_position():
+    src = "y -> y;\nx -> x + " + "(" * (MAX_NESTING + 1) + "y" + ")" * (MAX_NESTING + 1)
+    with pytest.raises(ParseError) as info:
+        parse_grammar(src)
+    assert (info.value.line, info.value.col) == (2, 10 + MAX_NESTING)
+
+
+def test_nesting_depth_resets_between_groups():
+    group = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_polynomial(" + ".join([group] * 3)) == 3 * x

@@ -101,3 +101,43 @@ def test_json_round_trip():
 def test_unhashable():
     with pytest.raises(TypeError):
         hash(x + y)
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, True, "1", None])
+def test_non_int_coefficients_rejected(bad):
+    with pytest.raises(ValueError):
+        Polynomial({(("x", 1),): bad})
+    with pytest.raises(ValueError):
+        Polynomial.from_terms([({"x": 1}, bad)])
+    with pytest.raises(ValueError):
+        Polynomial.term(bad, x=1)
+    with pytest.raises(ValueError):
+        Polynomial.constant(bad)
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, True, "1"])
+def test_non_int_exponents_rejected(bad):
+    with pytest.raises(ValueError):
+        mono_from_exps({"x": bad})
+    with pytest.raises(ValueError):
+        Polynomial({(("x", bad),): 1})
+    with pytest.raises(ValueError):
+        Polynomial.from_terms([({"x": bad}, 1)])
+    with pytest.raises(ValueError):
+        Polynomial.term(1, x=bad)
+    with pytest.raises(ValueError):
+        Polynomial.term(0, x=bad)
+
+
+def test_compare_with_bool_is_false_not_an_error():
+    one = Polynomial.one()
+    assert (one == True) is False  # noqa: E712
+    assert (Polynomial.zero() == False) is False  # noqa: E712
+    assert one != True  # noqa: E712
+    assert one == 1
+
+
+def test_constructor_matches_from_terms():
+    terms = {(("y", 2), ("x", 1)): 3, (("x", 1), ("y", 2)): -1, (): 4, (("x", 0),): 1}
+    assert Polynomial(terms) == Polynomial.from_terms((dict(m), c) for m, c in terms.items())
+    assert Polynomial(terms) == Polynomial.term(2, x=1, y=2) + 5
