@@ -5,8 +5,10 @@ triangles), cops (list cyclically ordered partitions), stats (opener
 statistic distributions), verify (run the identity suites).
 
 Exit status: 0 on success, 1 when a verification suite fails, 2 on
-usage, parse, and bound errors.  Output goes to stdout or, with --out,
-to a file; identical invocations produce byte-identical output.
+usage, parse, and bound errors, 3 on an internal error (any other
+exception, reported with its traceback on stderr).  Output goes to
+stdout or, with --out, to a file; identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -261,7 +263,18 @@ def main(argv=None) -> int:
     except (GramcalcError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # Exit 1 is reserved for a counterexample, so a bug must not reuse it.
+        import traceback  # here, not at the top: it would add to every start-up
+
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

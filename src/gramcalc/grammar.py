@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .errors import DuplicateRule, PatternViolation, UnknownLetter
-from .poly import Monomial, Polynomial, mono_mul, mono_text
+from .poly import Monomial, Polynomial, mono_degree, mono_text
 
 
 class Grammar:
@@ -88,45 +88,110 @@ class Grammar:
 
     def derive(self, p: Polynomial) -> Polynomial:
         """One application of the formal derivative."""
-        out: dict[Monomial, int] = {}
-        for mono, coeff in p.terms().items():
-            for idx, (letter, exp) in enumerate(mono):
-                rule = self._rules.get(letter)
-                if rule is None:
-                    if letter in self._constants:
-                        continue
-                    raise UnknownLetter(letter, "cannot derive")
-                if exp == 1:
-                    reduced = mono[:idx] + mono[idx + 1 :]
-                else:
-                    reduced = mono[:idx] + ((letter, exp - 1),) + mono[idx + 1 :]
-                factor = coeff * exp
-                for rmono, rcoeff in rule.terms().items():
-                    key = mono_mul(reduced, rmono)
-                    c = out.get(key, 0) + factor * rcoeff
-                    if c:
-                        out[key] = c
-                    elif key in out:
-                        del out[key]
-        return Polynomial._raw(out)
+        return self.derive_n(p, 1)
 
     def derive_n(self, p: Polynomial, n: int) -> Polynomial:
         """n-fold derivative, keeping only the final level."""
         if n < 0:
             raise ValueError(f"derivative depth must be nonnegative, got {n}")
-        cur = p
+        if n == 0:
+            return p
+        packing = _Packing(self, p, n)
+        terms = packing.pack(p)
         for _ in range(n):
-            cur = self.derive(cur)
-        return cur
+            terms = packing.step(terms)
+        return packing.unpack(terms)
 
     def derive_levels(self, p: Polynomial, nmax: int) -> list[Polynomial]:
         """All levels 0..nmax of the iterated derivative, in order."""
         if nmax < 0:
             raise ValueError(f"derivative depth must be nonnegative, got {nmax}")
         levels = [p]
+        if nmax == 0:
+            return levels
+        packing = _Packing(self, p, nmax)
+        terms = packing.pack(p)
         for _ in range(nmax):
-            levels.append(self.derive(levels[-1]))
+            terms = packing.step(terms)
+            levels.append(packing.unpack(terms))
         return levels
+
+
+class _Packing:
+    """Kronecker-packed exponent vectors for deriving p up to depth n.
+
+    Each of the grammar's letters, in sorted order, owns a fixed slot of
+    ``width`` bits in one int key, so multiplying by a rule term is one
+    integer add.  The width is the bit length of a proven degree bound: a
+    step raises a term's total degree by at most the largest rule-term
+    degree minus one, so no term of levels 0..n has total degree above
+    ``p.degree() + n * max(0, that degree - 1)``.  No exponent exceeds its
+    term's total degree, so no slot ever carries into the next, and Python
+    ints never wrap, so keys stay exact with no overflow check.
+
+    Keys map one to one onto monomials and ``step`` updates its dict in
+    the same order as a term-by-term derivative over tuple monomials, so
+    the unpacked terms come out in the same first-seen order.
+    """
+
+    __slots__ = ("_shifts", "_mask", "_rules")
+
+    def __init__(self, grammar: Grammar, p: Polynomial, n: int):
+        rules = grammar._rules
+        for mono in p._terms:
+            for letter, _ in mono:
+                if letter not in rules and letter not in grammar._constants:
+                    raise UnknownLetter(letter, "cannot derive")
+        growth = max(
+            (mono_degree(m) - 1 for rhs in rules.values() for m in rhs._terms),
+            default=0,
+        )
+        width = max(1, p.degree() + n * max(0, growth)).bit_length()
+        self._shifts = shifts = {letter: i * width for i, letter in enumerate(grammar.letters)}
+        self._mask = (1 << width) - 1
+        self._rules = [
+            (
+                shifts[letter],
+                [(self.pack_mono(m) - (1 << shifts[letter]), c) for m, c in rhs._terms.items()],
+            )
+            for letter, rhs in sorted(rules.items())
+        ]
+
+    def pack_mono(self, mono: Monomial) -> int:
+        return sum(exp << self._shifts[letter] for letter, exp in mono)
+
+    def pack(self, p: Polynomial) -> dict[int, int]:
+        return {self.pack_mono(mono): coeff for mono, coeff in p._terms.items()}
+
+    def step(self, terms: dict[int, int]) -> dict[int, int]:
+        """One derivative: each ruled slot with exponent e adds coeff*e*rc at key+delta."""
+        rules, mask = self._rules, self._mask
+        out: dict[int, int] = {}
+        get = out.get
+        for key, coeff in terms.items():
+            for shift, deltas in rules:
+                exp = (key >> shift) & mask
+                if exp:
+                    factor = coeff * exp
+                    for delta, rcoeff in deltas:
+                        k = key + delta
+                        c = get(k, 0) + factor * rcoeff
+                        if c:
+                            out[k] = c
+                        elif k in out:
+                            del out[k]
+        return out
+
+    def unpack(self, terms: dict[int, int]) -> Polynomial:
+        slots, mask = self._shifts.items(), self._mask
+        return Polynomial._raw(
+            {
+                tuple(
+                    (letter, exp) for letter, shift in slots if (exp := (key >> shift) & mask)
+                ): coeff
+                for key, coeff in terms.items()
+            }
+        )
 
 
 def _affine_text(base: int, ci: int, cj: int) -> str:

@@ -233,7 +233,7 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial | int") -> "Polynomial":
         if isinstance(other, int):
-            if not other:
+            if not _exact(other, "multiplier"):
                 return Polynomial.zero()
             return Polynomial._raw({m: c * other for m, c in self._terms.items()})
         if not isinstance(other, Polynomial):
@@ -252,7 +252,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
-        if not isinstance(exponent, int) or exponent < 0:
+        if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
             raise ValueError(f"polynomial exponent must be a nonnegative int, got {exponent!r}")
         result = Polynomial.one()
         base = self

@@ -1,10 +1,14 @@
 """End-to-end command line behavior through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from gramcalc import config, oracles
+import gramcalc
+from gramcalc import cli, config, oracles
 from gramcalc.cli import main
 
 
@@ -372,3 +376,29 @@ def test_help_and_usage(capsys):
     assert main([]) == 2
     capsys.readouterr()
     assert main(["derive"]) == 2
+
+
+def test_unexpected_exception_exits_3(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._DISPATCH, "derive", broken)
+    code, out, err = run_cli(capsys, "derive", "--builtin", "g1", "--n", "1")
+    assert code == 3
+    assert out == ""
+    assert "internal error: RuntimeError: boom" in err
+
+
+@pytest.mark.parametrize("module", ["gramcalc", "gramcalc.cli"])
+def test_python_dash_m_entry_points(module):
+    src = os.path.dirname(os.path.dirname(gramcalc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", module, "verify", "golden"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "golden: pass (16 checks, 0 failures, nmax=3)\n"

@@ -1,12 +1,14 @@
 """Formal derivative engine and index-map extraction."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
-from gramcalc.dsl import parse_grammar, parse_polynomial
+from gramcalc.dsl import builtin_grammar, builtin_names, parse_grammar, parse_polynomial
 from gramcalc.errors import DuplicateRule, PatternViolation, UnknownLetter
 from gramcalc.grammar import Grammar, IndexMap, extract_coeffs
-from gramcalc.poly import Polynomial
+from gramcalc.poly import Polynomial, mono_mul
 from gramcalc.triangles import eulerian, stirling2
 
 x = Polynomial.letter("x")
@@ -131,3 +133,146 @@ def test_linearity(p, q, a, b):
 @given(_polys)
 def test_power_rule(p):
     assert _g.derive(p**3) == 3 * p**2 * _g.derive(p)
+
+
+def reference_derive(grammar: Grammar, p: Polynomial) -> Polynomial:
+    """Term-by-term derivative over tuple monomials: the packed kernel's reference."""
+    rules = grammar.rules
+    out = {}
+    for mono, coeff in p.terms().items():
+        for idx, (letter, exp) in enumerate(mono):
+            rule = rules.get(letter)
+            if rule is None:
+                if letter in grammar.constants:
+                    continue
+                raise UnknownLetter(letter, "cannot derive")
+            if exp == 1:
+                reduced = mono[:idx] + mono[idx + 1 :]
+            else:
+                reduced = mono[:idx] + ((letter, exp - 1),) + mono[idx + 1 :]
+            factor = coeff * exp
+            for rmono, rcoeff in rule.terms().items():
+                key = mono_mul(reduced, rmono)
+                c = out.get(key, 0) + factor * rcoeff
+                if c:
+                    out[key] = c
+                elif key in out:
+                    del out[key]
+    return Polynomial._raw(out)
+
+
+def reference_levels(grammar: Grammar, p: Polynomial, nmax: int) -> list[Polynomial]:
+    levels = [p]
+    for _ in range(nmax):
+        levels.append(reference_derive(grammar, levels[-1]))
+    return levels
+
+
+def assert_same_terms(actual: Polynomial, expected: Polynomial) -> None:
+    # Lists, not dicts: extract_coeffs reports the first bad monomial in
+    # term order, so the order is part of the contract.
+    assert list(actual.terms().items()) == list(expected.terms().items())
+
+
+def _sum_of_terms(terms) -> Polynomial:
+    return Polynomial.from_terms((Counter(letters), coeff) for coeff, letters in terms)
+
+
+def _terms_over(letters, degrees):
+    return st.lists(
+        st.tuples(
+            st.integers(min_value=-3, max_value=3),
+            degrees.flatmap(
+                lambda d: st.lists(st.sampled_from(letters), min_size=d, max_size=d)
+            ),
+        ),
+        max_size=4,
+    ).map(_sum_of_terms)
+
+
+@st.composite
+def _grammar_and_start(draw):
+    """A random grammar with constant letters, and a start polynomial.
+
+    Rule terms have degree 0, 1 or 3 and coefficients of either sign, so
+    terms cancel and come back.  The start may use the undeclared letter
+    q, which only derive_n(p, 0) accepts.
+    """
+    known = draw(st.lists(st.sampled_from("abxy"), min_size=1, unique=True))
+    ruled = draw(st.lists(st.sampled_from(known), unique=True))
+    rule_terms = _terms_over(known, st.sampled_from((0, 1, 3)))
+    rules = {letter: draw(rule_terms) for letter in ruled}
+    grammar = Grammar(rules, constants=[l for l in known if l not in rules])
+    start = draw(_terms_over(known + ["q"], st.integers(min_value=0, max_value=3)))
+    return grammar, start
+
+
+@given(_grammar_and_start(), st.integers(min_value=0, max_value=4))
+def test_packed_kernel_matches_reference(case, n):
+    grammar, p = case
+    try:
+        expected = reference_levels(grammar, p, n)
+    except UnknownLetter as exc:
+        for call in (grammar.derive_n, grammar.derive_levels):
+            with pytest.raises(UnknownLetter) as caught:
+                call(p, n)
+            assert str(caught.value) == str(exc)
+        return
+    levels = grammar.derive_levels(p, n)
+    assert len(levels) == n + 1
+    for actual, want in zip(levels, expected):
+        assert_same_terms(actual, want)
+    assert_same_terms(grammar.derive_n(p, n), expected[-1])
+    if n:
+        assert_same_terms(grammar.derive(p), expected[1])
+
+
+# bound = p.degree() + n * max(0, largest rule-term degree - 1), the
+# degree bound whose bit length sets the slot width.
+@pytest.mark.parametrize(
+    "src, start, n, bound",
+    [
+        ("x -> y; const y", "x^5", 5, 5),
+        ("x -> y; const y", "x^7", 7, 7),  # y^7 fills its 3-bit slot
+        ("x -> x^3", "x", 3, 7),
+    ],
+)
+def test_exponent_reaches_the_width_bound(src, start, n, bound):
+    g = parse_grammar(src)
+    p = parse_polynomial(start)
+    expected = reference_levels(g, p, n)
+    assert max(e for mono in expected[-1].terms() for _, e in mono) == bound
+    for actual, want in zip(g.derive_levels(p, n), expected):
+        assert_same_terms(actual, want)
+    assert_same_terms(g.derive_n(p, n), expected[-1])
+
+
+def test_cancelled_term_is_reinserted_last():
+    # c cancels (a then b), then d brings it back after x's y: the
+    # kernel deletes on zero, so c comes out last, as in the reference.
+    g = parse_grammar("const c, y; a -> c; b -> -c; d -> c; x -> y")
+    p = Polynomial.from_terms([({"a": 1}, 1), ({"b": 1}, 1), ({"x": 1}, 1), ({"d": 1}, 1)])
+    assert list(g.derive(p).terms()) == [(("y", 1),), (("c", 1),)]
+    assert_same_terms(g.derive_n(p, 1), reference_derive(g, p))
+
+
+def test_zero_polynomial_derives_to_zero():
+    g = parse_grammar("x -> x*y; y -> y")
+    zero = Polynomial.zero()
+    assert g.derive_n(zero, 3) == 0
+    assert g.derive_levels(zero, 2) == [zero, zero, zero]
+
+
+def test_depth_zero_accepts_an_unknown_letter():
+    g = parse_grammar("x -> x*y; y -> y")
+    q = Polynomial.letter("q")
+    assert g.derive_n(q, 0) is q
+    assert g.derive_levels(q, 0) == [q]
+    with pytest.raises(UnknownLetter, match="'q'"):
+        g.derive_n(x + q, 1)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_builtins_match_reference_at_depth_30(name):
+    g = builtin_grammar(name)
+    assert_same_terms(g.derive_n(x, 30), reference_levels(g, x, 30)[-1])

@@ -129,6 +129,25 @@ def test_non_int_exponents_rejected(bad):
         Polynomial.term(0, x=bad)
 
 
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda p, b: p + b,
+        lambda p, b: b + p,
+        lambda p, b: p - b,
+        lambda p, b: b - p,
+        lambda p, b: p * b,
+        lambda p, b: b * p,
+        lambda p, b: p**b,
+    ],
+    ids=["add", "radd", "sub", "rsub", "mul", "rmul", "pow"],
+)
+def test_bool_operands_rejected(op, flag):
+    with pytest.raises(ValueError):
+        op(x, flag)
+
+
 def test_compare_with_bool_is_false_not_an_error():
     one = Polynomial.one()
     assert (one == True) is False  # noqa: E712
