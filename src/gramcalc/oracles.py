@@ -16,15 +16,27 @@ Statistic conventions on a list w of distinct integers, 1-based:
   run descent, ascent, descent, ...; a single entry has las 1, the empty
   list is an error.
 
+Each statistic is one pass over the list.  las is the greedy count of
+Stanley ("Longest alternating subsequences of permutations", Michigan
+Math. J. 57, 2008): reading left to right, every strict comparison
+between neighbours that turns the way the subsequence needs next adds one
+entry, so las is linear where the textbook dynamic programme is quadratic.
+
 A cyclically ordered partition of [n] is kept in canonical form: a tuple
 of blocks, each block increasing, the block containing 1 first.  The
-openers of such a partition are the block minima in block order.
+openers of such a partition are the block minima in block order.  The
+opener census streams over the set partitions of [n] and, for each, over
+the orderings of its non-first blocks: a cyclically ordered partition is
+exactly one such pair, so each is visited once and none is kept.  Only
+``enumerate_cops`` builds the full sorted list, because its canonical
+order is part of the CLI output.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -41,48 +53,53 @@ Matching = tuple[tuple[int, int], ...]
 
 
 def descents(w: Sequence[int]) -> int:
-    return sum(1 for i in range(len(w) - 1) if w[i] > w[i + 1])
+    count = 0
+    prev = -math.inf
+    for x in w:
+        if prev > x:
+            count += 1
+        prev = x
+    return count
 
 
 def left_peaks(w: Sequence[int]) -> int:
     """Count left peaks, with a 0 sentinel before the first entry."""
     count = 0
-    for i in range(len(w) - 1):
-        prev = w[i - 1] if i > 0 else 0
-        if prev < w[i] > w[i + 1]:
+    a = b = 0  # the first triple reads 0 < 0 and never counts
+    for c in w:
+        if a < b > c:
             count += 1
+        a, b = b, c
     return count
 
 
 def right_valleys(w: Sequence[int]) -> int:
     """Count right valleys, with a +infinity sentinel after the last entry."""
     count = 0
-    n = len(w)
-    for i in range(1, n):
-        nxt = w[i + 1] if i + 1 < n else math.inf
-        if w[i - 1] > w[i] < nxt:
+    a = b = -math.inf  # so the first entry is never a right valley
+    for c in w:
+        if a > b < c:
             count += 1
-    return count
+        a, b = b, c
+    return count + (a > b)
 
 
 def las(w: Sequence[int]) -> int:
     """Longest alternating subsequence length (first comparison a descent).
 
-    Quadratic dynamic programming over end positions, tracking the best
-    odd and even subsequence lengths ending at each entry.
+    Greedy and linear: the length grows by one at each neighbour pair
+    whose strict comparison goes the way the subsequence must turn next,
+    a descent after an odd length and an ascent after an even one.
     """
     if not w:
         raise EmptyList("las is undefined on an empty list")
-    n = len(w)
-    best_odd = [1] * n
-    best_even = [0] * n
-    for j in range(n):
-        for i in range(j):
-            if w[i] > w[j] and best_odd[i] + 1 > best_even[j]:
-                best_even[j] = best_odd[i] + 1
-            if w[i] < w[j] and best_even[i] + 1 > best_odd[j]:
-                best_odd[j] = best_even[i] + 1
-    return max(max(best_odd), max(best_even))
+    length = 1
+    prev = w[0]
+    for x in w:
+        if (x < prev) if length % 2 else (x > prev):
+            length += 1
+        prev = x
+    return length
 
 
 def openers(cop: Cop) -> tuple[int, ...]:
@@ -110,15 +127,22 @@ def odd_smaller_count(matching: Matching) -> int:
 # Enumeration.
 
 
+def _check_size(kind: str, n: int, least: int = 0) -> None:
+    """Reject a size below least with ValueError and one above the kind's cap."""
+    if n < least:
+        raise ValueError(f"{kind} size must be at least {least}, got {n}")
+    config.check(kind, n)
+
+
 def enumerate_permutations(n: int) -> Iterator[tuple[int, ...]]:
     """Permutations of [n] in lexicographic order."""
-    config.check("permutations", n)
+    _check_size("permutations", n)
     return itertools.permutations(range(1, n + 1))
 
 
 def enumerate_signed(n: int) -> Iterator[tuple[int, ...]]:
     """Signed permutations of [n]: every permutation under every sign vector."""
-    config.check("signed", n)
+    _check_size("signed", n)
 
     def gen() -> Iterator[tuple[int, ...]]:
         for perm in itertools.permutations(range(1, n + 1)):
@@ -129,41 +153,55 @@ def enumerate_signed(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def enumerate_matchings(n: int) -> Iterator[Matching]:
-    """Perfect matchings of [2n], pairs listed smallest-first."""
-    config.check("matchings", n)
+    """Perfect matchings of [2n], pairs listed smallest-first.
 
-    def gen(elems: tuple[int, ...]) -> Iterator[Matching]:
-        if not elems:
+    Order: the smallest unmatched entry takes its partners in increasing
+    order, and the last pair formed varies fastest.
+    """
+    _check_size("matchings", n)
+
+    def gen() -> Iterator[Matching]:
+        if n == 0:
             yield ()
             return
-        first = elems[0]
-        for idx in range(1, len(elems)):
-            rest = elems[1:idx] + elems[idx + 1 :]
-            for sub in gen(rest):
-                yield ((first, elems[idx]),) + sub
+        pairs: list = [None] * n
+        # A frame is the entries still unmatched and the index, among them,
+        # of the partner to try next for the first; the top frame is deepest.
+        frames = [(tuple(range(1, 2 * n + 1)), 1)]
+        while frames:
+            elems, idx = frames.pop()
+            if idx + 1 < len(elems):
+                frames.append((elems, idx + 1))
+            pairs[n - len(elems) // 2] = (elems[0], elems[idx])
+            if len(elems) == 2:
+                yield tuple(pairs)
+            else:
+                frames.append((elems[1:idx] + elems[idx + 1 :], 1))
 
-    return gen(tuple(range(1, 2 * n + 1)))
+    return gen()
 
 
-def _set_partitions(n: int) -> list[Cop]:
-    """Partitions of [n] as canonical block tuples, blocks ordered by minimum."""
-    out: list[Cop] = []
+def _set_partitions(n: int) -> Iterator[Cop]:
+    """Partitions of [n] as canonical block tuples, blocks ordered by minimum.
+
+    Yielded one at a time: element i joins each open block in turn, then
+    opens a block of its own.
+    """
     blocks: list[list[int]] = []
 
-    def rec(i: int) -> None:
+    def rec(i: int) -> Iterator[Cop]:
         if i > n:
-            out.append(tuple(tuple(b) for b in blocks))
+            yield tuple(map(tuple, blocks))
             return
         for b in blocks:
             b.append(i)
-            rec(i + 1)
+            yield from rec(i + 1)
             b.pop()
         blocks.append([i])
-        rec(i + 1)
+        yield from rec(i + 1)
         blocks.pop()
 
-    rec(1)
-    return out
+    return rec(1)
 
 
 @lru_cache(maxsize=None)
@@ -182,7 +220,7 @@ def enumerate_cops(n: int) -> Iterator[Cop]:
 
     Order: by block count, then lexicographically on the block tuples.
     """
-    config.check("cops", n)
+    _check_size("cops", n, 1)
     return iter(_cops(n))
 
 
@@ -200,9 +238,13 @@ def stat_names() -> tuple[str, ...]:
 def _cop_stat_items(n: int, stat: str) -> tuple[tuple[tuple[int, int], int], ...]:
     fn = _STATS[stat]
     counts: dict[tuple[int, int], int] = {}
-    for cop in _cops(n):
-        key = (len(cop), fn(openers(cop)))
-        counts[key] = counts.get(key, 0) + 1
+    for blocks in _set_partitions(n):
+        k = len(blocks)
+        # The openers of every cop on these blocks: 1, then the other
+        # block minima in each of their orders.
+        for rest in itertools.permutations([block[0] for block in blocks[1:]]):
+            key = (k, fn((1,) + rest))
+            counts[key] = counts.get(key, 0) + 1
     return tuple(sorted(counts.items()))
 
 
@@ -214,7 +256,7 @@ def cop_stat_table(n: int, stat: str) -> dict[tuple[int, int], int]:
     """
     if stat not in _STATS:
         raise ValueError(f"unknown statistic {stat!r}; choose from {', '.join(_STATS)}")
-    config.check("cops", n)
+    _check_size("cops", n, 1)
     return dict(_cop_stat_items(n, stat))
 
 
@@ -245,16 +287,13 @@ def u_table(nmax: int) -> dict[tuple[int, int, int], int]:
 @lru_cache(maxsize=None)
 def _perm_stat_items(n: int, stat: str) -> tuple[tuple[int, int], ...]:
     fn = _STATS[stat] if stat != "left_peaks" else left_peaks
-    counts: dict[int, int] = {}
-    for perm in itertools.permutations(range(1, n + 1)):
-        value = fn(perm)
-        counts[value] = counts.get(value, 0) + 1
+    counts = Counter(map(fn, itertools.permutations(range(1, n + 1))))
     return tuple(sorted(counts.items()))
 
 
 def left_peak_counts(n: int) -> dict[int, int]:
     """Distribution of left peaks over all permutations of [n], by count."""
-    config.check("permutations", n)
+    _check_size("permutations", n)
     return dict(_perm_stat_items(n, "left_peaks"))
 
 
@@ -264,9 +303,9 @@ def las_counts(n: int) -> dict[int, int]:
     The empty permutation is assigned las 0 by convention so that row 0
     of the derived table exists.
     """
+    _check_size("permutations", n)
     if n == 0:
         return {0: 1}
-    config.check("permutations", n)
     return dict(_perm_stat_items(n, "las"))
 
 

@@ -4,8 +4,9 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
-from gramcalc import config
+from gramcalc import config, oracles
 from gramcalc.errors import BoundExceeded, EmptyList
 from gramcalc.oracles import (
     cop_stat_table,
@@ -28,6 +29,137 @@ from gramcalc.oracles import (
     u_table,
 )
 from gramcalc.triangles import stirling2
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations of the fast paths, read straight off the
+# definitions, and the differential tests against them.
+
+
+def reference_descents(w):
+    return sum(1 for i in range(len(w) - 1) if w[i] > w[i + 1])
+
+
+def reference_left_peaks(w):
+    count = 0
+    for i in range(len(w) - 1):
+        prev = w[i - 1] if i > 0 else 0
+        if prev < w[i] > w[i + 1]:
+            count += 1
+    return count
+
+
+def reference_right_valleys(w):
+    count = 0
+    n = len(w)
+    for i in range(1, n):
+        nxt = w[i + 1] if i + 1 < n else math.inf
+        if w[i - 1] > w[i] < nxt:
+            count += 1
+    return count
+
+
+def reference_las(w):
+    """Quadratic DP over end positions: best odd and even lengths ending at each entry."""
+    n = len(w)
+    best_odd = [1] * n
+    best_even = [0] * n
+    for j in range(n):
+        for i in range(j):
+            if w[i] > w[j] and best_odd[i] + 1 > best_even[j]:
+                best_even[j] = best_odd[i] + 1
+            if w[i] < w[j] and best_even[i] + 1 > best_odd[j]:
+                best_odd[j] = best_even[i] + 1
+    return max(max(best_odd), max(best_even))
+
+
+def reference_matchings(n):
+    """Perfect matchings of [2n] by tuple-slicing recursion."""
+
+    def gen(elems):
+        if not elems:
+            yield ()
+            return
+        first = elems[0]
+        for idx in range(1, len(elems)):
+            rest = elems[1:idx] + elems[idx + 1 :]
+            for sub in gen(rest):
+                yield ((first, elems[idx]),) + sub
+
+    return gen(tuple(range(1, 2 * n + 1)))
+
+
+STAT_REFERENCES = (
+    (descents, reference_descents),
+    (left_peaks, reference_left_peaks),
+    (right_valleys, reference_right_valleys),
+    (las, reference_las),
+)
+
+
+def assert_statistics_match_references(w):
+    for fast, reference in STAT_REFERENCES:
+        if w or fast is not las:
+            assert fast(w) == reference(w), (fast.__name__, w)
+
+
+def test_statistics_match_references_on_permutations():
+    for n in range(9):
+        for w in itertools.permutations(range(1, n + 1)):
+            assert_statistics_match_references(w)
+
+
+def test_statistics_match_references_on_small_alphabet():
+    # every list over {0..3} up to length 6, so ties and a 0 entry are covered
+    for length in range(7):
+        for w in itertools.product(range(4), repeat=length):
+            assert_statistics_match_references(w)
+
+
+@given(st.lists(st.integers(min_value=-5, max_value=5), max_size=12))
+def test_statistics_match_references_with_repeats_and_negatives(w):
+    assert_statistics_match_references(w)
+
+
+def test_enumerate_matchings_matches_reference_order():
+    for n in range(7):
+        assert list(enumerate_matchings(n)) == list(reference_matchings(n))
+
+
+@pytest.mark.parametrize("stat", stat_names())
+def test_cop_stat_table_matches_cop_tally(stat):
+    fn = {
+        "descents": reference_descents,
+        "right_valleys": reference_right_valleys,
+        "las": reference_las,
+    }[stat]
+    for n in range(1, 9):
+        tally = {}
+        for cop in enumerate_cops(n):
+            key = (len(cop), fn(openers(cop)))
+            tally[key] = tally.get(key, 0) + 1
+        assert cop_stat_table(n, stat) == tally
+
+
+@pytest.mark.parametrize("stat", stat_names())
+def test_census_visits_each_cop_once(stat, monkeypatch):
+    calls = []
+    real = oracles._STATS[stat]
+
+    def counted(w):
+        calls.append(w)
+        return real(w)
+
+    monkeypatch.setitem(oracles._STATS, stat, counted)
+    oracles._cop_stat_items.cache_clear()
+    try:
+        for n in range(1, 8):
+            calls.clear()
+            cop_stat_table(n, stat)
+            assert len(calls) == len(list(enumerate_cops(n)))
+            assert sorted(calls) == sorted(openers(cop) for cop in enumerate_cops(n))
+    finally:
+        oracles._cop_stat_items.cache_clear()
 
 
 def test_statistics_on_reference_list():
@@ -195,6 +327,43 @@ def test_caps_guard_enumeration():
         list(enumerate_matchings(8))
     with pytest.raises(BoundExceeded):
         cop_stat_table(9, "las")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: enumerate_cops(0),
+        lambda: enumerate_cops(-1),
+        lambda: cop_stat_table(0, "las"),
+        lambda: cop_stat_table(-1, "descents"),
+        lambda: enumerate_permutations(-2),
+        lambda: enumerate_signed(-1),
+        lambda: enumerate_matchings(-1),
+        lambda: left_peak_counts(-1),
+        lambda: las_counts(-1),
+    ],
+    ids=[
+        "enumerate_cops-0",
+        "enumerate_cops-neg",
+        "cop_stat_table-0",
+        "cop_stat_table-neg",
+        "enumerate_permutations",
+        "enumerate_signed",
+        "enumerate_matchings",
+        "left_peak_counts",
+        "las_counts",
+    ],
+)
+def test_bad_sizes_raise_value_error(call):
+    with pytest.raises(ValueError, match="size must be at least"):
+        call()
+
+
+def test_size_zero_is_valid_below_cops():
+    assert list(enumerate_permutations(0)) == [()]
+    assert list(enumerate_signed(0)) == [()]
+    assert list(enumerate_matchings(0)) == [()]
+    assert left_peak_counts(0) == {0: 1}
 
 
 def test_raised_cap_allows_more():
