@@ -3,7 +3,7 @@ with combinatorial count triangles, brute-force enumeration oracles, and
 identity verification suites tying them together.
 """
 
-from .config import Caps, get_caps, load_caps, reset_caps, set_caps
+from .config import Caps, load_caps
 from .dsl import builtin_grammar, builtin_names, parse_grammar, parse_polynomial
 from .errors import (
     BoundExceeded,
@@ -58,15 +58,12 @@ __all__ = [
     "eulerian",
     "extract_coeffs",
     "factorial",
-    "get_caps",
     "load_caps",
     "matching_count",
     "parse_grammar",
     "parse_polynomial",
-    "reset_caps",
     "run_all",
     "run_suite",
-    "set_caps",
     "stirling2",
     "triangle_names",
     "type_b_eulerian",

@@ -65,7 +65,7 @@ def _poly_csv(p: Polynomial, n: int, grammar: Grammar) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_derive(args) -> tuple[str, int]:
+def _cmd_derive(args, caps: config.Caps) -> tuple[str, int]:
     grammar = (
         builtin_grammar(args.builtin)
         if args.builtin
@@ -73,7 +73,7 @@ def _cmd_derive(args) -> tuple[str, int]:
     )
     if args.n < 0:
         raise GramcalcError(f"--n must be nonnegative, got {args.n}")
-    config.check("derive", args.n)
+    caps.check("derive", args.n)
     start = parse_polynomial(args.start)
     for letter in start.letters():
         if letter not in grammar.letters:
@@ -86,13 +86,13 @@ def _cmd_derive(args) -> tuple[str, int]:
     return str(p) + "\n", 0
 
 
-def _cmd_triangle(args) -> tuple[str, int]:
+def _cmd_triangle(args, caps: config.Caps) -> tuple[str, int]:
     if args.nmax < 0:
         raise GramcalcError(f"--nmax must be nonnegative, got {args.nmax}")
     if args.name == "left_peak":
-        table = oracles.left_peak_table(args.nmax)
+        table = oracles.left_peak_table(args.nmax, caps)
     elif args.name == "las":
-        table = oracles.las_table(args.nmax)
+        table = oracles.las_table(args.nmax, caps)
     else:
         try:
             table = triangles.build_table(args.name, args.nmax)
@@ -111,12 +111,12 @@ def _cmd_triangle(args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0
 
 
-def _cmd_cops(args) -> tuple[str, int]:
+def _cmd_cops(args, caps: config.Caps) -> tuple[str, int]:
     if args.n < 1:
         raise GramcalcError(f"--n must be at least 1, got {args.n}")
     if args.format == "csv":
         raise GramcalcError("cops output has no CSV form; use text or json")
-    cops = list(oracles.enumerate_cops(args.n))
+    cops = list(oracles.enumerate_cops(args.n, caps))
     if args.format == "json":
         payload = {"n": args.n, "cops": [[list(b) for b in cop] for cop in cops]}
         return _json_text(payload), 0
@@ -127,10 +127,10 @@ def _cmd_cops(args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0
 
 
-def _cmd_stats(args) -> tuple[str, int]:
+def _cmd_stats(args, caps: config.Caps) -> tuple[str, int]:
     if args.n < 1:
         raise GramcalcError(f"--n must be at least 1, got {args.n}")
-    table = oracles.cop_stat_table(args.n, args.stat)
+    table = oracles.cop_stat_table(args.n, args.stat, caps)
     items = sorted(table.items())
     if args.format == "json":
         payload = {
@@ -149,16 +149,16 @@ def _cmd_stats(args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0
 
 
-def _cmd_verify(args) -> tuple[str, int]:
+def _cmd_verify(args, caps: config.Caps) -> tuple[str, int]:
     grammar = None
     if args.grammar is not None:
         if args.suite in ("golden", "all"):
             raise GramcalcError("--grammar applies only to suites T1..T6")
         grammar = _grammar_from_source(args.grammar)
     if args.suite == "all":
-        reports = verifier.run_all(args.nmax)
+        reports = verifier.run_all(args.nmax, caps)
     else:
-        reports = [verifier.run_suite(args.suite, args.nmax, grammar)]
+        reports = [verifier.run_suite(args.suite, args.nmax, grammar, caps)]
     code = 0 if all(r.passed for r in reports) else 1
     if args.format == "json":
         payload = (
@@ -253,11 +253,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        config.set_caps(config.load_caps(args.config, os.environ))
-        try:
-            text, code = _DISPATCH[args.command](args)
-        finally:
-            config.reset_caps()
+        caps = config.load_caps(args.config, os.environ)
+        text, code = _DISPATCH[args.command](args, caps)
         _emit(text, args.out)
         return code
     except (GramcalcError, ValueError, OSError) as exc:

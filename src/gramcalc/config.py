@@ -2,8 +2,12 @@
 
 Caps keep exhaustive enumeration (permutations, cyclically ordered
 partitions, signed permutations, perfect matchings) and derivative depth
-within desk-scale runtimes.  Precedence, lowest to highest: built-in
-defaults, config file entries, environment variables.
+within desk-scale runtimes.  A ``Caps`` is a plain immutable value with no
+process-wide instance: every function that checks a cap takes one as its
+last argument, ``caps``, with ``Caps()`` as the default.  The command line
+tool builds its value once per run with ``load_caps``, whose precedence
+is, lowest to highest: built-in defaults, config file entries,
+environment variables.
 
 A config file holds ``key = value`` lines; ``#`` starts a comment.
 Environment variables use the ``GRAMCALC_CAP_`` prefix, for example
@@ -17,6 +21,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import BoundExceeded, GramcalcError
+from .poly import _exact
 
 ENV_PREFIX = "GRAMCALC_CAP_"
 
@@ -31,6 +36,9 @@ class Caps:
     matchings: largest n for enumerating perfect matchings of [2n].
     derive: largest derivative depth accepted by the CLI.
     verify: largest nmax accepted by the verification suites.
+
+    Every field must be a nonnegative int; anything else, a bool included,
+    raises ValueError.
     """
 
     permutations: int = 9
@@ -40,23 +48,23 @@ class Caps:
     derive: int = 100
     verify: int = 10
 
+    def __post_init__(self):
+        for key, value in vars(self).items():
+            if _exact(value, f"cap {key!r}") < 0:
+                raise ValueError(f"cap {key!r} must be nonnegative, got {value}")
+
+    def check(self, kind: str, n: int) -> None:
+        """Raise BoundExceeded when n is above the cap for kind."""
+        cap = getattr(self, kind)
+        if n > cap:
+            hint = (
+                f"raise it with {ENV_PREFIX}{kind.upper()}={n} or a config file line "
+                f"'{kind} = {n}'"
+            )
+            raise BoundExceeded(kind, n, cap, hint)
+
 
 CAP_KEYS = tuple(f.name for f in dataclasses.fields(Caps))
-
-_active = Caps()
-
-
-def get_caps() -> Caps:
-    return _active
-
-
-def set_caps(caps: Caps) -> None:
-    global _active
-    _active = caps
-
-
-def reset_caps() -> None:
-    set_caps(Caps())
 
 
 def _parse_value(key: str, raw: str, origin: str) -> int:
@@ -95,14 +103,3 @@ def load_caps(path: str | None = None, environ=None) -> Caps:
         if raw is not None:
             values[key] = _parse_value(key, raw, ENV_PREFIX + key.upper())
     return Caps(**values)
-
-
-def check(kind: str, n: int) -> None:
-    """Raise BoundExceeded when n is above the active cap for kind."""
-    cap = getattr(get_caps(), kind)
-    if n > cap:
-        hint = (
-            f"raise it with {ENV_PREFIX}{kind.upper()}={n} or a config file line "
-            f"'{kind} = {n}'"
-        )
-        raise BoundExceeded(kind, n, cap, hint)

@@ -40,8 +40,9 @@ from collections import Counter
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from . import config
+from .config import Caps
 from .errors import EmptyList
+from .poly import _exact
 from .triangles import TriangleTable, _fill
 
 Cop = tuple[tuple[int, ...], ...]
@@ -127,22 +128,22 @@ def odd_smaller_count(matching: Matching) -> int:
 # Enumeration.
 
 
-def _check_size(kind: str, n: int, least: int = 0) -> None:
-    """Reject a size below least with ValueError and one above the kind's cap."""
-    if n < least:
+def _check_size(kind: str, n: int, caps: Caps, least: int = 0) -> None:
+    """ValueError for a size that is not an int or is below least; BoundExceeded above the cap."""
+    if _exact(n, f"{kind} size") < least:
         raise ValueError(f"{kind} size must be at least {least}, got {n}")
-    config.check(kind, n)
+    caps.check(kind, n)
 
 
-def enumerate_permutations(n: int) -> Iterator[tuple[int, ...]]:
+def enumerate_permutations(n: int, caps: Caps = Caps()) -> Iterator[tuple[int, ...]]:
     """Permutations of [n] in lexicographic order."""
-    _check_size("permutations", n)
+    _check_size("permutations", n, caps)
     return itertools.permutations(range(1, n + 1))
 
 
-def enumerate_signed(n: int) -> Iterator[tuple[int, ...]]:
+def enumerate_signed(n: int, caps: Caps = Caps()) -> Iterator[tuple[int, ...]]:
     """Signed permutations of [n]: every permutation under every sign vector."""
-    _check_size("signed", n)
+    _check_size("signed", n, caps)
 
     def gen() -> Iterator[tuple[int, ...]]:
         for perm in itertools.permutations(range(1, n + 1)):
@@ -152,13 +153,13 @@ def enumerate_signed(n: int) -> Iterator[tuple[int, ...]]:
     return gen()
 
 
-def enumerate_matchings(n: int) -> Iterator[Matching]:
+def enumerate_matchings(n: int, caps: Caps = Caps()) -> Iterator[Matching]:
     """Perfect matchings of [2n], pairs listed smallest-first.
 
     Order: the smallest unmatched entry takes its partners in increasing
     order, and the last pair formed varies fastest.
     """
-    _check_size("matchings", n)
+    _check_size("matchings", n, caps)
 
     def gen() -> Iterator[Matching]:
         if n == 0:
@@ -215,12 +216,12 @@ def _cops(n: int) -> tuple[Cop, ...]:
     return tuple(cops)
 
 
-def enumerate_cops(n: int) -> Iterator[Cop]:
+def enumerate_cops(n: int, caps: Caps = Caps()) -> Iterator[Cop]:
     """Cyclically ordered partitions of [n] in canonical form.
 
     Order: by block count, then lexicographically on the block tuples.
     """
-    _check_size("cops", n, 1)
+    _check_size("cops", n, caps, 1)
     return iter(_cops(n))
 
 
@@ -248,7 +249,7 @@ def _cop_stat_items(n: int, stat: str) -> tuple[tuple[tuple[int, int], int], ...
     return tuple(sorted(counts.items()))
 
 
-def cop_stat_table(n: int, stat: str) -> dict[tuple[int, int], int]:
+def cop_stat_table(n: int, stat: str, caps: Caps = Caps()) -> dict[tuple[int, int], int]:
     """Counts of cyclically ordered partitions of [n] by (blocks, statistic).
 
     The statistic is applied to the opener list; recognized names are
@@ -256,7 +257,7 @@ def cop_stat_table(n: int, stat: str) -> dict[tuple[int, int], int]:
     """
     if stat not in _STATS:
         raise ValueError(f"unknown statistic {stat!r}; choose from {', '.join(_STATS)}")
-    _check_size("cops", n, 1)
+    _check_size("cops", n, caps, 1)
     return dict(_cop_stat_items(n, stat))
 
 
@@ -291,37 +292,37 @@ def _perm_stat_items(n: int, stat: str) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(counts.items()))
 
 
-def left_peak_counts(n: int) -> dict[int, int]:
+def left_peak_counts(n: int, caps: Caps = Caps()) -> dict[int, int]:
     """Distribution of left peaks over all permutations of [n], by count."""
-    _check_size("permutations", n)
+    _check_size("permutations", n, caps)
     return dict(_perm_stat_items(n, "left_peaks"))
 
 
-def las_counts(n: int) -> dict[int, int]:
+def las_counts(n: int, caps: Caps = Caps()) -> dict[int, int]:
     """Distribution of las over all permutations of [n], by length.
 
     The empty permutation is assigned las 0 by convention so that row 0
     of the derived table exists.
     """
-    _check_size("permutations", n)
+    _check_size("permutations", n, caps)
     if n == 0:
         return {0: 1}
     return dict(_perm_stat_items(n, "las"))
 
 
-def left_peak_table(max_n: int) -> TriangleTable:
+def left_peak_table(max_n: int, caps: Caps = Caps()) -> TriangleTable:
     """Left-peak counts over S_0..S_max_n as a TriangleTable."""
     table = TriangleTable(name="left_peak", max_n=max_n)
     for n in range(max_n + 1):
-        counts = left_peak_counts(n)
+        counts = left_peak_counts(n, caps)
         _fill(table, n, 0, max(counts), counts.get)
     return table
 
 
-def las_table(max_n: int) -> TriangleTable:
+def las_table(max_n: int, caps: Caps = Caps()) -> TriangleTable:
     """las counts over S_0..S_max_n as a TriangleTable."""
     table = TriangleTable(name="las", max_n=max_n)
     for n in range(max_n + 1):
-        counts = las_counts(n)
+        counts = las_counts(n, caps)
         _fill(table, n, min(counts), max(counts), counts.get)
     return table

@@ -26,7 +26,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 
-from . import config, oracles
+from . import oracles
+from .config import Caps
 from .dsl import builtin_grammar, parse_polynomial
 from .errors import PatternViolation
 from .grammar import Grammar, IndexMap, extract_coeffs
@@ -126,6 +127,7 @@ class _Suite:
         self,
         name: str,
         nmax: int | None,
+        caps: Caps,
         grammar: Grammar | None = None,
         builtin: str | None = None,
         scope: str = "",
@@ -134,10 +136,10 @@ class _Suite:
             nmax = _DEFAULT_NMAX[name]
         elif nmax < 0:
             raise ValueError(f"nmax must be nonnegative, got {nmax}")
-        config.check("verify", nmax)
+        caps.check("verify", nmax)
         self.nmax = nmax
         self.side = nmax + 2
-        self.caps = config.get_caps()
+        self.caps = caps
         self.report = CheckReport(suite=name, nmax=nmax)
         self.skipped: set[str] = set()
         if grammar is not None:
@@ -200,7 +202,7 @@ class _Suite:
         for a grid cell that the identity leaves out.
         """
         for n in self.cop_levels(what, 1):
-            table = oracles.cop_stat_table(n + 1, stat)
+            table = oracles.cop_stat_table(n + 1, stat, self.caps)
             for i, j in self.cells():
                 cell = key(i, j)
                 if cell is not None:
@@ -211,7 +213,7 @@ class _Suite:
         if size > self.caps.permutations:
             self.skipped.add(skip_note)
             return None
-        return oracle(size)
+        return oracle(size, self.caps)
 
     def oracle_product(self, s: int, oracle, size: int, key: int, skip_note: str) -> int | None:
         """s times oracle(size)[key], or None when the oracle is skipped."""
@@ -263,14 +265,16 @@ _PEAKS_SKIPPED = "left-peak product checks above the permutations cap were skipp
 _LAS_SKIPPED = "alternating-length product checks above the permutations cap were skipped"
 
 
-def suite_t1(nmax: int | None = None, grammar: Grammar | None = None) -> CheckReport:
+def suite_t1(
+    nmax: int | None = None, grammar: Grammar | None = None, caps: Caps = Caps()
+) -> CheckReport:
     """Grammar x -> x + x*y, y -> y + x*y, expanded from x.
 
     Checks the coefficient transport recurrence, the Stirling times
     Eulerian closed form, the census of cyclically ordered partitions by
     opener descents, and the row sum against the partition count.
     """
-    run = _Suite("T1", nmax, grammar, "g1")
+    run = _Suite("T1", nmax, caps, grammar, "g1")
     grids = run.grids("x", IndexMap.identity())
     for n in run.levels(grids):
         cur, prev = grids[n], grids[n - 1]
@@ -301,7 +305,9 @@ def suite_t1(nmax: int | None = None, grammar: Grammar | None = None) -> CheckRe
     return run.report
 
 
-def suite_t2(nmax: int | None = None, grammar: Grammar | None = None) -> CheckReport:
+def suite_t2(
+    nmax: int | None = None, grammar: Grammar | None = None, caps: Caps = Caps()
+) -> CheckReport:
     """Grammar x -> x + x*y, y -> y + x^2, expanded from x.
 
     Only odd powers of x appear.  Checks the transport recurrence, the
@@ -310,7 +316,7 @@ def suite_t2(nmax: int | None = None, grammar: Grammar | None = None) -> CheckRe
     the row sum.  The valley table itself is validated both against its
     product form and against brute enumeration.
     """
-    run = _Suite("T2", nmax, grammar, "g2")
+    run = _Suite("T2", nmax, caps, grammar, "g2")
     grids = run.grids("x", IndexMap.identity())
     u = oracles.u_table(run.nmax + 1)
     for n in run.levels(grids):
@@ -367,7 +373,7 @@ def suite_t2(nmax: int | None = None, grammar: Grammar | None = None) -> CheckRe
                 )
     run.note_skipped(_PEAKS_SKIPPED)
     for n in run.cop_levels("valley table enumeration", 0):
-        table = oracles.cop_stat_table(n, "right_valleys")
+        table = oracles.cop_stat_table(n, "right_valleys", run.caps)
         for k in range(1, n + 1):
             for l in range((k - 1) // 2 + 1):
                 run.check(
@@ -378,7 +384,7 @@ def suite_t2(nmax: int | None = None, grammar: Grammar | None = None) -> CheckRe
     shifted = _Tally()
     for (n, k, l), value in sorted(u.items()):
         if k <= run.caps.permutations:
-            product_k = stirling2(n, k) * oracles.left_peak_counts(k).get(l, 0)
+            product_k = stirling2(n, k) * oracles.left_peak_counts(k, run.caps).get(l, 0)
             shifted.add((n, k, l), value, product_k)
     run.note(
         shifted.note(
@@ -390,7 +396,9 @@ def suite_t2(nmax: int | None = None, grammar: Grammar | None = None) -> CheckRe
     return run.report
 
 
-def suite_t3(nmax: int | None = None, grammar: Grammar | None = None) -> CheckReport:
+def suite_t3(
+    nmax: int | None = None, grammar: Grammar | None = None, caps: Caps = Caps()
+) -> CheckReport:
     """Grammar w -> w + w*x, x -> x + x*y, y -> y + x^2, expanded from w.
 
     Every term carries a single factor of w; indices are read off the x
@@ -399,7 +407,7 @@ def suite_t3(nmax: int | None = None, grammar: Grammar | None = None) -> CheckRe
     census of partition openers by longest alternating subsequence, and
     the row sum.
     """
-    run = _Suite("T3", nmax, grammar, "g3")
+    run = _Suite("T3", nmax, caps, grammar, "g3")
     grids = run.grids("w", IndexMap.identity(fixed={"w": 1}))
     for n in run.levels(grids):
         cur, prev = grids[n], grids[n - 1]
@@ -437,14 +445,16 @@ def suite_t3(nmax: int | None = None, grammar: Grammar | None = None) -> CheckRe
     return run.report
 
 
-def suite_t4(nmax: int | None = None, grammar: Grammar | None = None) -> CheckReport:
+def suite_t4(
+    nmax: int | None = None, grammar: Grammar | None = None, caps: Caps = Caps()
+) -> CheckReport:
     """Grammar x -> x + x^2 + x*y, y -> y + y^2 + x*y, expanded from x.
 
     Checks the transport recurrence, the factorial times Stirling times
     binomial closed form, and the row sum against the count of ordered
     set partitions with a marked prefix.
     """
-    run = _Suite("T4", nmax, grammar, "g4")
+    run = _Suite("T4", nmax, caps, grammar, "g4")
     grids = run.grids("x", IndexMap.identity())
     for n in run.levels(grids):
         cur, prev = grids[n], grids[n - 1]
@@ -476,7 +486,9 @@ _EVEN_MAP = IndexMap({"x": (1, 2, 0), "y": (0, 0, 2)})
 _ODD_MAP = IndexMap({"x": (1, 2, 0), "y": (1, 0, 2)})
 
 
-def suite_t5(nmax: int | None = None, grammar: Grammar | None = None) -> CheckReport:
+def suite_t5(
+    nmax: int | None = None, grammar: Grammar | None = None, caps: Caps = Caps()
+) -> CheckReport:
     """Grammars x -> x + x*y^2, y -> y + x^2*y and x -> x*y^2, y -> x^2*y.
 
     The first is expanded from both x and x*y, with indices read off the
@@ -487,7 +499,7 @@ def suite_t5(nmax: int | None = None, grammar: Grammar | None = None) -> CheckRe
     matching and signed descent triangles, checked over the full box.
     """
     scope = " (applies to the first grammar; diagonal checks keep the builtin)"
-    run = _Suite("T5", nmax, grammar, "g5", scope)
+    run = _Suite("T5", nmax, caps, grammar, "g5", scope)
     e = run.grids("x", _EVEN_MAP)
     f = run.grids("x*y", _ODD_MAP)
     e_boundary = _Tally()
@@ -544,7 +556,9 @@ def suite_t5(nmax: int | None = None, grammar: Grammar | None = None) -> CheckRe
     return run.report
 
 
-def suite_t6(nmax: int | None = None, grammar: Grammar | None = None) -> CheckReport:
+def suite_t6(
+    nmax: int | None = None, grammar: Grammar | None = None, caps: Caps = Caps()
+) -> CheckReport:
     """Grammar x -> x*(y+z), y -> y*(z+x), z -> z*(x+y), expanded from x.
 
     Expansions stay homogeneous of degree n+1, so the z exponent is
@@ -552,7 +566,7 @@ def suite_t6(nmax: int | None = None, grammar: Grammar | None = None) -> CheckRe
     the box agree with an Eulerian row, and the x-linear slice agrees
     with the next Eulerian row.
     """
-    run = _Suite("T6", nmax, grammar, "g6")
+    run = _Suite("T6", nmax, caps, grammar, "g6")
     levels = run.derive("x")
     for n in range(1, run.nmax + 1):
         p = levels[n]
@@ -600,9 +614,9 @@ _GOLDEN: tuple[tuple[str, str, int, str], ...] = (
 )
 
 
-def suite_golden(nmax: int | None = None) -> CheckReport:
+def suite_golden(nmax: int | None = None, caps: Caps = Caps()) -> CheckReport:
     """Byte-exact snapshots of small expansions of the builtin grammars."""
-    run = _Suite("golden", nmax)
+    run = _Suite("golden", nmax, caps)
     cache: dict[tuple[str, str], list[Polynomial]] = {}
     depth = min(run.nmax, max(entry[2] for entry in _GOLDEN))
     for name, start, n, expected in _GOLDEN:
@@ -626,21 +640,21 @@ _SUITES = {
 
 
 def run_suite(
-    name: str, nmax: int | None = None, grammar: Grammar | None = None
+    name: str, nmax: int | None = None, grammar: Grammar | None = None, caps: Caps = Caps()
 ) -> CheckReport:
     """Run one suite by name; grammar overrides apply only to T1..T6."""
     if name == "golden":
         if grammar is not None:
             raise ValueError("the golden suite always uses the builtin grammars")
-        return suite_golden(nmax)
+        return suite_golden(nmax, caps)
     fn = _SUITES.get(name)
     if fn is None:
         raise ValueError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}"
         )
-    return fn(nmax, grammar)
+    return fn(nmax, grammar, caps)
 
 
-def run_all(nmax: int | None = None) -> list[CheckReport]:
+def run_all(nmax: int | None = None, caps: Caps = Caps()) -> list[CheckReport]:
     """Run every suite in order with a shared nmax override."""
-    return [run_suite(name, nmax) for name in SUITE_NAMES]
+    return [run_suite(name, nmax, caps=caps) for name in SUITE_NAMES]

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import gramcalc
-from gramcalc import cli, config, oracles
+from gramcalc import cli, oracles
 from gramcalc.cli import main
 
 
@@ -207,7 +207,7 @@ def test_cops_rejects_csv(capsys):
 
 
 def test_cops_rejects_csv_before_enumerating(capsys, monkeypatch):
-    def refuse(n):
+    def refuse(n, caps):
         raise AssertionError("enumerated before the format was checked")
 
     monkeypatch.setattr(oracles, "enumerate_cops", refuse)
@@ -342,16 +342,6 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     assert path.read_text() == expected
 
 
-def test_config_file_lowers_cap(capsys, tmp_path):
-    path = tmp_path / "caps.cfg"
-    path.write_text("derive = 3\n")
-    code, _, err = run_cli(
-        capsys, "--config", str(path), "derive", "--builtin", "g1", "--n", "4"
-    )
-    assert code == 2
-    assert "exceeds the configured cap 3" in err
-
-
 def test_environment_beats_config_file(capsys, tmp_path, monkeypatch):
     path = tmp_path / "caps.cfg"
     path.write_text("derive = 3\n")
@@ -364,10 +354,23 @@ def test_environment_beats_config_file(capsys, tmp_path, monkeypatch):
 
 
 def test_caps_reset_after_run(capsys, tmp_path):
+    # A config file lowers a cap for the one run of each subcommand it is
+    # given to; the same command run next, without it, has the defaults.
     path = tmp_path / "caps.cfg"
-    path.write_text("derive = 3\n")
-    run_cli(capsys, "--config", str(path), "derive", "--builtin", "g1", "--n", "2")
-    assert config.get_caps() == config.Caps()
+    for cap, value, command in [
+        ("derive", 3, "derive --builtin g1 --n 4"),
+        ("cops", 2, "cops --n 3"),
+        ("cops", 2, "stats --n 3 --stat las"),
+        ("permutations", 2, "triangle las --nmax 3"),
+        ("permutations", 2, "triangle left_peak --nmax 3"),
+        ("verify", 2, "verify all --nmax 3"),
+    ]:
+        path.write_text(f"{cap} = {value}\n")
+        code, out, err = run_cli(capsys, "--config", str(path), *command.split())
+        assert (code, out) == (2, ""), command
+        assert f"exceeds the configured cap {value}" in err
+        code, out, _ = run_cli(capsys, *command.split())
+        assert code == 0 and out, command
 
 
 def test_help_and_usage(capsys):
@@ -379,7 +382,7 @@ def test_help_and_usage(capsys):
 
 
 def test_unexpected_exception_exits_3(capsys, monkeypatch):
-    def broken(args):
+    def broken(args, caps):
         raise RuntimeError("boom")
 
     monkeypatch.setitem(cli._DISPATCH, "derive", broken)

@@ -4,6 +4,7 @@ import pytest
 
 from gramcalc import config
 from gramcalc.errors import BoundExceeded, GramcalcError
+from gramcalc.oracles import enumerate_cops
 
 
 def test_defaults():
@@ -17,9 +18,9 @@ def test_defaults():
 
 
 def test_check_passes_at_cap_and_fails_above():
-    config.check("permutations", 9)
+    config.Caps().check("permutations", 9)
     with pytest.raises(BoundExceeded) as info:
-        config.check("permutations", 10)
+        config.Caps().check("permutations", 10)
     assert info.value.cap == 9
     assert "GRAMCALC_CAP_PERMUTATIONS=10" in str(info.value)
 
@@ -54,8 +55,14 @@ def test_load_caps_rejects_bad_input(tmp_path):
 
 
 def test_set_and_reset():
-    config.set_caps(config.Caps(cops=3))
+    # A lowered cap, 0 included, holds for the call it is passed to and no later call.
     with pytest.raises(BoundExceeded):
-        config.check("cops", 4)
-    config.reset_caps()
-    config.check("cops", 4)
+        enumerate_cops(4, config.Caps(cops=0))
+    assert len(list(enumerate_cops(4))) == 26
+
+
+@pytest.mark.parametrize("value", ["9", 2.5, True, -1, None])
+def test_caps_reject_fields_that_are_not_nonnegative_ints(value):
+    for key in config.CAP_KEYS:
+        with pytest.raises(ValueError, match=f"cap '{key}' must be"):
+            config.Caps(**{key: value})

@@ -6,7 +6,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from gramcalc import config, oracles
+from gramcalc import oracles
+from gramcalc.config import Caps
 from gramcalc.errors import BoundExceeded, EmptyList
 from gramcalc.oracles import (
     cop_stat_table,
@@ -341,6 +342,10 @@ def test_caps_guard_enumeration():
         lambda: enumerate_matchings(-1),
         lambda: left_peak_counts(-1),
         lambda: las_counts(-1),
+        lambda: enumerate_cops(2.5),
+        lambda: cop_stat_table(2.5, "las"),
+        lambda: enumerate_permutations(2.5),
+        lambda: enumerate_matchings(True),
     ],
     ids=[
         "enumerate_cops-0",
@@ -352,10 +357,14 @@ def test_caps_guard_enumeration():
         "enumerate_matchings",
         "left_peak_counts",
         "las_counts",
+        "enumerate_cops-float",
+        "cop_stat_table-float",
+        "enumerate_permutations-float",
+        "enumerate_matchings-bool",
     ],
 )
 def test_bad_sizes_raise_value_error(call):
-    with pytest.raises(ValueError, match="size must be at least"):
+    with pytest.raises(ValueError, match="size must be (at least|an int)"):
         call()
 
 
@@ -367,8 +376,7 @@ def test_size_zero_is_valid_below_cops():
 
 
 def test_raised_cap_allows_more():
-    config.set_caps(config.Caps(matchings=8))
-    count = sum(1 for _ in enumerate_matchings(8))
+    count = sum(1 for _ in enumerate_matchings(8, Caps(matchings=8)))
     assert count == math.factorial(16) // (2**8 * math.factorial(8))
 
 

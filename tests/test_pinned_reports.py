@@ -25,7 +25,6 @@ from functools import lru_cache
 
 import pytest
 
-from gramcalc import config
 from gramcalc.config import Caps
 from gramcalc.dsl import parse_grammar
 from gramcalc.errors import GramcalcError
@@ -107,14 +106,11 @@ def case_id(case: tuple[str, int, str, str | None]) -> str:
 
 
 def outcome(suite: str, nmax: int, caps: str, src: str | None) -> str:
-    config.set_caps(CAPS[caps])
     try:
         grammar = None if src is None else parse_grammar(src)
-        report = run_suite(suite, nmax, grammar)
+        report = run_suite(suite, nmax, grammar, CAPS[caps])
     except (GramcalcError, ValueError) as exc:
         return f"{type(exc).__name__}: {exc}"
-    finally:
-        config.reset_caps()
     text = json.dumps(report.to_json_obj(), sort_keys=True)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 

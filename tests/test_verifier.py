@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from gramcalc.config import Caps
 from gramcalc.dsl import builtin_grammar, parse_grammar
 from gramcalc.errors import BoundExceeded
 from gramcalc.verifier import (
@@ -92,7 +93,15 @@ def test_census_capping_note_only_when_needed():
     assert run_suite("T1", nmax=3).notes == []
     deep = run_suite("T1", nmax=8)
     assert deep.passed
+    assert deep.checks_run == 2631
     assert any("stop at n=7" in note for note in deep.notes)
+
+
+def test_raised_cops_cap_reaches_the_census():
+    report = run_suite("T1", 8, caps=Caps(cops=9))
+    assert report.passed
+    assert report.checks_run == 2752
+    assert report.notes == []
 
 
 def test_valley_product_shift_note():
