@@ -10,12 +10,18 @@ a constant.
 This module also provides affine index maps for reading a two-parameter
 coefficient array out of an expansion whose monomials follow a fixed
 exponent pattern, such as ``x^(2i+1) y^(2j)``.
+
+Derive runs on the packed-key layout of ``poly._Packing``, which
+``Polynomial`` multiplication shares; this module adds only what is
+specific to derive: the unknown-letter check, the degree bound for a
+depth, the rule deltas and the step.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping
 
+from . import poly
 from .errors import DuplicateRule, PatternViolation, UnknownLetter
 from .poly import Monomial, Polynomial, mono_degree, mono_text
 
@@ -117,24 +123,22 @@ class Grammar:
         return levels
 
 
-class _Packing:
-    """Kronecker-packed exponent vectors for deriving p up to depth n.
+class _Packing(poly._Packing):
+    """Packed keys for deriving p up to depth n with a grammar's rules.
 
-    Each of the grammar's letters, in sorted order, owns a fixed slot of
-    ``width`` bits in one int key, so multiplying by a rule term is one
-    integer add.  The width is the bit length of a proven degree bound: a
+    The slots are the grammar's letters, and the degree bound is proven: a
     step raises a term's total degree by at most the largest rule-term
     degree minus one, so no term of levels 0..n has total degree above
-    ``p.degree() + n * max(0, that degree - 1)``.  No exponent exceeds its
-    term's total degree, so no slot ever carries into the next, and Python
-    ints never wrap, so keys stay exact with no overflow check.
+    ``p.degree() + n * max(0, that degree - 1)``.  Each rule is kept as its
+    letter's shift and the key deltas of its terms, so multiplying by a
+    rule term is one integer add.
 
-    Keys map one to one onto monomials and ``step`` updates its dict in
-    the same order as a term-by-term derivative over tuple monomials, so
-    the unpacked terms come out in the same first-seen order.
+    ``step`` updates its dict in the same order as a term-by-term
+    derivative over tuple monomials, so the unpacked terms come out in the
+    same first-seen order.
     """
 
-    __slots__ = ("_shifts", "_mask", "_rules")
+    __slots__ = ("_rules",)
 
     def __init__(self, grammar: Grammar, p: Polynomial, n: int):
         rules = grammar._rules
@@ -146,9 +150,8 @@ class _Packing:
             (mono_degree(m) - 1 for rhs in rules.values() for m in rhs._terms),
             default=0,
         )
-        width = max(1, p.degree() + n * max(0, growth)).bit_length()
-        self._shifts = shifts = {letter: i * width for i, letter in enumerate(grammar.letters)}
-        self._mask = (1 << width) - 1
+        super().__init__(grammar.letters, p.degree() + n * max(0, growth))
+        shifts = self._shifts
         self._rules = [
             (
                 shifts[letter],
@@ -156,12 +159,6 @@ class _Packing:
             )
             for letter, rhs in sorted(rules.items())
         ]
-
-    def pack_mono(self, mono: Monomial) -> int:
-        return sum(exp << self._shifts[letter] for letter, exp in mono)
-
-    def pack(self, p: Polynomial) -> dict[int, int]:
-        return {self.pack_mono(mono): coeff for mono, coeff in p._terms.items()}
 
     def step(self, terms: dict[int, int]) -> dict[int, int]:
         """One derivative: each ruled slot with exponent e adds coeff*e*rc at key+delta."""
@@ -181,17 +178,6 @@ class _Packing:
                         elif k in out:
                             del out[k]
         return out
-
-    def unpack(self, terms: dict[int, int]) -> Polynomial:
-        slots, mask = self._shifts.items(), self._mask
-        return Polynomial._raw(
-            {
-                tuple(
-                    (letter, exp) for letter, shift in slots if (exp := (key >> shift) & mask)
-                ): coeff
-                for key, coeff in terms.items()
-            }
-        )
 
 
 def _affine_text(base: int, ci: int, cj: int) -> str:

@@ -128,11 +128,16 @@ def odd_smaller_count(matching: Matching) -> int:
 # Enumeration.
 
 
-def _check_size(kind: str, n: int, caps: Caps, least: int = 0) -> None:
-    """ValueError for a size that is not an int or is below least; BoundExceeded above the cap."""
+def _size(kind: str, n: int, least: int = 0) -> int:
+    """n itself; ValueError for a size that is not an int or is below least."""
     if _exact(n, f"{kind} size") < least:
         raise ValueError(f"{kind} size must be at least {least}, got {n}")
-    caps.check(kind, n)
+    return n
+
+
+def _check_size(kind: str, n: int, caps: Caps, least: int = 0) -> None:
+    """_size's checks, then BoundExceeded above the cap."""
+    caps.check(kind, _size(kind, n, least))
 
 
 def enumerate_permutations(n: int, caps: Caps = Caps()) -> Iterator[tuple[int, ...]]:
@@ -269,8 +274,7 @@ def u_table(nmax: int) -> dict[tuple[int, int, int], int]:
     grown level by level; no enumeration is involved, which makes this
     the recurrence side of a cross-check against enumerate_cops.
     """
-    if nmax < 1:
-        raise ValueError(f"nmax must be at least 1, got {nmax}")
+    _size("u_table", nmax, 1)
     u: dict[tuple[int, int, int], int] = {(1, 1, 0): 1}
     for n in range(2, nmax + 1):
         for k in range(1, n + 1):
@@ -310,19 +314,19 @@ def las_counts(n: int, caps: Caps = Caps()) -> dict[int, int]:
     return dict(_perm_stat_items(n, "las"))
 
 
+def _perm_table(name: str, max_n: int, counts_of, caps: Caps) -> TriangleTable:
+    table = TriangleTable(name=name, max_n=_size(f"{name} table", max_n))
+    for n in range(max_n + 1):
+        counts = counts_of(n, caps)
+        _fill(table, n, min(counts), max(counts), counts.get)
+    return table
+
+
 def left_peak_table(max_n: int, caps: Caps = Caps()) -> TriangleTable:
     """Left-peak counts over S_0..S_max_n as a TriangleTable."""
-    table = TriangleTable(name="left_peak", max_n=max_n)
-    for n in range(max_n + 1):
-        counts = left_peak_counts(n, caps)
-        _fill(table, n, 0, max(counts), counts.get)
-    return table
+    return _perm_table("left_peak", max_n, left_peak_counts, caps)
 
 
 def las_table(max_n: int, caps: Caps = Caps()) -> TriangleTable:
     """las counts over S_0..S_max_n as a TriangleTable."""
-    table = TriangleTable(name="las", max_n=max_n)
-    for n in range(max_n + 1):
-        counts = las_counts(n, caps)
-        _fill(table, n, min(counts), max(counts), counts.get)
-    return table
+    return _perm_table("las", max_n, las_counts, caps)

@@ -12,6 +12,10 @@ each monomial as an exponent vector over those letters, and list terms in
 ascending lexicographic order of that vector.  ``str(p)`` writes explicit
 ``*`` between factors and round-trips through the rule DSL, while
 ``p.compact()`` juxtaposes letters (``3xy^2``) for display.
+
+Products run on packed keys (``_Packing``): each letter's exponent sits
+in a fixed bit slot of one int, so multiplying two monomials is one
+integer add.  The derive kernel in ``grammar`` builds on the same class.
 """
 
 from __future__ import annotations
@@ -48,32 +52,6 @@ def mono_from_exps(exps: Mapping[str, int]) -> Monomial:
     return tuple(items)
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    """Product of two canonical monomials (merge sorted pair lists)."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        la, ea = a[i]
-        lb, eb = b[j]
-        if la == lb:
-            out.append((la, ea + eb))
-            i += 1
-            j += 1
-        elif la < lb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
-
-
 def mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
@@ -95,6 +73,43 @@ def _term_text(coeff: int, m: Monomial, explicit_mul: bool) -> str:
     if explicit_mul:
         return f"{coeff}*{body}"
     return f"{coeff}{body}"
+
+
+class _Packing:
+    """Kronecker-packed exponent vectors over a fixed set of letters.
+
+    Each letter, in sorted order, owns a slot of ``width`` bits in one int
+    key, where width is the bit length of a degree bound.  No exponent of
+    a term within that bound exceeds it, so no slot ever carries into the
+    next and the key of a product of such terms is the sum of their keys;
+    Python ints never wrap, so keys stay exact with no overflow check.
+    Keys map one to one onto monomials, so a dict of keys keeps the
+    first-seen order of the terms it was built from.
+    """
+
+    __slots__ = ("_shifts", "_mask")
+
+    def __init__(self, letters: Iterable[str], degree: int):
+        width = max(1, degree).bit_length()
+        self._shifts = {letter: i * width for i, letter in enumerate(sorted(letters))}
+        self._mask = (1 << width) - 1
+
+    def pack_mono(self, mono: Monomial) -> int:
+        return sum(exp << self._shifts[letter] for letter, exp in mono)
+
+    def pack(self, p: "Polynomial") -> dict[int, int]:
+        return {self.pack_mono(mono): coeff for mono, coeff in p._terms.items()}
+
+    def unpack(self, terms: dict[int, int]) -> "Polynomial":
+        slots, mask = self._shifts.items(), self._mask
+        return Polynomial._raw(
+            {
+                tuple(
+                    (letter, exp) for letter, shift in slots if (exp := (key >> shift) & mask)
+                ): coeff
+                for key, coeff in terms.items()
+            }
+        )
 
 
 class Polynomial:
@@ -238,16 +253,19 @@ class Polynomial:
             return Polynomial._raw({m: c * other for m, c in self._terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        out: dict[Monomial, int] = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
-                key = mono_mul(ma, mb)
-                c = out.get(key, 0) + ca * cb
+        packing = _Packing({*self.letters(), *other.letters()}, self.degree() + other.degree())
+        right = packing.pack(other).items()
+        out: dict[int, int] = {}
+        get = out.get
+        for ka, ca in packing.pack(self).items():
+            for kb, cb in right:
+                key = ka + kb
+                c = get(key, 0) + ca * cb
                 if c:
                     out[key] = c
                 elif key in out:
                     del out[key]
-        return Polynomial._raw(out)
+        return packing.unpack(out)
 
     __rmul__ = __mul__
 
@@ -260,8 +278,9 @@ class Polynomial:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def _format(self, explicit_mul: bool) -> str:

@@ -1,7 +1,7 @@
 """Classical integer triangles computed by row recurrences.
 
 All values are exact integers built by dynamic programming over whole
-rows, cached per table.  Out-of-support lookups return 0 instead of
+rows: each table grows its rows in a loop and keeps them.  Out-of-support lookups return 0 instead of
 raising, which keeps bounding-box scans in the verification suites
 simple.
 
@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 
 from .errors import InternalMismatch, UnknownTriangle
+from .poly import _exact
 
 
 def binomial(n: int, k: int) -> int:
@@ -40,81 +41,67 @@ def factorial(n: int) -> int:
     return math.factorial(n)
 
 
-def _two_term(row, n: int, kmin: int, a, b) -> tuple[int, ...]:
-    """Row n, k = kmin..n, of T(n, k) = a(k) T(n-1, k) + b(k) T(n-1, k-1).
+class _Rows:
+    """Rows of T(n, k) = a(n, k) T(n-1, k) + b(n, k) T(n-1, k-1), k = kmin..n.
 
-    ``row(n - 1)`` must hold row n-1 over k = kmin..n-1; cells outside a
-    row read as 0.
+    Starts from the given first rows; a request past the last kept row
+    builds the missing rows in a loop and keeps them, so no row costs a
+    recursion.  Cells outside a row read as 0.
     """
-    prev = (0, *row(n - 1), 0)
-    return tuple(
-        a(k) * prev[k - kmin + 1] + b(k) * prev[k - kmin] for k in range(kmin, n + 1)
-    )
+
+    __slots__ = ("_kmin", "_a", "_b", "_rows")
+
+    def __init__(self, kmin: int, a, b, *first: tuple[int, ...]):
+        self._kmin, self._a, self._b, self._rows = kmin, a, b, list(first)
+
+    def row(self, n: int) -> tuple[int, ...]:
+        """Row n over k = kmin..n."""
+        if _exact(n, "row index") < 0:
+            raise ValueError(f"row index must be nonnegative, got {n}")
+        rows, kmin, a, b = self._rows, self._kmin, self._a, self._b
+        while len(rows) <= n:
+            m, prev = len(rows), (0, *rows[-1], 0)
+            rows.append(
+                tuple(
+                    a(m, k) * prev[k - kmin + 1] + b(m, k) * prev[k - kmin]
+                    for k in range(kmin, m + 1)
+                )
+            )
+        return rows[n]
+
+    def at(self, n: int, k: int) -> int:
+        """T(n, k), 0 outside kmin <= k <= n."""
+        n, k = _exact(n, "row index"), _exact(k, "column index")
+        if not self._kmin <= k <= n:
+            return 0
+        return self.row(n)[k - self._kmin]
 
 
-@lru_cache(maxsize=None)
-def stirling_row(n: int) -> tuple[int, ...]:
-    """Row n of the second-kind Stirling triangle, k = 0..n."""
-    if n == 0:
-        return (1,)
-    return _two_term(stirling_row, n, 0, lambda k: k, lambda k: 1)
+_STIRLING = _Rows(0, lambda n, k: k, lambda n, k: 1, (1,))
+# Row 0 is empty, so row 1 is given too.
+_EULERIAN = _Rows(1, lambda n, k: k, lambda n, k: n - k + 1, (), (1,))
+_TYPE_B = _Rows(0, lambda n, k: 2 * k + 1, lambda n, k: 2 * n - 2 * k + 1, (1,))
+_MATCHING = _Rows(0, lambda n, k: 2 * k, lambda n, k: 2 * n - 2 * k + 1, (1,))
+_WHITNEY: dict[int, _Rows] = {}
+
+stirling_row, eulerian_row = _STIRLING.row, _EULERIAN.row
+type_b_row, matching_row = _TYPE_B.row, _MATCHING.row
 
 
 def stirling2(n: int, k: int) -> int:
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return stirling_row(n)[k]
-
-
-@lru_cache(maxsize=None)
-def eulerian_row(n: int) -> tuple[int, ...]:
-    """Row n of the Eulerian triangle, k = 1..n; row 0 is empty."""
-    if n == 0:
-        return ()
-    if n == 1:
-        return (1,)
-    return _two_term(eulerian_row, n, 1, lambda k: k, lambda k: n - k + 1)
+    return _STIRLING.at(n, k)
 
 
 def eulerian(n: int, k: int) -> int:
-    if n < 1 or k < 1 or k > n:
-        return 0
-    return eulerian_row(n)[k - 1]
-
-
-@lru_cache(maxsize=None)
-def type_b_row(n: int) -> tuple[int, ...]:
-    """Row n of the type-B Eulerian triangle, k = 0..n."""
-    if n == 0:
-        return (1,)
-    return _two_term(type_b_row, n, 0, lambda k: 2 * k + 1, lambda k: 2 * n - 2 * k + 1)
+    return _EULERIAN.at(n, k)
 
 
 def type_b_eulerian(n: int, k: int) -> int:
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return type_b_row(n)[k]
-
-
-@lru_cache(maxsize=None)
-def matching_row(n: int) -> tuple[int, ...]:
-    """Row n of the odd-opener matching triangle, k = 0..n."""
-    if n == 0:
-        return (1,)
-    return _two_term(matching_row, n, 0, lambda k: 2 * k, lambda k: 2 * n - 2 * k + 1)
+    return _TYPE_B.at(n, k)
 
 
 def matching_count(n: int, k: int) -> int:
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return matching_row(n)[k]
-
-
-@lru_cache(maxsize=None)
-def _whitney_row(m: int, n: int) -> tuple[int, ...]:
-    if n == 0:
-        return (1,)
-    return _two_term(lambda r: _whitney_row(m, r), n, 0, lambda k: 1 + m * k, lambda k: 1)
+    return _MATCHING.at(n, k)
 
 
 def _whitney_sum(m: int, n: int, k: int) -> int:
@@ -130,12 +117,14 @@ def whitney(m: int, n: int, k: int) -> int:
     the row recurrence W_m(n, k) = W_m(n-1, k-1) + (1 + m*k) W_m(n-1, k);
     a disagreement raises InternalMismatch.
     """
-    if m < 1:
+    if _exact(m, "Whitney order") < 1:
         raise ValueError(f"Whitney order must be a positive integer, got {m}")
-    if n < 0 or k < 0 or k > n:
+    if m not in _WHITNEY:
+        _WHITNEY[m] = _Rows(0, lambda n, k: 1 + m * k, lambda n, k: 1, (1,))
+    by_recurrence = _WHITNEY[m].at(n, k)
+    if not 0 <= k <= n:
         return 0
     by_sum = _whitney_sum(m, n, k)
-    by_recurrence = _whitney_row(m, n)[k]
     if by_sum != by_recurrence:
         raise InternalMismatch(
             f"whitney({m}, {n}, {k}): sum path {by_sum} != recurrence path {by_recurrence}"
@@ -238,7 +227,7 @@ def build_table(name: str, max_n: int) -> TriangleTable:
     Recognized names: stirling2, eulerian, type_b_eulerian, matching, and
     whitney:m for a positive integer m.
     """
-    if max_n < 0:
+    if _exact(max_n, "max_n") < 0:
         raise ValueError(f"max_n must be nonnegative, got {max_n}")
     if name.startswith("whitney:"):
         raw = name.split(":", 1)[1]

@@ -1,0 +1,98 @@
+"""Tuple-monomial references for the packed-key products and derive.
+
+Polynomial multiplication and the derive kernel run on Kronecker-packed
+int keys.  These slow, direct versions merge sorted (letter, exponent)
+tuples instead; the differential tests compare both, term order
+included.
+"""
+
+from gramcalc.errors import UnknownLetter
+from gramcalc.grammar import Grammar
+from gramcalc.poly import Monomial, Polynomial
+
+
+def mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    """Product of two canonical monomials (merge sorted pair lists)."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        la, ea = a[i]
+        lb, eb = b[j]
+        if la == lb:
+            out.append((la, ea + eb))
+            i += 1
+            j += 1
+        elif la < lb:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
+
+
+def _add_term(out: dict, key: Monomial, coeff: int) -> None:
+    # Delete on zero, so a cancelled term that comes back is listed last.
+    c = out.get(key, 0) + coeff
+    if c:
+        out[key] = c
+    elif key in out:
+        del out[key]
+
+
+def reference_mul(p: Polynomial, q: Polynomial) -> Polynomial:
+    out = {}
+    for ma, ca in p.terms().items():
+        for mb, cb in q.terms().items():
+            _add_term(out, mono_mul(ma, mb), ca * cb)
+    return Polynomial._raw(out)
+
+
+def reference_pow(p: Polynomial, e: int) -> Polynomial:
+    """Square and multiply from the low bit, as ``Polynomial.__pow__`` does."""
+    result, base = Polynomial.one(), p
+    while e:
+        if e & 1:
+            result = reference_mul(result, base)
+        base = reference_mul(base, base)
+        e >>= 1
+    return result
+
+
+def reference_derive(grammar: Grammar, p: Polynomial) -> Polynomial:
+    """Term-by-term derivative over tuple monomials."""
+    rules = grammar.rules
+    out = {}
+    for mono, coeff in p.terms().items():
+        for idx, (letter, exp) in enumerate(mono):
+            rule = rules.get(letter)
+            if rule is None:
+                if letter in grammar.constants:
+                    continue
+                raise UnknownLetter(letter, "cannot derive")
+            if exp == 1:
+                reduced = mono[:idx] + mono[idx + 1 :]
+            else:
+                reduced = mono[:idx] + ((letter, exp - 1),) + mono[idx + 1 :]
+            for rmono, rcoeff in rule.terms().items():
+                _add_term(out, mono_mul(reduced, rmono), coeff * exp * rcoeff)
+    return Polynomial._raw(out)
+
+
+def reference_levels(grammar: Grammar, p: Polynomial, nmax: int) -> list[Polynomial]:
+    levels = [p]
+    for _ in range(nmax):
+        levels.append(reference_derive(grammar, levels[-1]))
+    return levels
+
+
+def assert_same_terms(actual: Polynomial, expected: Polynomial) -> None:
+    # Lists, not dicts: extract_coeffs reports the first bad monomial in
+    # term order, so the order is part of the contract.
+    assert list(actual.terms().items()) == list(expected.terms().items())

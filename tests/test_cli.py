@@ -112,6 +112,14 @@ def test_derive_unknown_start_letter(capsys):
     assert "unknown letter 'z'" in err
 
 
+def test_derive_checks_start_letters_after_a_large_power(capsys):
+    code, _, err = run_cli(
+        capsys, "derive", "--builtin", "g1", "--start", "(x+y+z+w)^40", "--n", "0"
+    )
+    assert code == 2
+    assert "unknown letter 'w'" in err
+
+
 def test_derive_bad_depth(capsys):
     code, _, err = run_cli(capsys, "derive", "--builtin", "g1", "--n", "-1")
     assert code == 2

@@ -8,8 +8,10 @@ from hypothesis import given, strategies as st
 from gramcalc.dsl import builtin_grammar, builtin_names, parse_grammar, parse_polynomial
 from gramcalc.errors import DuplicateRule, PatternViolation, UnknownLetter
 from gramcalc.grammar import Grammar, IndexMap, extract_coeffs
-from gramcalc.poly import Polynomial, mono_mul
+from gramcalc.poly import Polynomial
 from gramcalc.triangles import eulerian, stirling2
+
+from reference import assert_same_terms, reference_derive, reference_levels
 
 x = Polynomial.letter("x")
 y = Polynomial.letter("y")
@@ -133,45 +135,6 @@ def test_linearity(p, q, a, b):
 @given(_polys)
 def test_power_rule(p):
     assert _g.derive(p**3) == 3 * p**2 * _g.derive(p)
-
-
-def reference_derive(grammar: Grammar, p: Polynomial) -> Polynomial:
-    """Term-by-term derivative over tuple monomials: the packed kernel's reference."""
-    rules = grammar.rules
-    out = {}
-    for mono, coeff in p.terms().items():
-        for idx, (letter, exp) in enumerate(mono):
-            rule = rules.get(letter)
-            if rule is None:
-                if letter in grammar.constants:
-                    continue
-                raise UnknownLetter(letter, "cannot derive")
-            if exp == 1:
-                reduced = mono[:idx] + mono[idx + 1 :]
-            else:
-                reduced = mono[:idx] + ((letter, exp - 1),) + mono[idx + 1 :]
-            factor = coeff * exp
-            for rmono, rcoeff in rule.terms().items():
-                key = mono_mul(reduced, rmono)
-                c = out.get(key, 0) + factor * rcoeff
-                if c:
-                    out[key] = c
-                elif key in out:
-                    del out[key]
-    return Polynomial._raw(out)
-
-
-def reference_levels(grammar: Grammar, p: Polynomial, nmax: int) -> list[Polynomial]:
-    levels = [p]
-    for _ in range(nmax):
-        levels.append(reference_derive(grammar, levels[-1]))
-    return levels
-
-
-def assert_same_terms(actual: Polynomial, expected: Polynomial) -> None:
-    # Lists, not dicts: extract_coeffs reports the first bad monomial in
-    # term order, so the order is part of the contract.
-    assert list(actual.terms().items()) == list(expected.terms().items())
 
 
 def _sum_of_terms(terms) -> Polynomial:

@@ -346,6 +346,10 @@ def test_caps_guard_enumeration():
         lambda: cop_stat_table(2.5, "las"),
         lambda: enumerate_permutations(2.5),
         lambda: enumerate_matchings(True),
+        lambda: u_table(2.5),
+        lambda: left_peak_table(2.5),
+        lambda: left_peak_table(-1),
+        lambda: las_table(True),
     ],
     ids=[
         "enumerate_cops-0",
@@ -361,6 +365,10 @@ def test_caps_guard_enumeration():
         "cop_stat_table-float",
         "enumerate_permutations-float",
         "enumerate_matchings-bool",
+        "u_table-float",
+        "left_peak_table-float",
+        "left_peak_table-neg",
+        "las_table-bool",
     ],
 )
 def test_bad_sizes_raise_value_error(call):

@@ -3,8 +3,11 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
-from gramcalc.poly import CONST_MONO, Polynomial, mono_degree, mono_from_exps, mono_mul
+from gramcalc.poly import CONST_MONO, Polynomial, mono_degree, mono_from_exps
+
+from reference import assert_same_terms, mono_mul, reference_mul, reference_pow
 
 x = Polynomial.letter("x")
 y = Polynomial.letter("y")
@@ -160,3 +163,87 @@ def test_constructor_matches_from_terms():
     terms = {(("y", 2), ("x", 1)): 3, (("x", 1), ("y", 2)): -1, (): 4, (("x", 0),): 1}
     assert Polynomial(terms) == Polynomial.from_terms((dict(m), c) for m, c in terms.items())
     assert Polynomial(terms) == Polynomial.term(2, x=1, y=2) + 5
+
+
+@st.composite
+def _polys(draw, letters="wxyz"):
+    """Up to five terms over a random subset of letters, exponents 0..6.
+
+    Coefficients of either sign and repeated monomials make terms cancel;
+    the empty sum is the zero polynomial and a term with no letters is a
+    constant.
+    """
+    subset = draw(st.lists(st.sampled_from(letters), unique=True))
+    term = st.tuples(
+        st.dictionaries(st.sampled_from(subset), st.integers(0, 6)) if subset else st.just({}),
+        st.integers(-3, 3),
+    )
+    return Polynomial.from_terms(draw(st.lists(term, max_size=5)))
+
+
+@given(_polys(), _polys(), _polys("ab"))
+def test_product_matches_tuple_reference(p, q, r):
+    # r shares no letter with p or q.
+    for a, b in ((p, q), (q, p), (p, r)):
+        assert_same_terms(a * b, reference_mul(a, b))
+
+
+@given(_polys(), st.integers(0, 5))
+def test_power_matches_tuple_reference(p, e):
+    assert_same_terms(p**e, reference_pow(p, e))
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        # Degrees 3 + 4 give a 3-bit slot, and x^7 = 0b111 fills x's.
+        (x**3 + y, x**4 + y),
+        (x**3 - 2 * y, x**4 + 3 * y - 1),
+        # Degrees 4 + 4 give a 4-bit slot, and y^8 reaches its top bit.
+        (x + y**4, y**4 - x),
+    ],
+)
+def test_exponent_reaches_the_slot_width(p, q):
+    top = p.degree() + q.degree()
+    assert max(e for mono in (p * q).terms() for _, e in mono) == top
+    assert_same_terms(p * q, reference_mul(p, q))
+
+
+def test_power_fills_the_slot_width():
+    # The last product of (x + y)^7 has bound 3 + 4, so x^7 fills a 3-bit slot.
+    p = (x + y) ** 7
+    assert p.coefficient({"x": 7}) == 1
+    assert_same_terms(p, reference_pow(x + y, 7))
+
+
+def _count_products(monkeypatch) -> list:
+    calls = []
+    mul = Polynomial.__mul__
+
+    def counting(a, b):
+        calls.append(b)
+        return mul(a, b)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    return calls
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 5, 8, 13, 16, 40])
+def test_power_stops_squaring_after_the_top_bit(monkeypatch, e):
+    calls = _count_products(monkeypatch)
+    assert (x + 1) ** e == Polynomial.from_terms(({"x": k}, math.comb(e, k)) for k in range(e + 1))
+    # One square per bit below the top one, one product per set bit.
+    assert len(calls) == e.bit_length() - 1 + bin(e).count("1")
+
+
+def test_power_zero_makes_no_product(monkeypatch):
+    calls = _count_products(monkeypatch)
+    assert (x + y) ** 0 == 1
+    assert calls == []
+
+
+def test_four_letter_power():
+    w, z = Polynomial.letter("w"), Polynomial.letter("z")
+    p = (x + y + z + w) ** 40
+    assert len(p) == math.comb(43, 3) == 12341
+    assert p.coeff_sum() == 4**40

@@ -130,6 +130,43 @@ def test_build_table_whitney_name():
     assert t.name == "whitney:2"
 
 
+def test_deep_rows_build_without_recursion():
+    # The rows are built in a loop, so depth is bounded by memory alone.
+    assert stirling2(400, 2) == 2**399 - 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: stirling2(2.5, 1),
+        lambda: eulerian(3, 1.5),
+        lambda: eulerian(2.5, 0),
+        lambda: type_b_eulerian(True, 0),
+        lambda: stirling_row(-1),
+        lambda: matching_row(2.0),
+        lambda: whitney(2, 2.5, 1),
+        lambda: whitney(2.5, 2, 1),
+        lambda: build_table("stirling2", 2.5),
+        lambda: build_table("eulerian", True),
+    ],
+    ids=[
+        "stirling2-float",
+        "eulerian-float-k",
+        "eulerian-float-n-outside",
+        "type_b_eulerian-bool",
+        "stirling_row-neg",
+        "matching_row-float",
+        "whitney-float-n",
+        "whitney-float-m",
+        "build_table-float",
+        "build_table-bool",
+    ],
+)
+def test_bad_sizes_raise_value_error(call):
+    with pytest.raises(ValueError, match="must be (an int|nonnegative|a positive)"):
+        call()
+
+
 def test_build_table_errors():
     with pytest.raises(ValueError):
         build_table("stirling2", -1)
