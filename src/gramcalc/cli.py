@@ -89,6 +89,7 @@ def _cmd_derive(args, caps: config.Caps) -> tuple[str, int]:
 def _cmd_triangle(args, caps: config.Caps) -> tuple[str, int]:
     if args.nmax < 0:
         raise GramcalcError(f"--nmax must be nonnegative, got {args.nmax}")
+    caps.check("triangle", args.nmax)
     if args.name == "left_peak":
         table = oracles.left_peak_table(args.nmax, caps)
     elif args.name == "las":
@@ -111,6 +112,18 @@ def _cmd_triangle(args, caps: config.Caps) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0
 
 
+class _BlockText(dict):
+    """Block tuple -> its "(a,b,...)" text, rendered on first lookup.
+
+    A listing of cops repeats each of at most 2^n - 1 distinct blocks
+    many times, so each is rendered once.
+    """
+
+    def __missing__(self, block: tuple[int, ...]) -> str:
+        text = self[block] = "(" + ",".join(map(str, block)) + ")"
+        return text
+
+
 def _cmd_cops(args, caps: config.Caps) -> tuple[str, int]:
     if args.n < 1:
         raise GramcalcError(f"--n must be at least 1, got {args.n}")
@@ -120,10 +133,8 @@ def _cmd_cops(args, caps: config.Caps) -> tuple[str, int]:
     if args.format == "json":
         payload = {"n": args.n, "cops": [[list(b) for b in cop] for cop in cops]}
         return _json_text(payload), 0
-    lines = [
-        "".join("(" + ",".join(str(e) for e in block) + ")" for block in cop)
-        for cop in cops
-    ]
+    block_text = _BlockText().__getitem__
+    lines = ["".join(map(block_text, cop)) for cop in cops]
     return "\n".join(lines) + "\n", 0
 
 

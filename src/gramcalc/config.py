@@ -1,13 +1,13 @@
 """Size caps for brute-force enumeration, with file and environment overrides.
 
 Caps keep exhaustive enumeration (permutations, cyclically ordered
-partitions, signed permutations, perfect matchings) and derivative depth
-within desk-scale runtimes.  A ``Caps`` is a plain immutable value with no
-process-wide instance: every function that checks a cap takes one as its
-last argument, ``caps``, with ``Caps()`` as the default.  The command line
-tool builds its value once per run with ``load_caps``, whose precedence
-is, lowest to highest: built-in defaults, config file entries,
-environment variables.
+partitions, signed permutations, perfect matchings), derivative depth and
+triangle depth within desk-scale runtimes.  A ``Caps`` is a plain
+immutable value with no process-wide instance: every function that checks
+a cap takes one as its last argument, ``caps``, with ``Caps()`` as the
+default.  The command line tool builds its value once per run with
+``load_caps``, whose precedence is, lowest to highest: built-in defaults,
+config file entries, environment variables.
 
 A config file holds ``key = value`` lines; ``#`` starts a comment.
 Environment variables use the ``GRAMCALC_CAP_`` prefix, for example
@@ -36,6 +36,7 @@ class Caps:
     matchings: largest n for enumerating perfect matchings of [2n].
     derive: largest derivative depth accepted by the CLI.
     verify: largest nmax accepted by the verification suites.
+    triangle: largest nmax accepted by the triangle subcommand.
 
     Every field must be a nonnegative int; anything else, a bool included,
     raises ValueError.
@@ -47,6 +48,7 @@ class Caps:
     matchings: int = 7
     derive: int = 100
     verify: int = 10
+    triangle: int = 200
 
     def __post_init__(self):
         for key, value in vars(self).items():

@@ -28,8 +28,9 @@ openers of such a partition are the block minima in block order.  The
 opener census streams over the set partitions of [n] and, for each, over
 the orderings of its non-first blocks: a cyclically ordered partition is
 exactly one such pair, so each is visited once and none is kept.  Only
-``enumerate_cops`` builds the full sorted list, because its canonical
-order is part of the CLI output.
+``enumerate_cops`` builds the full list, because its canonical order is
+part of the CLI output: it files each cop under its block count, sorts
+each group in plain tuple order and joins the groups by ascending count.
 """
 
 from __future__ import annotations
@@ -212,13 +213,21 @@ def _set_partitions(n: int) -> Iterator[Cop]:
 
 @lru_cache(maxsize=None)
 def _cops(n: int) -> tuple[Cop, ...]:
-    cops: list[Cop] = []
+    """All cops of [n] in canonical order.
+
+    Sorting each block-count group by the tuple order and joining the
+    groups by ascending count gives the order of a sort keyed on
+    ``(len(cop), cop)``, without building a key for every cop.
+    """
+    groups: list[list[Cop]] = [[] for _ in range(n + 1)]
     for blocks in _set_partitions(n):
         first, rest = blocks[0], blocks[1:]
+        group = groups[len(blocks)]
         for arrangement in itertools.permutations(rest):
-            cops.append((first,) + arrangement)
-    cops.sort(key=lambda cop: (len(cop), cop))
-    return tuple(cops)
+            group.append((first,) + arrangement)
+    for group in groups:
+        group.sort()
+    return tuple(itertools.chain.from_iterable(groups))
 
 
 def enumerate_cops(n: int, caps: Caps = Caps()) -> Iterator[Cop]:

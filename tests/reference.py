@@ -1,13 +1,18 @@
-"""Tuple-monomial references for the packed-key products and derive.
+"""Slow, direct references for the fast paths, for differential tests.
 
 Polynomial multiplication and the derive kernel run on Kronecker-packed
-int keys.  These slow, direct versions merge sorted (letter, exponent)
-tuples instead; the differential tests compare both, term order
-included.
+int keys.  Their references merge sorted (letter, exponent) tuples
+instead; the differential tests compare both, term order included.
+
+The canonical cop order and the ``cops`` text lines have references too:
+one key-sorted list, and every block rendered afresh on every line.
 """
+
+import itertools
 
 from gramcalc.errors import UnknownLetter
 from gramcalc.grammar import Grammar
+from gramcalc.oracles import Cop, _set_partitions
 from gramcalc.poly import Monomial, Polynomial
 
 
@@ -96,3 +101,19 @@ def assert_same_terms(actual: Polynomial, expected: Polynomial) -> None:
     # Lists, not dicts: extract_coeffs reports the first bad monomial in
     # term order, so the order is part of the contract.
     assert list(actual.terms().items()) == list(expected.terms().items())
+
+
+def reference_cops(n: int) -> list[Cop]:
+    """Cops of [n] sorted by one key, (block count, block tuples)."""
+    cops = []
+    for blocks in _set_partitions(n):
+        first, rest = blocks[0], blocks[1:]
+        for arrangement in itertools.permutations(rest):
+            cops.append((first,) + arrangement)
+    cops.sort(key=lambda cop: (len(cop), cop))
+    return cops
+
+
+def reference_cop_line(cop: Cop) -> str:
+    """One ``cops`` text line, each block rendered where it stands."""
+    return "".join("(" + ",".join(str(e) for e in block) + ")" for block in cop)

@@ -11,6 +11,8 @@ import gramcalc
 from gramcalc import cli, oracles
 from gramcalc.cli import main
 
+from reference import reference_cop_line, reference_cops
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -182,6 +184,24 @@ def test_triangle_oracle_tables(capsys):
     assert out == "0: 1\n1: 1\n2: 1 1\n3: 1 3 2\n"
 
 
+def test_triangle_nmax_cap(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "triangle", "stirling2", "--nmax", "200")
+    assert code == 0
+    assert out.splitlines()[-1].startswith("200: 0 1 ")
+
+    # Above the cap, no table is built.
+    def refuse(*args):
+        raise AssertionError("built a table above the triangle cap")
+
+    monkeypatch.setattr(cli.triangles, "build_table", refuse)
+    monkeypatch.setattr(cli.oracles, "las_table", refuse)
+    for name in ("stirling2", "whitney:2", "las"):
+        code, out, err = run_cli(capsys, "triangle", name, "--nmax", "201")
+        assert (code, out) == (2, ""), name
+        assert "triangle size 201 exceeds the configured cap 200" in err
+        assert "GRAMCALC_CAP_TRIANGLE=201" in err
+
+
 def test_triangle_unknown_name(capsys):
     code, _, err = run_cli(capsys, "triangle", "nope", "--nmax", "2")
     assert code == 2
@@ -200,6 +220,34 @@ def test_cops_text(capsys):
     code, out, _ = run_cli(capsys, "cops", "--n", "3")
     assert code == 0
     assert out == "(1,2,3)\n(1)(2,3)\n(1,2)(3)\n(1,3)(2)\n(1)(2)(3)\n(1)(3)(2)\n"
+
+
+def test_cops_text_matches_reference_lines(capsys):
+    for n in range(1, 9):
+        code, out, _ = run_cli(capsys, "cops", "--n", str(n))
+        assert code == 0
+        expected = "".join(reference_cop_line(cop) + "\n" for cop in reference_cops(n))
+        assert out == expected, n
+
+
+def test_cops_text_renders_multi_digit_blocks(capsys, monkeypatch):
+    # Above the cop cap, so the cops are built by hand.  Blocks whose
+    # digits run together the same way, such as (1,2,3) and (1,23) or
+    # (1,2) and (12,), must each keep their own text.
+    cops = [
+        ((1, 2, 3), (10, 11, 12)),
+        ((1, 23), (2, 3), (10, 11, 12)),
+        ((1, 2), (3, 10), (11,), (12,)),
+        ((1, 11), (2, 3, 10), (12,)),
+        ((1, 2, 3), (12,), (10, 11)),
+        ((1, 2), (3, 10, 11, 12)),
+        ((1, 12), (2, 3, 10, 11)),
+    ]
+    monkeypatch.setattr(oracles, "enumerate_cops", lambda n, caps: iter(cops))
+    code, out, _ = run_cli(capsys, "cops", "--n", "12")
+    assert code == 0
+    assert out == "".join(reference_cop_line(cop) + "\n" for cop in cops)
+    assert out.splitlines()[1] == "(1,23)(2,3)(10,11,12)"
 
 
 def test_cops_json(capsys):
@@ -372,6 +420,7 @@ def test_caps_reset_after_run(capsys, tmp_path):
         ("permutations", 2, "triangle las --nmax 3"),
         ("permutations", 2, "triangle left_peak --nmax 3"),
         ("verify", 2, "verify all --nmax 3"),
+        ("triangle", 2, "triangle stirling2 --nmax 3"),
     ]:
         path.write_text(f"{cap} = {value}\n")
         code, out, err = run_cli(capsys, "--config", str(path), *command.split())

@@ -1,5 +1,10 @@
 """Cap loading: defaults, config files, environment, precedence."""
 
+import dataclasses
+import inspect
+import pathlib
+import re
+
 import pytest
 
 from gramcalc import config
@@ -15,6 +20,7 @@ def test_defaults():
     assert caps.matchings == 7
     assert caps.derive == 100
     assert caps.verify == 10
+    assert caps.triangle == 200
 
 
 def test_check_passes_at_cap_and_fails_above():
@@ -66,3 +72,19 @@ def test_caps_reject_fields_that_are_not_nonnegative_ints(value):
     for key in config.CAP_KEYS:
         with pytest.raises(ValueError, match=f"cap '{key}' must be"):
             config.Caps(**{key: value})
+
+
+def test_every_cap_is_documented():
+    # README's "Defaults: ..." sentence lists each cap with its default,
+    # and the Caps docstring names each one, so a new cap can't leave
+    # either stale.
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    sentence = re.search(r"Defaults: ([^.]*)\.", " ".join(readme.split())).group(1)
+    documented = {}
+    for item in sentence.split(", "):
+        name, value = item.split()
+        documented[name] = int(value)
+    assert documented == dataclasses.asdict(config.Caps())
+    doc = inspect.getdoc(config.Caps)
+    for key in config.CAP_KEYS:
+        assert re.search(rf"^{key}: ", doc, re.MULTILINE), key

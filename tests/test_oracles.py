@@ -31,6 +31,8 @@ from gramcalc.oracles import (
 )
 from gramcalc.triangles import stirling2
 
+from reference import reference_cops
+
 
 # ---------------------------------------------------------------------------
 # Reference implementations of the fast paths, read straight off the
@@ -275,6 +277,11 @@ def test_enumerate_cops_golden_order():
         ((1,), (2,), (3,)),
         ((1,), (3,), (2,)),
     ]
+
+
+def test_enumerate_cops_matches_reference_order():
+    for n in range(1, 9):
+        assert list(enumerate_cops(n)) == reference_cops(n), n
 
 
 def test_cop_canonical_form():
