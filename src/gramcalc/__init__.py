@@ -24,6 +24,7 @@ from .triangles import (
     build_table,
     eulerian,
     factorial,
+    make_table,
     matching_count,
     stirling2,
     triangle_names,
@@ -59,6 +60,7 @@ __all__ = [
     "extract_coeffs",
     "factorial",
     "load_caps",
+    "make_table",
     "matching_count",
     "parse_grammar",
     "parse_polynomial",

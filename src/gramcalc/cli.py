@@ -86,14 +86,21 @@ def _cmd_derive(args, caps: config.Caps) -> tuple[str, int]:
     return str(p) + "\n", 0
 
 
+def _dense_row(counts: dict[int, int]) -> tuple[int, list[int]]:
+    """A distribution as a table row: its least k and the counts up to its greatest."""
+    k_start = min(counts)
+    return k_start, [counts.get(k, 0) for k in range(k_start, max(counts) + 1)]
+
+
 def _cmd_triangle(args, caps: config.Caps) -> tuple[str, int]:
     if args.nmax < 0:
         raise GramcalcError(f"--nmax must be nonnegative, got {args.nmax}")
     caps.check("triangle", args.nmax)
-    if args.name == "left_peak":
-        table = oracles.left_peak_table(args.nmax, caps)
-    elif args.name == "las":
-        table = oracles.las_table(args.nmax, caps)
+    counts_of = {"left_peak": oracles.left_peak_counts, "las": oracles.las_counts}.get(args.name)
+    if counts_of is not None:
+        table = triangles.make_table(
+            args.name, args.nmax, lambda n: _dense_row(counts_of(n, caps))
+        )
     else:
         try:
             table = triangles.build_table(args.name, args.nmax)
@@ -106,8 +113,8 @@ def _cmd_triangle(args, caps: config.Caps) -> tuple[str, int]:
         lines.extend(f"{n},{k},{v}" for n, k, v in table.iter_cells())
         return "\n".join(lines) + "\n", 0
     lines = []
-    for n in range(table.max_n + 1):
-        values = " ".join(str(v) for v in table.row(n))
+    for n, row in enumerate(table.rows()):
+        values = " ".join(map(str, row))
         lines.append(f"{n}: {values}" if values else f"{n}:")
     return "\n".join(lines) + "\n", 0
 

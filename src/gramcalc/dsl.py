@@ -9,9 +9,12 @@ Grammar:
     factor  := atom ['^' INT]
     atom    := INT | IDENT | '(' expr ')'
 
-Multiplication is always explicit and '^' takes a positive integer
-exponent.  Parentheses nest at most ``MAX_NESTING`` deep.  Whitespace,
-including newlines, only separates tokens.  The word ``const`` is
+An INT is a run of ASCII digits 0-9 and an IDENT is a Python
+identifier, ending at the first character that cannot continue one; any
+other character is a syntax error.  Multiplication is always explicit
+and '^' takes a positive integer exponent.  Parentheses nest at most
+``MAX_NESTING`` deep.  Whitespace, including newlines, only separates
+tokens.  The word ``const`` is
 reserved and declares letters whose derivative is zero.  Syntax errors
 carry a 1-based line and column plus the set of token kinds that would
 have been accepted.
@@ -42,6 +45,9 @@ _PUNCT = {
     ";": "semi",
     ",": "comma",
 }
+
+# INT is ASCII digits only; other Unicode digits are not integers here.
+_DIGITS = frozenset("0123456789")
 
 _DISPLAY = {
     "plus": "'+'",
@@ -91,17 +97,17 @@ def _tokenize(src: str) -> list[Token]:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and src[j] in _DIGITS:
                 j += 1
             tokens.append(Token("int", int(src[i:j]), line, start_col))
             col += j - i
             i = j
             continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
+        if ch.isidentifier():
+            j = i + 1
+            while j < n and ("_" + src[j]).isidentifier():
                 j += 1
             tokens.append(Token("ident", src[i:j], line, start_col))
             col += j - i

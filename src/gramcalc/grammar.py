@@ -203,13 +203,17 @@ class IndexMap:
     Each mapped letter's exponent must equal ``base + ci*i + cj*j`` for
     nonnegative integers i and j, and no other letter may occur.  Some
     pair of letters must have linearly independent (ci, cj) rows so the
-    indices are pinned uniquely; otherwise construction fails.
+    indices are pinned uniquely; otherwise construction fails.  Every
+    entry must be an int (not a bool); anything else raises ValueError.
     """
 
     __slots__ = ("_spec", "_solver")
 
     def __init__(self, spec: Mapping[str, tuple[int, int, int]]):
-        self._spec = {letter: tuple(map(int, row)) for letter, row in sorted(spec.items())}
+        self._spec = {
+            letter: tuple(poly._exact(v, f"index map entry of {letter!r}") for v in row)
+            for letter, row in sorted(spec.items())
+        }
         letters = list(self._spec)
         solver = None
         for a in range(len(letters)):

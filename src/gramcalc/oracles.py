@@ -44,7 +44,6 @@ from typing import Iterator, Sequence
 from .config import Caps
 from .errors import EmptyList
 from .poly import _exact
-from .triangles import TriangleTable, _fill
 
 Cop = tuple[tuple[int, ...], ...]
 Matching = tuple[tuple[int, int], ...]
@@ -314,28 +313,11 @@ def left_peak_counts(n: int, caps: Caps = Caps()) -> dict[int, int]:
 def las_counts(n: int, caps: Caps = Caps()) -> dict[int, int]:
     """Distribution of las over all permutations of [n], by length.
 
-    The empty permutation is assigned las 0 by convention so that row 0
-    of the derived table exists.
+    The empty permutation is assigned las 0 by convention so that the
+    ``triangle las`` table has a row 0.
     """
     _check_size("permutations", n, caps)
     if n == 0:
         return {0: 1}
     return dict(_perm_stat_items(n, "las"))
 
-
-def _perm_table(name: str, max_n: int, counts_of, caps: Caps) -> TriangleTable:
-    table = TriangleTable(name=name, max_n=_size(f"{name} table", max_n))
-    for n in range(max_n + 1):
-        counts = counts_of(n, caps)
-        _fill(table, n, min(counts), max(counts), counts.get)
-    return table
-
-
-def left_peak_table(max_n: int, caps: Caps = Caps()) -> TriangleTable:
-    """Left-peak counts over S_0..S_max_n as a TriangleTable."""
-    return _perm_table("left_peak", max_n, left_peak_counts, caps)
-
-
-def las_table(max_n: int, caps: Caps = Caps()) -> TriangleTable:
-    """las counts over S_0..S_max_n as a TriangleTable."""
-    return _perm_table("las", max_n, las_counts, caps)

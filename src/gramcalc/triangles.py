@@ -1,9 +1,12 @@
 """Classical integer triangles computed by row recurrences.
 
 All values are exact integers built by dynamic programming over whole
-rows: each table grows its rows in a loop and keeps them.  Out-of-support lookups return 0 instead of
-raising, which keeps bounding-box scans in the verification suites
-simple.
+rows: each triangle grows its rows in a loop and keeps them.
+Out-of-support lookups return 0 instead of raising, which keeps
+bounding-box scans in the verification suites simple.  A finished
+``TriangleTable`` holds, for each row, its first k and its dense values;
+``make_table`` builds one from any row function, and ``build_table``
+builds the named recurrence triangles with it.
 
 Conventions:
 
@@ -23,8 +26,7 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 
 from .errors import InternalMismatch, UnknownTriangle
 from .poly import _exact
@@ -132,88 +134,61 @@ def whitney(m: int, n: int, k: int) -> int:
     return by_sum
 
 
-@dataclass
+@dataclass(frozen=True)
 class TriangleTable:
-    """A finished triangle: sparse nonzero entries plus per-row support.
+    """A finished triangle: row n is ``by_row[n]``, a pair (first k, values).
 
-    ``entries`` never stores a value outside the declared support of a
-    row; in-support zeros are recoverable through ``row`` and
-    ``iter_cells``, which fill the declared k-range.
+    The values are dense over the row's k-range, in-support zeros
+    included; an empty row starts at k = 0.  Cells outside a row read as 0.
     """
 
     name: str
-    max_n: int
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
-    row_bounds: dict[int, tuple[int, int]] = field(default_factory=dict)
+    by_row: tuple[tuple[int, tuple[int, ...]], ...]
+
+    @property
+    def max_n(self) -> int:
+        return len(self.by_row) - 1
 
     def entry(self, n: int, k: int) -> int:
-        return self.entries.get((n, k), 0)
+        if not 0 <= n <= self.max_n:
+            return 0
+        k_start, values = self.by_row[n]
+        return values[k - k_start] if 0 <= k - k_start < len(values) else 0
 
     def row(self, n: int) -> list[int]:
-        bounds = self.row_bounds.get(n)
-        if bounds is None:
-            return []
-        kmin, kmax = bounds
-        return [self.entries.get((n, k), 0) for k in range(kmin, kmax + 1)]
+        return list(self.by_row[n][1]) if 0 <= n <= self.max_n else []
 
     def rows(self) -> list[list[int]]:
-        return [self.row(n) for n in range(self.max_n + 1)]
+        return [list(values) for _, values in self.by_row]
 
     def iter_cells(self):
-        """Yield (n, k, value) over the declared support, zeros included."""
-        for n in range(self.max_n + 1):
-            bounds = self.row_bounds.get(n)
-            if bounds is None:
-                continue
-            kmin, kmax = bounds
-            for k in range(kmin, kmax + 1):
-                yield n, k, self.entries.get((n, k), 0)
+        """Yield (n, k, value) over each row's k-range, zeros included."""
+        for n, (k_start, values) in enumerate(self.by_row):
+            for k, value in enumerate(values, k_start):
+                yield n, k, value
 
     def to_json_obj(self) -> dict:
-        rows = []
-        for n in range(self.max_n + 1):
-            bounds = self.row_bounds.get(n)
-            rows.append(
-                {
-                    "n": n,
-                    "k_start": bounds[0] if bounds else 0,
-                    "values": self.row(n),
-                }
-            )
+        rows = [
+            {"n": n, "k_start": k_start, "values": list(values)}
+            for n, (k_start, values) in enumerate(self.by_row)
+        ]
         return {"name": self.name, "max_n": self.max_n, "rows": rows}
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "TriangleTable":
-        table = cls(name=obj["name"], max_n=int(obj["max_n"]))
-        for row in obj["rows"]:
-            n = int(row["n"])
-            values = [int(v) for v in row["values"]]
-            if not values:
-                continue
-            k0 = int(row["k_start"])
-            table.row_bounds[n] = (k0, k0 + len(values) - 1)
-            for offset, value in enumerate(values):
-                if value:
-                    table.entries[(n, k0 + offset)] = value
-        return table
+
+def make_table(name: str, max_n: int, row_of) -> TriangleTable:
+    """The table of rows 0..max_n, where row_of(n) gives row n as (first k, values)."""
+    if _exact(max_n, "max_n") < 0:
+        raise ValueError(f"max_n must be nonnegative, got {max_n}")
+    rows = map(row_of, range(max_n + 1))
+    return TriangleTable(name, tuple((k if values else 0, tuple(values)) for k, values in rows))
 
 
-def _fill(table: TriangleTable, n: int, kmin: int, kmax: int, value_at) -> None:
-    if kmax < kmin:
-        return
-    table.row_bounds[n] = (kmin, kmax)
-    for k in range(kmin, kmax + 1):
-        value = value_at(k)
-        if value:
-            table.entries[(n, k)] = value
-
-
-# Recurrence-driven triangles by name: the first k of each row, and the lookup.
+# Recurrence-driven triangles by name.
 _TABLES = {
-    "stirling2": (0, stirling2),
-    "eulerian": (1, eulerian),
-    "type_b_eulerian": (0, type_b_eulerian),
-    "matching": (0, matching_count),
+    "stirling2": _STIRLING,
+    "eulerian": _EULERIAN,
+    "type_b_eulerian": _TYPE_B,
+    "matching": _MATCHING,
 }
 
 
@@ -225,23 +200,20 @@ def build_table(name: str, max_n: int) -> TriangleTable:
     """Build one of the recurrence-driven triangles up to row max_n.
 
     Recognized names: stirling2, eulerian, type_b_eulerian, matching, and
-    whitney:m for a positive integer m.
+    whitney:m for a positive integer m written in ASCII digits.  The
+    Whitney rows are built cell by cell, so every cell runs whitney's
+    sum-against-recurrence check.
     """
-    if _exact(max_n, "max_n") < 0:
-        raise ValueError(f"max_n must be nonnegative, got {max_n}")
     if name.startswith("whitney:"):
         raw = name.split(":", 1)[1]
-        if not raw.isdigit() or int(raw) < 1:
+        if not (raw.isascii() and raw.isdigit()) or int(raw) < 1:
             raise UnknownTriangle(f"whitney order must be a positive integer, got {raw!r}")
-        kmin, lookup = 0, partial(whitney, int(raw))
-    elif name in _TABLES:
-        kmin, lookup = _TABLES[name]
-    else:
+        m = int(raw)
+        return make_table(name, max_n, lambda n: (0, [whitney(m, n, k) for k in range(n + 1)]))
+    if name not in _TABLES:
         raise UnknownTriangle(
             f"unknown triangle {name!r}; recurrence tables: "
             + ", ".join(triangle_names())
         )
-    table = TriangleTable(name=name, max_n=max_n)
-    for n in range(max_n + 1):
-        _fill(table, n, kmin, n, partial(lookup, n))
-    return table
+    rows = _TABLES[name]
+    return make_table(name, max_n, lambda n: (rows._kmin, rows.row(n)))

@@ -145,6 +145,14 @@ def test_derive_parentheses_at_the_limit(capsys):
     assert (code, out) == (0, "x\n")
 
 
+def test_derive_non_ascii_digit_exit_2(capsys):
+    code, out, err = run_cli(
+        capsys, "derive", "--builtin", "g1", "--n", "1", "--start", "2\u00b2"
+    )
+    assert (code, out) == (2, "")
+    assert "line 1, column 2: unexpected character '\u00b2'" in err
+
+
 def test_triangle_text(capsys):
     code, out, _ = run_cli(capsys, "triangle", "stirling2", "--nmax", "3")
     assert code == 0
@@ -194,7 +202,8 @@ def test_triangle_nmax_cap(capsys, monkeypatch):
         raise AssertionError("built a table above the triangle cap")
 
     monkeypatch.setattr(cli.triangles, "build_table", refuse)
-    monkeypatch.setattr(cli.oracles, "las_table", refuse)
+    monkeypatch.setattr(cli.triangles, "make_table", refuse)
+    monkeypatch.setattr(cli.oracles, "las_counts", refuse)
     for name in ("stirling2", "whitney:2", "las"):
         code, out, err = run_cli(capsys, "triangle", name, "--nmax", "201")
         assert (code, out) == (2, ""), name

@@ -58,6 +58,29 @@ def test_expression_errors(src, line, col, fragment):
     assert fragment in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "src, col, char",
+    [
+        ("2\u00b2", 2, "\u00b2"),  # superscript two
+        ("x^\u00b2", 3, "\u00b2"),
+        ("\u0663*x", 1, "\u0663"),  # Arabic-Indic three
+        ("x*\uff13", 3, "\uff13"),  # fullwidth three
+        ("x + x*y\u00b2", 8, "\u00b2"),
+    ],
+)
+def test_non_ascii_digits_are_parse_errors(src, col, char):
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(src)
+    assert (info.value.line, info.value.col) == (1, col)
+    assert f"unexpected character {char!r}" in str(info.value)
+
+
+def test_identifiers_follow_python_rules():
+    # A Unicode digit may continue a letter's name but never starts a number.
+    expected = Polynomial.letter("x\u0663") + 2 * Polynomial.letter("x1")
+    assert parse_polynomial("x\u0663 + 2*x1") == expected
+
+
 def test_error_position_spans_lines():
     with pytest.raises(ParseError) as info:
         parse_grammar("x -> x;\ny -> )")

@@ -101,6 +101,22 @@ def test_index_map_needs_independent_rows():
         IndexMap({"x": (0, 1, 1), "y": (0, 2, 2)})
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: IndexMap({"x": (0, 1.5, 0), "y": (0, 0, True)}),
+        lambda: IndexMap({"x": (0, 1, 0), "y": (0, 0, 1.0)}),
+        lambda: IndexMap({"x": ("0", 1, 0), "y": (0, 0, 1)}),
+        lambda: IndexMap.identity(fixed={"w": 1.5}),
+        lambda: IndexMap.identity(fixed={"w": True}),
+    ],
+    ids=["float-and-bool", "integral-float", "str", "fixed-float", "fixed-bool"],
+)
+def test_index_map_rejects_non_integers(make):
+    with pytest.raises(ValueError, match="index map entry of .* must be an int"):
+        make()
+
+
 def test_extract_rejects_stray_letters():
     with pytest.raises(PatternViolation):
         extract_coeffs(parse_polynomial("x*z"), IndexMap.identity())

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from gramcalc import triangles
 from gramcalc.errors import UnknownTriangle
 from gramcalc.triangles import (
     TriangleTable,
@@ -11,6 +12,7 @@ from gramcalc.triangles import (
     build_table,
     eulerian,
     eulerian_row,
+    make_table,
     matching_count,
     matching_row,
     stirling2,
@@ -105,7 +107,8 @@ def test_build_table_shapes():
     t = build_table("eulerian", 3)
     assert t.rows() == [[], [1], [1, 1], [1, 4, 1]]
     assert t.row(0) == []
-    assert 0 not in t.row_bounds
+    assert [row["k_start"] for row in t.to_json_obj()["rows"]] == [0, 1, 1, 1]
+    assert [(n, k) for n, k, _ in t.iter_cells()][:2] == [(1, 1), (2, 1)]
     assert t.entry(3, 2) == 4
     assert t.entry(0, 0) == 0
 
@@ -113,7 +116,6 @@ def test_build_table_shapes():
 def test_build_table_keeps_in_support_zeros():
     t = build_table("matching", 2)
     assert t.rows() == [[1], [0, 1], [0, 2, 1]]
-    assert (1, 0) not in t.entries
     assert list(t.iter_cells()) == [
         (0, 0, 1),
         (1, 0, 0),
@@ -148,6 +150,9 @@ def test_deep_rows_build_without_recursion():
         lambda: whitney(2.5, 2, 1),
         lambda: build_table("stirling2", 2.5),
         lambda: build_table("eulerian", True),
+        lambda: make_table("t", 2.5, lambda n: (0, [1])),
+        lambda: make_table("t", -1, lambda n: (0, [1])),
+        lambda: make_table("t", True, lambda n: (0, [1])),
     ],
     ids=[
         "stirling2-float",
@@ -160,6 +165,9 @@ def test_deep_rows_build_without_recursion():
         "whitney-float-m",
         "build_table-float",
         "build_table-bool",
+        "make_table-float",
+        "make_table-neg",
+        "make_table-bool",
     ],
 )
 def test_bad_sizes_raise_value_error(call):
@@ -170,7 +178,7 @@ def test_bad_sizes_raise_value_error(call):
 def test_build_table_errors():
     with pytest.raises(ValueError):
         build_table("stirling2", -1)
-    for bad in ("nope", "whitney:0", "whitney:x", "whitney:"):
+    for bad in ("nope", "whitney:0", "whitney:x", "whitney:", "whitney:²", "whitney:٣"):
         with pytest.raises(UnknownTriangle):
             build_table(bad, 3)
     with pytest.raises(UnknownTriangle) as info:
@@ -179,11 +187,22 @@ def test_build_table_errors():
         assert name in str(info.value)
 
 
-def test_table_json_round_trip():
-    t = build_table("matching", 3)
-    clone = TriangleTable.from_json_obj(t.to_json_obj())
-    assert clone.name == t.name
-    assert clone.max_n == t.max_n
-    assert clone.rows() == t.rows()
-    assert clone.entries == t.entries
-    assert clone.row_bounds == t.row_bounds
+def test_make_table_rows():
+    t = make_table("t", 3, lambda n: (n % 2, [n] * (n % 3)))
+    assert t == TriangleTable("t", ((0, ()), (1, (1,)), (0, (2, 2)), (0, ())))
+    assert t.max_n == 3
+    assert t.rows() == [[], [1], [2, 2], []]
+    assert list(t.iter_cells()) == [(1, 1, 1), (2, 0, 2), (2, 1, 2)]
+    assert [t.entry(2, k) for k in range(-1, 3)] == [0, 2, 2, 0]
+    assert t.entry(-1, 0) == t.entry(4, 0) == 0
+    assert t.row(-1) == t.row(4) == []
+
+
+def test_whitney_table_checks_every_cell(monkeypatch):
+    calls = []
+    real = triangles.whitney
+    monkeypatch.setattr(
+        triangles, "whitney", lambda m, n, k: calls.append((m, n, k)) or real(m, n, k)
+    )
+    build_table("whitney:3", 2)
+    assert calls == [(3, 0, 0), (3, 1, 0), (3, 1, 1), (3, 2, 0), (3, 2, 1), (3, 2, 2)]
