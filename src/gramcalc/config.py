@@ -52,13 +52,12 @@ class Caps:
 
     def __post_init__(self):
         for key, value in vars(self).items():
-            if _exact(value, f"cap {key!r}") < 0:
-                raise ValueError(f"cap {key!r} must be nonnegative, got {value}")
+            _exact(value, f"cap {key!r}", 0)
 
-    def check(self, kind: str, n: int) -> None:
-        """Raise BoundExceeded when n is above the cap for kind."""
+    def check(self, kind: str, n: int, least: int = 0) -> None:
+        """ValueError for an n that is not an int or is below least; BoundExceeded above the cap."""
         cap = getattr(self, kind)
-        if n > cap:
+        if _exact(n, f"{kind} size", least) > cap:
             hint = (
                 f"raise it with {ENV_PREFIX}{kind.upper()}={n} or a config file line "
                 f"'{kind} = {n}'"
@@ -70,13 +69,11 @@ CAP_KEYS = tuple(f.name for f in dataclasses.fields(Caps))
 
 
 def _parse_value(key: str, raw: str, origin: str) -> int:
-    try:
-        value = int(raw.strip())
-    except ValueError:
-        raise GramcalcError(f"{origin}: cap {key!r} needs an integer, got {raw.strip()!r}")
-    if value < 0:
-        raise GramcalcError(f"{origin}: cap {key!r} must be nonnegative, got {value}")
-    return value
+    """The cap written in raw, which must be ASCII digits once stripped."""
+    text = raw.strip()
+    if not (text.isascii() and text.isdigit()):
+        raise GramcalcError(f"{origin}: cap {key!r} needs a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 def load_caps(path: str | None = None, environ=None) -> Caps:

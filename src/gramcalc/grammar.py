@@ -98,9 +98,7 @@ class Grammar:
 
     def derive_n(self, p: Polynomial, n: int) -> Polynomial:
         """n-fold derivative, keeping only the final level."""
-        if n < 0:
-            raise ValueError(f"derivative depth must be nonnegative, got {n}")
-        if n == 0:
+        if not poly._exact(n, "derivative depth", 0):
             return p
         packing = _Packing(self, p, n)
         terms = packing.pack(p)
@@ -110,10 +108,8 @@ class Grammar:
 
     def derive_levels(self, p: Polynomial, nmax: int) -> list[Polynomial]:
         """All levels 0..nmax of the iterated derivative, in order."""
-        if nmax < 0:
-            raise ValueError(f"derivative depth must be nonnegative, got {nmax}")
         levels = [p]
-        if nmax == 0:
+        if not poly._exact(nmax, "derivative depth", 0):
             return levels
         packing = _Packing(self, p, nmax)
         terms = packing.pack(p)
@@ -204,16 +200,24 @@ class IndexMap:
     nonnegative integers i and j, and no other letter may occur.  Some
     pair of letters must have linearly independent (ci, cj) rows so the
     indices are pinned uniquely; otherwise construction fails.  Every
-    entry must be an int (not a bool); anything else raises ValueError.
+    row must be three ints ``(base, ci, cj)``, no bools; anything else
+    raises ValueError.
     """
 
     __slots__ = ("_spec", "_solver")
 
     def __init__(self, spec: Mapping[str, tuple[int, int, int]]):
-        self._spec = {
-            letter: tuple(poly._exact(v, f"index map entry of {letter!r}") for v in row)
-            for letter, row in sorted(spec.items())
-        }
+        self._spec = {}
+        for letter, row in sorted(spec.items()):
+            try:
+                base, ci, cj = row
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"index map row of {letter!r} must be (base, ci, cj), got {row!r}"
+                ) from None
+            self._spec[letter] = tuple(
+                poly._exact(v, f"index map entry of {letter!r}") for v in (base, ci, cj)
+            )
         letters = list(self._spec)
         solver = None
         for a in range(len(letters)):

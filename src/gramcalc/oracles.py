@@ -128,27 +128,15 @@ def odd_smaller_count(matching: Matching) -> int:
 # Enumeration.
 
 
-def _size(kind: str, n: int, least: int = 0) -> int:
-    """n itself; ValueError for a size that is not an int or is below least."""
-    if _exact(n, f"{kind} size") < least:
-        raise ValueError(f"{kind} size must be at least {least}, got {n}")
-    return n
-
-
-def _check_size(kind: str, n: int, caps: Caps, least: int = 0) -> None:
-    """_size's checks, then BoundExceeded above the cap."""
-    caps.check(kind, _size(kind, n, least))
-
-
 def enumerate_permutations(n: int, caps: Caps = Caps()) -> Iterator[tuple[int, ...]]:
     """Permutations of [n] in lexicographic order."""
-    _check_size("permutations", n, caps)
+    caps.check("permutations", n)
     return itertools.permutations(range(1, n + 1))
 
 
 def enumerate_signed(n: int, caps: Caps = Caps()) -> Iterator[tuple[int, ...]]:
     """Signed permutations of [n]: every permutation under every sign vector."""
-    _check_size("signed", n, caps)
+    caps.check("signed", n)
 
     def gen() -> Iterator[tuple[int, ...]]:
         for perm in itertools.permutations(range(1, n + 1)):
@@ -164,7 +152,7 @@ def enumerate_matchings(n: int, caps: Caps = Caps()) -> Iterator[Matching]:
     Order: the smallest unmatched entry takes its partners in increasing
     order, and the last pair formed varies fastest.
     """
-    _check_size("matchings", n, caps)
+    caps.check("matchings", n)
 
     def gen() -> Iterator[Matching]:
         if n == 0:
@@ -234,7 +222,7 @@ def enumerate_cops(n: int, caps: Caps = Caps()) -> Iterator[Cop]:
 
     Order: by block count, then lexicographically on the block tuples.
     """
-    _check_size("cops", n, caps, 1)
+    caps.check("cops", n, 1)
     return iter(_cops(n))
 
 
@@ -270,7 +258,7 @@ def cop_stat_table(n: int, stat: str, caps: Caps = Caps()) -> dict[tuple[int, in
     """
     if stat not in _STATS:
         raise ValueError(f"unknown statistic {stat!r}; choose from {', '.join(_STATS)}")
-    _check_size("cops", n, caps, 1)
+    caps.check("cops", n, 1)
     return dict(_cop_stat_items(n, stat))
 
 
@@ -282,7 +270,7 @@ def u_table(nmax: int) -> dict[tuple[int, int, int], int]:
     grown level by level; no enumeration is involved, which makes this
     the recurrence side of a cross-check against enumerate_cops.
     """
-    _size("u_table", nmax, 1)
+    _exact(nmax, "u_table size", 1)
     u: dict[tuple[int, int, int], int] = {(1, 1, 0): 1}
     for n in range(2, nmax + 1):
         for k in range(1, n + 1):
@@ -306,7 +294,7 @@ def _perm_stat_items(n: int, stat: str) -> tuple[tuple[int, int], ...]:
 
 def left_peak_counts(n: int, caps: Caps = Caps()) -> dict[int, int]:
     """Distribution of left peaks over all permutations of [n], by count."""
-    _check_size("permutations", n, caps)
+    caps.check("permutations", n)
     return dict(_perm_stat_items(n, "left_peaks"))
 
 
@@ -316,7 +304,7 @@ def las_counts(n: int, caps: Caps = Caps()) -> dict[int, int]:
     The empty permutation is assigned las 0 by convention so that the
     ``triangle las`` table has a row 0.
     """
-    _check_size("permutations", n, caps)
+    caps.check("permutations", n)
     if n == 0:
         return {0: 1}
     return dict(_perm_stat_items(n, "las"))

@@ -27,10 +27,18 @@ Monomial = tuple[tuple[str, int], ...]
 CONST_MONO: Monomial = ()
 
 
-def _exact(value: object, what: str) -> int:
-    """value itself when it is an int; floats, bools and the rest raise ValueError."""
+def _exact(value: object, what: str, least: int | None = None) -> int:
+    """value itself when it is an int of at least ``least`` (no bound if None).
+
+    The one gate for exact sizes, depths, caps and exponents: floats,
+    bools and every other non-int, and ints below ``least``, raise
+    ValueError.
+    """
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{what} must be an int, got {value!r}")
+    if least is not None and value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{what} must be {bound}, got {value}")
     return value
 
 
@@ -44,9 +52,7 @@ def mono_from_exps(exps: Mapping[str, int]) -> Monomial:
     for letter, exp in exps.items():
         if not isinstance(letter, str) or not letter.isidentifier():
             raise ValueError(f"letter must be an identifier string, got {letter!r}")
-        if _exact(exp, f"exponent of {letter!r}") < 0:
-            raise ValueError(f"exponent of {letter!r} must be nonnegative, got {exp}")
-        if exp:
+        if _exact(exp, f"exponent of {letter!r}", 0):
             items.append((letter, exp))
     items.sort()
     return tuple(items)
@@ -270,11 +276,9 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
-        if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
-            raise ValueError(f"polynomial exponent must be a nonnegative int, got {exponent!r}")
+        e = _exact(exponent, "polynomial exponent", 0)
         result = Polynomial.one()
         base = self
-        e = exponent
         while e:
             if e & 1:
                 result = result * base
@@ -309,9 +313,3 @@ class Polynomial:
         for mono, coeff in self.sorted_terms():
             out.append({"exponents": {l: e for l, e in mono}, "coeff": str(coeff)})
         return out
-
-    @classmethod
-    def from_json_obj(cls, obj: Iterable[Mapping]) -> "Polynomial":
-        return cls.from_terms(
-            (entry["exponents"], int(entry["coeff"])) for entry in obj
-        )

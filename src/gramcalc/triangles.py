@@ -34,13 +34,12 @@ from .poly import _exact
 
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient, 0 outside 0 <= k <= n."""
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
+    n, k = _exact(n, "binomial n"), _exact(k, "binomial k")
+    return math.comb(n, k) if 0 <= k <= n else 0
 
 
 def factorial(n: int) -> int:
-    return math.factorial(n)
+    return math.factorial(_exact(n, "factorial argument", 0))
 
 
 class _Rows:
@@ -58,8 +57,7 @@ class _Rows:
 
     def row(self, n: int) -> tuple[int, ...]:
         """Row n over k = kmin..n."""
-        if _exact(n, "row index") < 0:
-            raise ValueError(f"row index must be nonnegative, got {n}")
+        _exact(n, "row index", 0)
         rows, kmin, a, b = self._rows, self._kmin, self._a, self._b
         while len(rows) <= n:
             m, prev = len(rows), (0, *rows[-1], 0)
@@ -119,8 +117,7 @@ def whitney(m: int, n: int, k: int) -> int:
     the row recurrence W_m(n, k) = W_m(n-1, k-1) + (1 + m*k) W_m(n-1, k);
     a disagreement raises InternalMismatch.
     """
-    if _exact(m, "Whitney order") < 1:
-        raise ValueError(f"Whitney order must be a positive integer, got {m}")
+    _exact(m, "Whitney order", 1)
     if m not in _WHITNEY:
         _WHITNEY[m] = _Rows(0, lambda n, k: 1 + m * k, lambda n, k: 1, (1,))
     by_recurrence = _WHITNEY[m].at(n, k)
@@ -177,9 +174,7 @@ class TriangleTable:
 
 def make_table(name: str, max_n: int, row_of) -> TriangleTable:
     """The table of rows 0..max_n, where row_of(n) gives row n as (first k, values)."""
-    if _exact(max_n, "max_n") < 0:
-        raise ValueError(f"max_n must be nonnegative, got {max_n}")
-    rows = map(row_of, range(max_n + 1))
+    rows = map(row_of, range(_exact(max_n, "max_n", 0) + 1))
     return TriangleTable(name, tuple((k if values else 0, tuple(values)) for k, values in rows))
 
 

@@ -31,7 +31,7 @@ from .config import Caps
 from .dsl import builtin_grammar, parse_polynomial
 from .errors import PatternViolation
 from .grammar import Grammar, IndexMap, extract_coeffs
-from .poly import Polynomial, mono_degree
+from .poly import Polynomial, _exact, mono_degree
 from .triangles import (
     binomial,
     eulerian,
@@ -63,10 +63,6 @@ class Failure:
             "expected": self.expected,
             "actual": self.actual,
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "Failure":
-        return cls(obj["identity"], tuple(obj["indices"]), obj["expected"], obj["actual"])
 
 
 @dataclass
@@ -105,16 +101,6 @@ class CheckReport:
             "notes": list(self.notes),
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "CheckReport":
-        return cls(
-            suite=obj["suite"],
-            nmax=int(obj["nmax"]),
-            checks_run=int(obj["checks_run"]),
-            failures=[Failure.from_json_obj(f) for f in obj["failures"]],
-            notes=list(obj["notes"]),
-        )
-
 
 class _Suite:
     """One suite run: its depth, grammar and report, and the loops all suites share.
@@ -132,10 +118,7 @@ class _Suite:
         builtin: str | None = None,
         scope: str = "",
     ):
-        if nmax is None:
-            nmax = _DEFAULT_NMAX[name]
-        elif nmax < 0:
-            raise ValueError(f"nmax must be nonnegative, got {nmax}")
+        nmax = _DEFAULT_NMAX[name] if nmax is None else _exact(nmax, "nmax", 0)
         caps.check("verify", nmax)
         self.nmax = nmax
         self.side = nmax + 2

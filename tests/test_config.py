@@ -29,6 +29,9 @@ def test_check_passes_at_cap_and_fails_above():
         config.Caps().check("permutations", 10)
     assert info.value.cap == 9
     assert "GRAMCALC_CAP_PERMUTATIONS=10" in str(info.value)
+    for n in (2.5, True):
+        with pytest.raises(ValueError, match="cops size must be an int"):
+            config.Caps().check("cops", n)
 
 
 def test_load_caps_from_file(tmp_path):
@@ -51,13 +54,16 @@ def test_environment_beats_file(tmp_path):
 
 def test_load_caps_rejects_bad_input(tmp_path):
     bad_lines = ["what is this", "nope = 3", "derive = x", "derive = -1"]
-    for line in bad_lines:
+    # Only ASCII digits: no other script's digits, no underscores, no sign.
+    bad_values = ["\u0663", "1_0", "+5"]
+    for line in bad_lines + [f"derive = {value}" for value in bad_values]:
         path = tmp_path / "caps.cfg"
-        path.write_text(line + "\n")
+        path.write_text(line + "\n", encoding="utf-8")
         with pytest.raises(GramcalcError):
             config.load_caps(str(path), environ={})
-    with pytest.raises(GramcalcError):
-        config.load_caps(None, environ={"GRAMCALC_CAP_DERIVE": "ten"})
+    for value in ["ten"] + bad_values:
+        with pytest.raises(GramcalcError, match="needs a nonnegative integer"):
+            config.load_caps(None, environ={"GRAMCALC_CAP_DERIVE": value})
 
 
 def test_set_and_reset():

@@ -49,6 +49,11 @@ def test_depth_validation():
     g = parse_grammar("x -> x")
     with pytest.raises(ValueError):
         g.derive_n(x, -1)
+    for depth in (True, 2.5):
+        with pytest.raises(ValueError, match="derivative depth must be an int"):
+            g.derive_n(x, depth)
+    with pytest.raises(ValueError, match="derivative depth must be an int"):
+        g.derive_levels(x, 1.0)
     assert [str(p) for p in g.derive_levels(x, 2)] == ["x", "x", "x"]
 
 
@@ -115,6 +120,12 @@ def test_index_map_needs_independent_rows():
 def test_index_map_rejects_non_integers(make):
     with pytest.raises(ValueError, match="index map entry of .* must be an int"):
         make()
+
+
+@pytest.mark.parametrize("row", [(0, 1, 0, 5), (0, 1), 5], ids=["long", "short", "int"])
+def test_index_map_rejects_rows_of_the_wrong_length(row):
+    with pytest.raises(ValueError, match=r"row of 'x' must be \(base, ci, cj\)"):
+        IndexMap({"x": row, "y": (0, 0, 1)})
 
 
 def test_extract_rejects_stray_letters():

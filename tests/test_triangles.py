@@ -153,6 +153,12 @@ def test_deep_rows_build_without_recursion():
         lambda: make_table("t", 2.5, lambda n: (0, [1])),
         lambda: make_table("t", -1, lambda n: (0, [1])),
         lambda: make_table("t", True, lambda n: (0, [1])),
+        lambda: binomial(True, 1),
+        lambda: binomial(2.5, 1),
+        lambda: binomial(3, 1.0),
+        lambda: triangles.factorial(True),
+        lambda: triangles.factorial(2.5),
+        lambda: triangles.factorial(-1),
     ],
     ids=[
         "stirling2-float",
@@ -168,6 +174,12 @@ def test_deep_rows_build_without_recursion():
         "make_table-float",
         "make_table-neg",
         "make_table-bool",
+        "binomial-bool",
+        "binomial-float-n",
+        "binomial-float-k",
+        "factorial-bool",
+        "factorial-float",
+        "factorial-neg",
     ],
 )
 def test_bad_sizes_raise_value_error(call):

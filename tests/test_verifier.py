@@ -9,8 +9,6 @@ from gramcalc.dsl import builtin_grammar, parse_grammar
 from gramcalc.errors import BoundExceeded
 from gramcalc.verifier import (
     SUITE_NAMES,
-    CheckReport,
-    Failure,
     run_all,
     run_suite,
     suite_golden,
@@ -65,19 +63,6 @@ def test_mutated_grammar_fails_localized():
     assert report.notes[0] == "grammar override: x -> x + 2*x*y; y -> y + x*y"
 
 
-def test_report_json_round_trip():
-    mutant = parse_grammar("x -> x + 2*x*y; y -> y + x*y")
-    for report in (run_suite("T3", nmax=2), run_suite("T1", nmax=2, grammar=mutant)):
-        clone = CheckReport.from_json_obj(report.to_json_obj())
-        assert clone == report
-        assert clone.to_json_obj() == report.to_json_obj()
-
-
-def test_failure_json_round_trip():
-    f = Failure("some_identity", (1, 2, 3), "4", "5")
-    assert Failure.from_json_obj(f.to_json_obj()) == f
-
-
 def test_run_suite_errors():
     with pytest.raises(ValueError):
         run_suite("T9")
@@ -85,6 +70,9 @@ def test_run_suite_errors():
         run_suite("golden", grammar=builtin_grammar("g1"))
     with pytest.raises(ValueError):
         run_suite("T1", nmax=-1)
+    for nmax in (True, 2.5):
+        with pytest.raises(ValueError, match="nmax must be an int"):
+            run_suite("T1", nmax=nmax)
     with pytest.raises(BoundExceeded):
         run_suite("T1", nmax=11)
 
