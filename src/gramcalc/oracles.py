@@ -110,13 +110,7 @@ def openers(cop: Cop) -> tuple[int, ...]:
 
 def des_b(pi: Sequence[int]) -> int:
     """Type-B descents of a signed permutation, including the 0 sentinel."""
-    prev = 0
-    count = 0
-    for value in pi:
-        if prev > value:
-            count += 1
-        prev = value
-    return count
+    return descents((0, *pi))
 
 
 def odd_smaller_count(matching: Matching) -> int:

@@ -84,9 +84,6 @@ _TYPE_B = _Rows(0, lambda n, k: 2 * k + 1, lambda n, k: 2 * n - 2 * k + 1, (1,))
 _MATCHING = _Rows(0, lambda n, k: 2 * k, lambda n, k: 2 * n - 2 * k + 1, (1,))
 _WHITNEY: dict[int, _Rows] = {}
 
-stirling_row, eulerian_row = _STIRLING.row, _EULERIAN.row
-type_b_row, matching_row = _TYPE_B.row, _MATCHING.row
-
 
 def stirling2(n: int, k: int) -> int:
     return _STIRLING.at(n, k)

@@ -8,12 +8,15 @@ vanishing outside the support is verified rather than assumed.  Results
 come back as a CheckReport; nothing is printed here.
 
 Every suite is a plain function that writes its identities inline and
-leaves the shared control flow to one run object, ``_Suite``.  The run
-object checks the depth against the verify cap, picks the builtin or the
-override grammar and notes an override, derives the coefficient grids,
-loops over levels while checking that each grid stays inside the box,
-counts checks, runs the opener censuses up to the cops cap, and skips
-oracle products above the permutations cap, noting each kind of skip.
+leaves the shared control flow to one run object, ``_Suite``.  The one
+exception is the transport recurrence from level n-1 to level n: each is
+a fixed table of shifts with coefficients affine in (i, j), evaluated by
+``_transport``.  The run object checks the depth against the verify cap,
+picks the builtin or the override grammar and notes an override, derives
+the coefficient grids, loops over levels while checking that each grid
+stays inside the box, counts checks, runs the opener censuses up to the
+cops cap, and skips oracle products above the permutations cap, noting
+each kind of skip.
 
 Suite names follow the short labels used by the command line tool: T1
 through T6 for the six grammar studies, plus "golden" for byte-exact
@@ -244,6 +247,25 @@ def _cop_count(nn: int) -> int:
     return sum(factorial(m - 1) * stirling2(nn, m) for m in range(1, nn + 1))
 
 
+# Transport recurrences: cell (i, j) of level n is the sum, over the shifts
+# (di, dj) of a table, of (c + ci*i + cj*j) times cell (i + di, j + dj) of
+# level n - 1.  These are the paper's recurrences, fixed data that an
+# override grammar never changes, so a mutated grammar fails them.
+_T1_TRANSPORT = {(0, 0): (0, 1, 1), (0, -1): (0, 1, 0), (-1, 0): (0, 0, 1)}
+_T2_TRANSPORT = {(0, 0): (0, 1, 1), (0, -1): (0, 1, 0), (-2, 1): (1, 0, 1)}
+_T3_TRANSPORT = {(0, 0): (1, 1, 1), (-1, 0): (1, 0, 0), (0, -1): (0, 1, 0), (-2, 1): (1, 0, 1)}
+_T4_TRANSPORT = {(0, 0): (0, 1, 1), (-1, 0): (-1, 1, 1), (0, -1): (-1, 1, 1)}
+_T5_EVEN_TRANSPORT = {(0, 0): (1, 2, 2), (0, -1): (1, 2, 0), (-1, 0): (0, 0, 2)}
+_T5_ODD_TRANSPORT = {(0, 0): (2, 2, 2), (0, -1): (1, 2, 0), (-1, 0): (1, 0, 2)}
+
+
+def _transport(table: dict, prev: Counter, i: int, j: int) -> int:
+    """The value a transport table gives cell (i, j) from the previous level."""
+    return sum(
+        (c + ci * i + cj * j) * prev[i + di, j + dj] for (di, dj), (c, ci, cj) in table.items()
+    )
+
+
 _PEAKS_SKIPPED = "left-peak product checks above the permutations cap were skipped"
 _LAS_SKIPPED = "alternating-length product checks above the permutations cap were skipped"
 
@@ -263,12 +285,8 @@ def suite_t1(
         cur, prev = grids[n], grids[n - 1]
         for i, j in run.cells():
             actual = cur[i, j]
-            run.check(
-                "transport_recurrence",
-                (n, i, j),
-                (i + j) * prev[i, j] + i * prev[i, j - 1] + j * prev[i - 1, j],
-                actual,
-            )
+            expected = _transport(_T1_TRANSPORT, prev, i, j)
+            run.check("transport_recurrence", (n, i, j), expected, actual)
             if i >= 1 and j >= 1:
                 s = stirling2(n + 1, i + j)
                 run.check(
@@ -308,12 +326,8 @@ def suite_t2(
             actual = cur[i, j]
             if i % 2 == 0:
                 run.check("even_x_power_vanishes", (n, i, j), 0, actual)
-            run.check(
-                "transport_recurrence",
-                (n, i, j),
-                (i + j) * prev[i, j] + i * prev[i, j - 1] + (j + 1) * prev[i - 2, j + 1],
-                actual,
-            )
+            expected = _transport(_T2_TRANSPORT, prev, i, j)
+            run.check("transport_recurrence", (n, i, j), expected, actual)
             if i % 2 == 1:
                 run.check(
                     "stirling_left_peak_product",
@@ -399,15 +413,8 @@ def suite_t3(
             run.check("pure_y_vanishes", (n, 0, j), 0, cur[0, j])
         for i, j in run.cells():
             actual = cur[i, j]
-            run.check(
-                "transport_recurrence",
-                (n, i, j),
-                (1 + i + j) * prev[i, j]
-                + prev[i - 1, j]
-                + i * prev[i, j - 1]
-                + (j + 1) * prev[i - 2, j + 1],
-                actual,
-            )
+            expected = _transport(_T3_TRANSPORT, prev, i, j)
+            run.check("transport_recurrence", (n, i, j), expected, actual)
             run.check(
                 "stirling_las_product",
                 (n, i, j),
@@ -443,12 +450,8 @@ def suite_t4(
         cur, prev = grids[n], grids[n - 1]
         for i, j in run.cells():
             actual = cur[i, j]
-            run.check(
-                "transport_recurrence",
-                (n, i, j),
-                (i + j) * prev[i, j] + (i + j - 1) * (prev[i - 1, j] + prev[i, j - 1]),
-                actual,
-            )
+            expected = _transport(_T4_TRANSPORT, prev, i, j)
+            run.check("transport_recurrence", (n, i, j), expected, actual)
             s = stirling2(n + 1, i + j)
             run.check(
                 "factorial_stirling_binomial_product",
@@ -488,25 +491,12 @@ def suite_t5(
     e_boundary = _Tally()
     f_boundary = _Tally()
     for n in run.levels(e, f):
-        eprev, fprev = e[n - 1], f[n - 1]
         for i, j in run.cells():
             ea, fa = e[n][i, j], f[n][i, j]
-            run.check(
-                "even_transport_recurrence",
-                (n, i, j),
-                (2 * i + 2 * j + 1) * eprev[i, j]
-                + (2 * i + 1) * eprev[i, j - 1]
-                + 2 * j * eprev[i - 1, j],
-                ea,
-            )
-            run.check(
-                "odd_transport_recurrence",
-                (n, i, j),
-                (2 * i + 2 * j + 2) * fprev[i, j]
-                + (2 * i + 1) * fprev[i, j - 1]
-                + (2 * j + 1) * fprev[i - 1, j],
-                fa,
-            )
+            even = _transport(_T5_EVEN_TRANSPORT, e[n - 1], i, j)
+            run.check("even_transport_recurrence", (n, i, j), even, ea)
+            odd = _transport(_T5_ODD_TRANSPORT, f[n - 1], i, j)
+            run.check("odd_transport_recurrence", (n, i, j), odd, fa)
             w = whitney(2, n, i + j)
             e_expected = w * matching_count(i + j, j) if w else 0
             s = stirling2(n + 1, i + j + 1)

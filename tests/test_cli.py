@@ -322,6 +322,13 @@ def test_stats_unknown_stat(capsys):
     assert code == 2
 
 
+def test_stats_bad_n(capsys):
+    code, out, err = run_cli(capsys, "stats", "--n", "0", "--stat", "las")
+    assert code == 2
+    assert out == ""
+    assert "--n must be at least 1, got 0" in err
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "T1", "--nmax", "1")
     assert code == 0

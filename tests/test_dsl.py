@@ -75,6 +75,12 @@ def test_non_ascii_digits_are_parse_errors(src, col, char):
     assert f"unexpected character {char!r}" in str(info.value)
 
 
+def test_rule_must_start_with_a_letter():
+    with pytest.raises(ParseError) as info:
+        parse_grammar("1 -> x")
+    assert str(info.value) == "line 1, column 1: unexpected '1' (expected a letter)"
+
+
 def test_identifiers_follow_python_rules():
     # A Unicode digit may continue a letter's name but never starts a number.
     expected = Polynomial.letter("x\u0663") + 2 * Polynomial.letter("x1")

@@ -99,6 +99,9 @@ def test_index_map_affine_rows():
         imap.indices((("x", 2),))
     with pytest.raises(PatternViolation):
         imap.indices((("x", 3), ("y", 1)))
+    shifted = IndexMap({"x": (2, 1, 0), "y": (0, 0, 1)})
+    with pytest.raises(PatternViolation, match=r"indices \(-1, 1\) are out of range$"):
+        shifted.indices((("x", 1), ("y", 1)))
 
 
 def test_index_map_needs_independent_rows():

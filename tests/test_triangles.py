@@ -11,26 +11,26 @@ from gramcalc.triangles import (
     binomial,
     build_table,
     eulerian,
-    eulerian_row,
     make_table,
     matching_count,
-    matching_row,
     stirling2,
-    stirling_row,
     triangle_names,
     type_b_eulerian,
-    type_b_row,
     whitney,
 )
 
 
+def row(name, n):
+    return build_table(name, n).row(n)
+
+
 def test_frozen_rows():
-    assert stirling_row(4) == (0, 1, 7, 6, 1)
-    assert eulerian_row(4) == (1, 11, 11, 1)
-    assert type_b_row(2) == (1, 6, 1)
-    assert type_b_row(3) == (1, 23, 23, 1)
-    assert matching_row(2) == (0, 2, 1)
-    assert matching_row(3) == (0, 4, 10, 1)
+    assert row("stirling2", 4) == [0, 1, 7, 6, 1]
+    assert row("eulerian", 4) == [1, 11, 11, 1]
+    assert row("type_b_eulerian", 2) == [1, 6, 1]
+    assert row("type_b_eulerian", 3) == [1, 23, 23, 1]
+    assert row("matching", 2) == [0, 2, 1]
+    assert row("matching", 3) == [0, 4, 10, 1]
     assert [whitney(2, 3, k) for k in range(4)] == [1, 13, 9, 1]
     assert [whitney(2, 4, k) for k in range(5)] == [1, 40, 58, 16, 1]
 
@@ -38,12 +38,12 @@ def test_frozen_rows():
 def test_row_sums():
     bell = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
     for n, b in enumerate(bell):
-        assert sum(stirling_row(n)) == b
+        assert sum(row("stirling2", n)) == b
     for n in range(1, 9):
-        assert sum(eulerian_row(n)) == math.factorial(n)
-        assert sum(type_b_row(n)) == 2**n * math.factorial(n)
+        assert sum(row("eulerian", n)) == math.factorial(n)
+        assert sum(row("type_b_eulerian", n)) == 2**n * math.factorial(n)
         # matchings of [2n] split by their odd-opener count
-        assert sum(matching_row(n)) == math.factorial(2 * n) // (
+        assert sum(row("matching", n)) == math.factorial(2 * n) // (
             2**n * math.factorial(n)
         )
 
@@ -144,8 +144,8 @@ def test_deep_rows_build_without_recursion():
         lambda: eulerian(3, 1.5),
         lambda: eulerian(2.5, 0),
         lambda: type_b_eulerian(True, 0),
-        lambda: stirling_row(-1),
-        lambda: matching_row(2.0),
+        lambda: triangles._STIRLING.row(-1),
+        lambda: triangles._MATCHING.row(2.0),
         lambda: whitney(2, 2.5, 1),
         lambda: whitney(2.5, 2, 1),
         lambda: build_table("stirling2", 2.5),

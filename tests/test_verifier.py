@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from gramcalc import verifier
 from gramcalc.config import Caps
 from gramcalc.dsl import builtin_grammar, parse_grammar
 from gramcalc.errors import BoundExceeded
@@ -61,6 +62,27 @@ def test_mutated_grammar_fails_localized():
     assert first.indices == (1, 1, 1)
     assert (first.expected, first.actual) == ("1", "2")
     assert report.notes[0] == "grammar override: x -> x + 2*x*y; y -> y + x*y"
+
+
+@pytest.mark.parametrize(
+    "suite, table, identity",
+    [
+        ("T1", "_T1_TRANSPORT", "transport_recurrence"),
+        ("T2", "_T2_TRANSPORT", "transport_recurrence"),
+        ("T3", "_T3_TRANSPORT", "transport_recurrence"),
+        ("T4", "_T4_TRANSPORT", "transport_recurrence"),
+        ("T5", "_T5_EVEN_TRANSPORT", "even_transport_recurrence"),
+        ("T5", "_T5_ODD_TRANSPORT", "odd_transport_recurrence"),
+    ],
+    ids=["T1", "T2", "T3", "T4", "T5-even", "T5-odd"],
+)
+def test_transport_tables_are_live(monkeypatch, suite, table, identity):
+    # A suite that kept an inline recurrence beside its table would pass.
+    shifts = getattr(verifier, table)
+    c, ci, cj = shifts[0, 0]
+    monkeypatch.setitem(shifts, (0, 0), (c + 1, ci, cj))
+    report = run_suite(suite, nmax=2)
+    assert {f.identity for f in report.failures} == {identity}
 
 
 def test_run_suite_errors():
