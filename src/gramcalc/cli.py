@@ -120,14 +120,20 @@ def _cmd_triangle(args, caps: config.Caps) -> tuple[str, int]:
 
 
 class _BlockText(dict):
-    """Block tuple -> its "(a,b,...)" text, rendered on first lookup.
+    """Block tuple -> its text, rendered on first lookup.
 
     A listing of cops repeats each of at most 2^n - 1 distinct blocks
-    many times, so each is rendered once.
+    many times, so each is rendered once: head, its entries joined by
+    sep, then tail.
     """
 
+    def __init__(self, head: str, sep: str, tail: str) -> None:
+        super().__init__()
+        self.parts = (head, sep, tail)
+
     def __missing__(self, block: tuple[int, ...]) -> str:
-        text = self[block] = "(" + ",".join(map(str, block)) + ")"
+        head, sep, tail = self.parts
+        text = self[block] = head + sep.join(map(str, block)) + tail
         return text
 
 
@@ -136,11 +142,14 @@ def _cmd_cops(args, caps: config.Caps) -> tuple[str, int]:
         raise GramcalcError(f"--n must be at least 1, got {args.n}")
     if args.format == "csv":
         raise GramcalcError("cops output has no CSV form; use text or json")
-    cops = list(oracles.enumerate_cops(args.n, caps))
+    cops = oracles.enumerate_cops(args.n, caps)
     if args.format == "json":
-        payload = {"n": args.n, "cops": [[list(b) for b in cop] for cop in cops]}
-        return _json_text(payload), 0
-    block_text = _BlockText().__getitem__
+        # The bytes _json_text writes for {"cops": [[list(b) for b in cop]
+        # for cop in cops], "n": n}, without building those lists.
+        block_text = _BlockText("      [\n        ", ",\n        ", "\n      ]").__getitem__
+        body = ",\n".join("    [\n" + ",\n".join(map(block_text, cop)) + "\n    ]" for cop in cops)
+        return f'{{\n  "cops": [\n{body}\n  ],\n  "n": {args.n}\n}}\n', 0
+    block_text = _BlockText("(", ",", ")").__getitem__
     lines = ["".join(map(block_text, cop)) for cop in cops]
     return "\n".join(lines) + "\n", 0
 

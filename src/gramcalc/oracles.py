@@ -1,9 +1,9 @@
-"""Brute-force enumeration oracles and the list statistics they count.
+"""Enumeration oracles and the list statistics they count.
 
-Everything here is deliberately direct: objects are enumerated one by
-one in a fixed deterministic order and statistics are computed from
-their definitions, so these counts can sit on the independent side of a
-cross-check against recurrences and closed forms.
+Everything here is read off the definitions of the objects and of the
+statistics, never off the recurrences or closed forms that the verifier
+checks them against, so these counts sit on the independent side of
+each cross-check.
 
 Statistic conventions on a list w of distinct integers, 1-based:
 
@@ -16,30 +16,43 @@ Statistic conventions on a list w of distinct integers, 1-based:
   run descent, ascent, descent, ...; a single entry has las 1, the empty
   list is an error.
 
-Each statistic is one pass over the list.  las is the greedy count of
-Stanley ("Longest alternating subsequences of permutations", Michigan
-Math. J. 57, 2008): reading left to right, every strict comparison
-between neighbours that turns the way the subsequence needs next adds one
-entry, so las is linear where the textbook dynamic programme is quadratic.
+Each statistic is written once, as a ``Stat``: an initial state, a step
+that reads one entry and returns the next state and what the entry adds,
+and a final amount read off the last state.  ``scan`` runs it over one
+list.  las is the greedy count of Stanley ("Longest alternating
+subsequences of permutations", Michigan Math. J. 57, 2008): every strict
+comparison between neighbours that turns the way the subsequence needs
+next adds one entry, so its state is the previous entry and the parity.
 
-A cyclically ordered partition of [n] is kept in canonical form: a tuple
-of blocks, each block increasing, the block containing 1 first.  The
-openers of such a partition are the block minima in block order.  The
-opener census streams over the set partitions of [n] and, for each, over
-the orderings of its non-first blocks: a cyclically ordered partition is
-exactly one such pair, so each is visited once and none is kept.  Only
-``enumerate_cops`` builds the full list, because its canonical order is
-part of the CLI output: it files each cop under its block count, sorts
-each group in plain tuple order and joins the groups by ascending count.
+The distributions are counted by the transfer-matrix method (Stanley,
+Enumerative Combinatorics I, section 4.7).  ``_tally`` places the values
+one at a time and keys each layer on (values used, scan state, total so
+far): every ordering is still scored by the statistic's own step, but
+orderings that reach the same key share all their continuations and are
+counted together.  That takes n 2^n steps times the (state, total)
+pairs a mask can reach, where brute force takes n n! steps.
+
+A cyclically ordered partition (cop) of [n] is kept in canonical form: a
+tuple of blocks, each block increasing, the block containing 1 first.
+Its openers are the block minima in block order, so its opener list is 1
+followed by an ordering of the other minima, and a cop is exactly a set
+partition together with such an ordering.  The opener census counts the
+set partitions of [n] by their set of minima M in one walk over the
+elements, then joins each M with the tally of the orderings of M's own
+values; it never reduces M to its size, which would make the census the
+Stirling-times product that it is checked against.  Only
+``enumerate_cops`` builds the cops themselves, because its canonical
+order is part of the CLI output: it files each cop under its block
+count, sorts each group in plain tuple order and joins the groups by
+ascending count.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .config import Caps
 from .errors import EmptyList
@@ -53,54 +66,68 @@ Matching = tuple[tuple[int, int], ...]
 # Statistics.
 
 
-def descents(w: Sequence[int]) -> int:
-    count = 0
-    prev = -math.inf
+class Stat(NamedTuple):
+    """A statistic as a one-pass scan over a list.
+
+    ``step(state, x)`` returns the next state and the amount the entry x
+    adds; ``final(state)`` is the amount added after the last entry.
+    """
+
+    init: object
+    step: Callable[[object, int], tuple[object, int]]
+    final: Callable[[object], int]
+
+
+def _las_step(s: tuple[float, bool], x: int) -> tuple[tuple[float, bool], bool]:
+    # s = (previous entry, length is odd); an odd length turns on a descent.
+    turn = x < s[0] if s[1] else x > s[0]
+    return (x, s[1] != turn), turn
+
+
+# descents reads prev > x; left peaks keep (prev, prev rose) from a 0
+# sentinel; right valleys keep (prev, prev fell) and count a final fall
+# against the +infinity sentinel; las is 1 plus its greedy turns.
+DESCENTS = Stat(-math.inf, lambda prev, x: (x, prev > x), lambda s: 0)
+LEFT_PEAKS = Stat((0, False), lambda s, x: ((x, s[0] < x), s[1] and s[0] > x), lambda s: 0)
+RIGHT_VALLEYS = Stat(
+    (-math.inf, False), lambda s, x: ((x, s[0] > x), s[1] and s[0] < x), lambda s: s[1]
+)
+LAS = Stat((-math.inf, True), _las_step, lambda s: 1)
+
+
+def _run(stat: Stat, w: Iterable[int]) -> tuple[object, int]:
+    """The state after reading w from stat's initial state, and the sum added."""
+    state, step, _ = stat
+    total = 0
     for x in w:
-        if prev > x:
-            count += 1
-        prev = x
-    return count
+        state, add = step(state, x)
+        total += add
+    return state, total
+
+
+def scan(stat: Stat, w: Iterable[int]) -> int:
+    """The value of stat on the list w, read left to right in one pass."""
+    state, total = _run(stat, w)
+    return total + stat.final(state)
+
+
+def descents(w: Sequence[int]) -> int:
+    return scan(DESCENTS, w)
 
 
 def left_peaks(w: Sequence[int]) -> int:
-    """Count left peaks, with a 0 sentinel before the first entry."""
-    count = 0
-    a = b = 0  # the first triple reads 0 < 0 and never counts
-    for c in w:
-        if a < b > c:
-            count += 1
-        a, b = b, c
-    return count
+    return scan(LEFT_PEAKS, w)
 
 
 def right_valleys(w: Sequence[int]) -> int:
-    """Count right valleys, with a +infinity sentinel after the last entry."""
-    count = 0
-    a = b = -math.inf  # so the first entry is never a right valley
-    for c in w:
-        if a > b < c:
-            count += 1
-        a, b = b, c
-    return count + (a > b)
+    return scan(RIGHT_VALLEYS, w)
 
 
 def las(w: Sequence[int]) -> int:
-    """Longest alternating subsequence length (first comparison a descent).
-
-    Greedy and linear: the length grows by one at each neighbour pair
-    whose strict comparison goes the way the subsequence must turn next,
-    a descent after an odd length and an ascent after an even one.
-    """
+    """Longest alternating subsequence length (first comparison a descent)."""
     if not w:
         raise EmptyList("las is undefined on an empty list")
-    length = 1
-    prev = w[0]
-    for x in w:
-        if (x < prev) if length % 2 else (x > prev):
-            length += 1
-        prev = x
-    return length
+    return scan(LAS, w)
 
 
 def openers(cop: Cop) -> tuple[int, ...]:
@@ -223,7 +250,7 @@ def enumerate_cops(n: int, caps: Caps = Caps()) -> Iterator[Cop]:
 # ---------------------------------------------------------------------------
 # Count tables.
 
-_STATS = {"descents": descents, "right_valleys": right_valleys, "las": las}
+_STATS = {"descents": DESCENTS, "right_valleys": RIGHT_VALLEYS, "las": LAS}
 
 
 def stat_names() -> tuple[str, ...]:
@@ -231,16 +258,61 @@ def stat_names() -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=None)
-def _cop_stat_items(n: int, stat: str) -> tuple[tuple[tuple[int, int], int], ...]:
-    fn = _STATS[stat]
+def _tally(
+    stat: Stat, head: tuple[int, ...], values: tuple[int, ...]
+) -> tuple[tuple[int, int], ...]:
+    """Distribution of stat over head followed by each ordering of values.
+
+    Layer m maps (mask of the values placed, scan state, total so far),
+    after head and m more entries, to the number of orderings that reach
+    it.  Orderings that meet at a key share every continuation, so they
+    are carried on together.
+    """
+    step = stat.step
+    layer = {(0, *_run(stat, head)): 1}
+    bits = [(1 << i, x) for i, x in enumerate(values)]
+    for _ in values:
+        nxt: dict[tuple[int, object, int], int] = {}
+        for (used, state, total), count in layer.items():
+            for bit, x in bits:
+                if not used & bit:
+                    new, add = step(state, x)
+                    key = (used | bit, new, total + add)
+                    nxt[key] = nxt.get(key, 0) + count
+        layer = nxt
+    counts: dict[int, int] = {}
+    for (_, state, total), count in layer.items():
+        value = total + stat.final(state)
+        counts[value] = counts.get(value, 0) + count
+    return tuple(sorted(counts.items()))
+
+
+@lru_cache(maxsize=None)
+def _minima_walk(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Set partitions of [n], n >= 1, counted by their block minima.
+
+    Element i = 2..n joins one of the blocks open so far, one per
+    minimum, or opens a block of its own with minimum i.
+    """
+    layer = {(1,): 1}
+    for i in range(2, n + 1):
+        nxt = {}
+        for minima, count in layer.items():
+            nxt[minima] = count * len(minima)
+            nxt[minima + (i,)] = count
+        layer = nxt
+    return tuple(layer.items())
+
+
+@lru_cache(maxsize=None)
+def _census(n: int, stat: str) -> tuple[tuple[tuple[int, int], int], ...]:
     counts: dict[tuple[int, int], int] = {}
-    for blocks in _set_partitions(n):
-        k = len(blocks)
-        # The openers of every cop on these blocks: 1, then the other
-        # block minima in each of their orders.
-        for rest in itertools.permutations([block[0] for block in blocks[1:]]):
-            key = (k, fn((1,) + rest))
-            counts[key] = counts.get(key, 0) + 1
+    for minima, partitions in _minima_walk(n):
+        # The opener lists of the cops on these blocks: 1, then every
+        # ordering of the other minima.
+        for value, orders in _tally(_STATS[stat], (1,), minima[1:]):
+            key = (len(minima), value)
+            counts[key] = counts.get(key, 0) + partitions * orders
     return tuple(sorted(counts.items()))
 
 
@@ -253,7 +325,7 @@ def cop_stat_table(n: int, stat: str, caps: Caps = Caps()) -> dict[tuple[int, in
     if stat not in _STATS:
         raise ValueError(f"unknown statistic {stat!r}; choose from {', '.join(_STATS)}")
     caps.check("cops", n, 1)
-    return dict(_cop_stat_items(n, stat))
+    return dict(_census(n, stat))
 
 
 def u_table(nmax: int) -> dict[tuple[int, int, int], int]:
@@ -279,17 +351,10 @@ def u_table(nmax: int) -> dict[tuple[int, int, int], int]:
     return u
 
 
-@lru_cache(maxsize=None)
-def _perm_stat_items(n: int, stat: str) -> tuple[tuple[int, int], ...]:
-    fn = _STATS[stat] if stat != "left_peaks" else left_peaks
-    counts = Counter(map(fn, itertools.permutations(range(1, n + 1))))
-    return tuple(sorted(counts.items()))
-
-
 def left_peak_counts(n: int, caps: Caps = Caps()) -> dict[int, int]:
     """Distribution of left peaks over all permutations of [n], by count."""
     caps.check("permutations", n)
-    return dict(_perm_stat_items(n, "left_peaks"))
+    return dict(_tally(LEFT_PEAKS, (), tuple(range(1, n + 1))))
 
 
 def las_counts(n: int, caps: Caps = Caps()) -> dict[int, int]:
@@ -301,5 +366,5 @@ def las_counts(n: int, caps: Caps = Caps()) -> dict[int, int]:
     caps.check("permutations", n)
     if n == 0:
         return {0: 1}
-    return dict(_perm_stat_items(n, "las"))
+    return dict(_tally(LAS, (), tuple(range(1, n + 1))))
 

@@ -6,9 +6,14 @@ instead; the differential tests compare both, term order included.
 
 The canonical cop order and the ``cops`` text lines have references too:
 one key-sorted list, and every block rendered afresh on every line.
+
+The statistic distributions are counted by a prefix-state tally.  Their
+references score every permutation, and every cop's opener list, one by
+one.
 """
 
 import itertools
+from collections import Counter
 
 from gramcalc.errors import UnknownLetter
 from gramcalc.grammar import Grammar
@@ -117,3 +122,21 @@ def reference_cops(n: int) -> list[Cop]:
 def reference_cop_line(cop: Cop) -> str:
     """One ``cops`` text line, each block rendered where it stands."""
     return "".join("(" + ",".join(str(e) for e in block) + ")" for block in cop)
+
+
+def reference_perm_counts(n: int, fn) -> Counter:
+    """Distribution of fn over the permutations of [n], one at a time."""
+    return Counter(map(fn, itertools.permutations(range(1, n + 1))))
+
+
+def reference_census(n: int, fn) -> dict[tuple[int, int], int]:
+    """Cops of [n] by (blocks, fn of the opener list), one cop at a time."""
+    counts: dict[tuple[int, int], int] = {}
+    for blocks in _set_partitions(n):
+        k = len(blocks)
+        # The openers of every cop on these blocks: 1, then the other
+        # block minima in each of their orders.
+        for rest in itertools.permutations([block[0] for block in blocks[1:]]):
+            key = (k, fn((1,) + rest))
+            counts[key] = counts.get(key, 0) + 1
+    return counts

@@ -239,24 +239,41 @@ def test_cops_text_matches_reference_lines(capsys):
         assert out == expected, n
 
 
+# Above the cop cap, so the cops are built by hand.  Blocks whose digits
+# run together the same way, such as (1,2,3) and (1,23) or (1,2) and
+# (12,), must each keep their own text.
+MULTI_DIGIT_COPS = [
+    ((1, 2, 3), (10, 11, 12)),
+    ((1, 23), (2, 3), (10, 11, 12)),
+    ((1, 2), (3, 10), (11,), (12,)),
+    ((1, 11), (2, 3, 10), (12,)),
+    ((1, 2, 3), (12,), (10, 11)),
+    ((1, 2), (3, 10, 11, 12)),
+    ((1, 12), (2, 3, 10, 11)),
+]
+
+
 def test_cops_text_renders_multi_digit_blocks(capsys, monkeypatch):
-    # Above the cop cap, so the cops are built by hand.  Blocks whose
-    # digits run together the same way, such as (1,2,3) and (1,23) or
-    # (1,2) and (12,), must each keep their own text.
-    cops = [
-        ((1, 2, 3), (10, 11, 12)),
-        ((1, 23), (2, 3), (10, 11, 12)),
-        ((1, 2), (3, 10), (11,), (12,)),
-        ((1, 11), (2, 3, 10), (12,)),
-        ((1, 2, 3), (12,), (10, 11)),
-        ((1, 2), (3, 10, 11, 12)),
-        ((1, 12), (2, 3, 10, 11)),
-    ]
-    monkeypatch.setattr(oracles, "enumerate_cops", lambda n, caps: iter(cops))
+    monkeypatch.setattr(oracles, "enumerate_cops", lambda n, caps: iter(MULTI_DIGIT_COPS))
     code, out, _ = run_cli(capsys, "cops", "--n", "12")
     assert code == 0
-    assert out == "".join(reference_cop_line(cop) + "\n" for cop in cops)
+    assert out == "".join(reference_cop_line(cop) + "\n" for cop in MULTI_DIGIT_COPS)
     assert out.splitlines()[1] == "(1,23)(2,3)(10,11,12)"
+
+
+def cops_json_reference(n, cops):
+    return cli._json_text({"n": n, "cops": [[list(b) for b in cop] for cop in cops]})
+
+
+def test_cops_json_matches_json_dumps(capsys, monkeypatch):
+    for n in range(1, 8):
+        code, out, _ = run_cli(capsys, "cops", "--n", str(n), "--format", "json")
+        assert code == 0
+        assert out == cops_json_reference(n, reference_cops(n)), n
+    monkeypatch.setattr(oracles, "enumerate_cops", lambda n, caps: iter(MULTI_DIGIT_COPS))
+    code, out, _ = run_cli(capsys, "cops", "--n", "12", "--format", "json")
+    assert code == 0
+    assert out == cops_json_reference(12, MULTI_DIGIT_COPS)
 
 
 def test_cops_json(capsys):

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import pathlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -33,7 +34,7 @@ from gramcalc.oracles import (
 )
 from gramcalc.triangles import stirling2
 
-from reference import reference_cops
+from reference import reference_census, reference_cops, reference_perm_counts
 
 
 # ---------------------------------------------------------------------------
@@ -147,24 +148,26 @@ def test_cop_stat_table_matches_cop_tally(stat):
 
 
 @pytest.mark.parametrize("stat", stat_names())
-def test_census_visits_each_cop_once(stat, monkeypatch):
-    calls = []
-    real = oracles._STATS[stat]
+def test_census_matches_reference_census(stat):
+    for n in range(1, 9):
+        assert cop_stat_table(n, stat) == reference_census(n, getattr(oracles, stat)), n
 
-    def counted(w):
-        calls.append(w)
-        return real(w)
 
-    monkeypatch.setitem(oracles._STATS, stat, counted)
-    oracles._cop_stat_items.cache_clear()
-    try:
-        for n in range(1, 8):
-            calls.clear()
-            cop_stat_table(n, stat)
-            assert len(calls) == len(list(enumerate_cops(n)))
-            assert sorted(calls) == sorted(openers(cop) for cop in enumerate_cops(n))
-    finally:
-        oracles._cop_stat_items.cache_clear()
+@pytest.mark.parametrize("name", ["descents", "left_peaks", "right_valleys", "las"])
+def test_tally_matches_reference_perm_counts(name):
+    stat, fn = getattr(oracles, name.upper()), getattr(oracles, name)
+    for n in range(10):
+        if n or fn is not las:
+            tally = oracles._tally(stat, (), tuple(range(1, n + 1)))
+            assert dict(tally) == reference_perm_counts(n, fn), n
+
+
+def test_minima_walk_matches_set_partitions():
+    for n in range(1, 10):
+        by_minima = Counter(
+            tuple(block[0] for block in blocks) for blocks in oracles._set_partitions(n)
+        )
+        assert dict(oracles._minima_walk(n)) == by_minima, n
 
 
 def test_statistics_on_reference_list():

@@ -3,10 +3,11 @@
 Each case runs ``gramcalc cops --n N --format FORMAT`` and reduces its
 stdout to a sha256.  The expected digests in ``pinned_cops.json`` were
 taken from commit 0a9f3e0, which sorted the whole list on one key and
-rendered every block on every line, so any change in the cops, their
-order or their text shows up here.  Regenerate them only for an intended
-change of output, with ``python tests/test_pinned_cops.py`` run against
-the code whose output should become the reference.
+rendered every block on every line, and ``n8-json`` from commit bfd049b,
+which ran ``json.dumps`` on the whole list, so any change in the cops,
+their order or their text shows up here.  Regenerate them only for an
+intended change of output, with ``python tests/test_pinned_cops.py`` run
+against the code whose output should become the reference.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ HERE = pathlib.Path(__file__).parent
 PINNED = HERE / "pinned_cops.json"
 BENCH_EXPECTED = HERE.parent / "perfbench" / "expected.json"
 
-CASES = [(n, "text") for n in range(1, 9)] + [(n, "json") for n in range(1, 8)]
+CASES = [(n, fmt) for fmt in ("text", "json") for n in range(1, 9)]
 
 
 def case_id(case: tuple[int, str]) -> str:
