@@ -18,6 +18,12 @@ tokens.  The word ``const`` is
 reserved and declares letters whose derivative is zero.  Syntax errors
 carry a 1-based line and column plus the set of token kinds that would
 have been accepted.
+
+The whole source is tokenized before parsing, so a bad character is
+reported before any syntax error.  A punctuation token's kind is its own
+text (``'+'``, ``'->'``, ``'('``, ...); only ``int``, ``ident`` and
+``eof`` are named.  A token keeps just its source offset, and an error
+derives its line and column from that offset when it is raised.
 """
 
 from __future__ import annotations
@@ -30,91 +36,56 @@ from .poly import Polynomial
 
 
 class Token(NamedTuple):
-    kind: str
+    kind: str  # "int", "ident", "eof", or the punctuation's own text
     value: object
-    line: int
-    col: int
+    pos: int  # offset into the source
 
-
-_PUNCT = {
-    "+": "plus",
-    "*": "star",
-    "^": "caret",
-    "(": "lparen",
-    ")": "rparen",
-    ";": "semi",
-    ",": "comma",
-}
 
 # INT is ASCII digits only; other Unicode digits are not integers here.
 _DIGITS = frozenset("0123456789")
 
-_DISPLAY = {
-    "plus": "'+'",
-    "minus": "'-'",
-    "star": "'*'",
-    "caret": "'^'",
-    "lparen": "'('",
-    "rparen": "')'",
-    "semi": "';'",
-    "comma": "','",
-    "arrow": "'->'",
-    "int": "an integer",
-    "ident": "a letter",
-    "eof": "end of input",
-}
+_DISPLAY = {"int": "an integer", "ident": "a letter", "eof": "end of input"}
+
+
+def _where(src: str, pos: int) -> tuple[int, int]:
+    """1-based (line, column) of offset pos in src."""
+    return src.count("\n", 0, pos) + 1, pos - src.rfind("\n", 0, pos)
 
 
 def _tokenize(src: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(src)
+    i, n = 0, len(src)
     while i < n:
         ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
+        j = i + 1
         if ch.isspace():
-            col += 1
-            i += 1
+            i = j
             continue
-        start_col = col
-        if ch == "-":
-            if i + 1 < n and src[i + 1] == ">":
-                tokens.append(Token("arrow", "->", line, start_col))
-                i += 2
-                col += 2
-            else:
-                tokens.append(Token("minus", "-", line, start_col))
-                i += 1
-                col += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch in _DIGITS:
-            j = i
+        if src.startswith("->", i):
+            kind, value, j = "->", "->", i + 2
+        elif ch in "+-*^();,":
+            kind, value = ch, ch
+        elif ch in _DIGITS:
             while j < n and src[j] in _DIGITS:
                 j += 1
-            tokens.append(Token("int", int(src[i:j]), line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isidentifier():
-            j = i + 1
+            kind = "int"
+            try:
+                value = int(src[i:j])
+            except ValueError:  # longer than the interpreter's int-to-str limit
+                raise ParseError(
+                    f"integer of {j - i} digits is too long to read;"
+                    " PYTHONINTMAXSTRDIGITS=0 lifts the limit",
+                    *_where(src, i),
+                ) from None
+        elif ch.isidentifier():
             while j < n and ("_" + src[j]).isidentifier():
                 j += 1
-            tokens.append(Token("ident", src[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(Token("eof", None, line, col))
+            kind, value = "ident", src[i:j]
+        else:
+            raise ParseError(f"unexpected character {ch!r}", *_where(src, i))
+        tokens.append(Token(kind, value, i))
+        i = j
+    tokens.append(Token("eof", None, n))
     return tokens
 
 
@@ -125,6 +96,7 @@ MAX_NESTING = 100
 
 class _Parser:
     def __init__(self, src: str):
+        self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
         self.depth = 0
@@ -152,98 +124,87 @@ class _Parser:
         shown = "end of input" if tok.kind == "eof" else repr(str(tok.value))
         raise ParseError(
             f"unexpected {shown}",
-            tok.line,
-            tok.col,
-            tuple(_DISPLAY[k] for k in expected),
+            *_where(self.src, tok.pos),
+            tuple(_DISPLAY.get(k, f"'{k}'") for k in expected),
         )
 
     # Expression grammar.
 
     def expr(self) -> Polynomial:
-        negate = self.accept("minus") is not None
-        p = self.term()
-        if negate:
-            p = -p
+        p = -self.term() if self.accept("-") else self.term()
         while True:
-            if self.accept("plus"):
+            if self.accept("+"):
                 p = p + self.term()
-            elif self.accept("minus"):
+            elif self.accept("-"):
                 p = p - self.term()
             else:
                 return p
 
     def term(self) -> Polynomial:
         p = self.factor()
-        while self.accept("star"):
+        while self.accept("*"):
             p = p * self.factor()
         return p
 
     def factor(self) -> Polynomial:
         base = self.atom()
-        if self.accept("caret"):
+        if self.accept("^"):
             tok = self.expect("int")
             if tok.value < 1:
                 raise ParseError(
-                    "exponent must be a positive integer", tok.line, tok.col
+                    "exponent must be a positive integer", *_where(self.src, tok.pos)
                 )
             return base ** tok.value
         return base
 
     def atom(self) -> Polynomial:
-        tok = self.peek()
+        tok = self.advance()
         if tok.kind == "int":
-            self.advance()
             return Polynomial.constant(tok.value)
         if tok.kind == "ident":
-            self.advance()
             return Polynomial.letter(tok.value)
-        if tok.kind == "lparen":
-            if self.depth == MAX_NESTING:
-                raise ParseError(
-                    f"parentheses nested deeper than {MAX_NESTING}", tok.line, tok.col
-                )
-            self.advance()
-            self.depth += 1
-            p = self.expr()
-            self.expect("rparen")
-            self.depth -= 1
-            return p
-        self.fail(tok, ("int", "ident", "lparen"))
+        if tok.kind != "(":
+            self.fail(tok, ("int", "ident", "("))
+        if self.depth == MAX_NESTING:
+            raise ParseError(
+                f"parentheses nested deeper than {MAX_NESTING}",
+                *_where(self.src, tok.pos),
+            )
+        self.depth += 1
+        p = self.expr()
+        self.expect(")")
+        self.depth -= 1
+        return p
 
     # Statement grammar.
 
     def grammar(self) -> Grammar:
         rules: dict[str, Polynomial] = {}
         constants: list[str] = []
+
+        def declare(tok: Token) -> None:
+            if tok.value in rules or tok.value in constants:
+                line, col = _where(self.src, tok.pos)
+                raise DuplicateRule(
+                    tok.value, f"redeclared at line {line}, column {col}"
+                )
+
         while self.peek().kind != "eof":
-            tok = self.peek()
-            if tok.kind != "ident":
-                self.fail(tok, ("ident",))
+            tok = self.expect("ident")
             if tok.value == "const":
-                self.advance()
                 while True:
                     name = self.expect("ident")
-                    if name.value in constants or name.value in rules:
-                        raise DuplicateRule(
-                            name.value,
-                            f"redeclared at line {name.line}, column {name.col}",
-                        )
+                    declare(name)
                     constants.append(name.value)
-                    if not self.accept("comma"):
+                    if not self.accept(","):
                         break
             else:
-                self.advance()
-                self.expect("arrow")
+                self.expect("->")
                 rhs = self.expr()
-                if tok.value in rules or tok.value in constants:
-                    raise DuplicateRule(
-                        tok.value,
-                        f"redeclared at line {tok.line}, column {tok.col}",
-                    )
+                declare(tok)  # after the right-hand side, whose errors come first
                 rules[tok.value] = rhs
-            if self.peek().kind == "eof":
-                break
-            self.expect("semi")
+            if self.peek().kind != "eof":
+                self.expect(";")
         return Grammar(rules, constants)
 
 
@@ -253,7 +214,7 @@ def parse_polynomial(src: str) -> Polynomial:
     p = parser.expr()
     tok = parser.peek()
     if tok.kind != "eof":
-        parser.fail(tok, ("plus", "minus", "star", "eof"))
+        parser.fail(tok, ("+", "-", "*", "eof"))
     return p
 
 

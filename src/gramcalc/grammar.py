@@ -40,6 +40,11 @@ class Grammar:
         for letter, rhs in rules.items():
             if not isinstance(letter, str) or not letter.isidentifier():
                 raise ValueError(f"ruled letter must be an identifier, got {letter!r}")
+            # to_dsl would write "const -> ...", which parses as a const statement.
+            if letter == "const":
+                raise ValueError(
+                    "the rule DSL reserves 'const'; it cannot be a ruled letter"
+                )
             normalized[letter] = (
                 rhs if isinstance(rhs, Polynomial) else Polynomial.constant(rhs)
             )

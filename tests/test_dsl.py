@@ -1,5 +1,7 @@
 """Rule DSL parsing, rendering, and the builtin grammar table."""
 
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,7 +13,7 @@ from gramcalc.dsl import (
     parse_grammar,
     parse_polynomial,
 )
-from gramcalc.errors import DuplicateRule, ParseError
+from gramcalc.errors import DuplicateRule, GramcalcError, ParseError
 from gramcalc.grammar import Grammar
 from gramcalc.poly import Polynomial
 
@@ -56,6 +58,85 @@ def test_expression_errors(src, line, col, fragment):
     assert info.value.line == line
     assert info.value.col == col
     assert fragment in str(info.value)
+
+
+_DEEP = "(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1)
+
+
+@pytest.mark.parametrize(
+    "parse, src, text",
+    [
+        (
+            parse_polynomial,
+            "x y",
+            "line 1, column 3: unexpected 'y' (expected '+' or '-' or '*' or end of input)",
+        ),
+        (parse_polynomial, "x\r\n\t+ @", "line 2, column 4: unexpected character '@'"),
+        (
+            parse_grammar,
+            "const a,\n a",
+            "conflicting declarations for letter 'a': redeclared at line 2, column 2",
+        ),
+        (
+            parse_grammar,
+            "x -> x;\n\tx -> 2*x",
+            "conflicting declarations for letter 'x': redeclared at line 2, column 2",
+        ),
+        (
+            parse_grammar,
+            "x ->\n",
+            "line 2, column 1: unexpected end of input"
+            " (expected an integer or a letter or '(')",
+        ),
+        (parse_grammar, "x -> x y", "line 1, column 8: unexpected 'y' (expected ';')"),
+        (parse_grammar, "x x", "line 1, column 3: unexpected 'x' (expected '->')"),
+        (
+            parse_polynomial,
+            "(x + y",
+            "line 1, column 7: unexpected end of input (expected ')')",
+        ),
+        (
+            parse_polynomial,
+            "x + \n " + _DEEP,
+            f"line 2, column {MAX_NESTING + 2}: parentheses nested deeper than {MAX_NESTING}",
+        ),
+        (parse_polynomial, "x^0", "line 1, column 3: exponent must be a positive integer"),
+    ],
+)
+def test_error_text(parse, src, text):
+    # Each error site's whole message: position, wording and expected kinds.
+    with pytest.raises(GramcalcError) as info:
+        parse(src)
+    assert str(info.value) == text
+
+
+def test_integer_past_the_digit_limit_is_a_parse_error():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter reads integers of any length")
+    with pytest.raises(ParseError) as info:
+        parse_polynomial("x +\n x^" + "9" * (limit + 1))
+    assert str(info.value) == (
+        f"line 2, column 4: integer of {limit + 1} digits is too long to read;"
+        " PYTHONINTMAXSTRDIGITS=0 lifts the limit"
+    )
+
+
+_SOURCE_PIECES = ("x", "y1", "+", "*", "(", ")", "2", " ", "\t", "\n", "\r\n",
+                  "\u00e9", "\u00df", "\u0663", "\u00b2", "@")
+
+
+@given(st.lists(st.sampled_from(_SOURCE_PIECES), max_size=12).map("".join))
+def test_unexpected_character_position_indexes_the_character(src):
+    for parse in (parse_polynomial, parse_grammar):
+        try:
+            parse(src)
+        except ParseError as exc:
+            if "unexpected character" in str(exc):
+                char = src.split("\n")[exc.line - 1][exc.col - 1]
+                assert str(exc).endswith(f"unexpected character {char!r}")
+        except GramcalcError:
+            pass
 
 
 @pytest.mark.parametrize(
@@ -150,6 +231,18 @@ def test_builtin_round_trips():
         g = builtin_grammar(name)
         assert parse_grammar(g.to_dsl()) == g
         assert parse_grammar(BUILTIN_SOURCES[name]) == g
+
+
+def test_const_is_not_a_ruled_letter():
+    with pytest.raises(ValueError, match="reserves 'const'"):
+        Grammar({"const": 2})
+
+
+def test_constant_named_const_round_trips():
+    c = Polynomial.letter("const")
+    g = Grammar({"x": c * x}, constants=["const", "a"])
+    assert g.to_dsl() == "const a, const; x -> const*x"
+    assert parse_grammar(g.to_dsl()) == g
 
 
 _letters = ("a", "b", "c", "d")
