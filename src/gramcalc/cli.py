@@ -79,11 +79,16 @@ def _cmd_derive(args, caps: config.Caps) -> tuple[str, int]:
         if letter not in grammar.letters:
             raise UnknownLetter(letter, "not in the grammar")
     p = grammar.derive_n(start, args.n)
-    if args.format == "json":
-        return _json_text(p.to_json_obj()), 0
-    if args.format == "csv":
-        return _poly_csv(p, args.n, grammar), 0
-    return str(p) + "\n", 0
+    try:
+        if args.format == "json":
+            return _json_text(p.to_json_obj()), 0
+        if args.format == "csv":
+            return _poly_csv(p, args.n, grammar), 0
+        return str(p) + "\n", 0
+    except ValueError:  # a coefficient longer than the interpreter's int-to-str limit
+        raise GramcalcError(
+            "a coefficient is too long to print; PYTHONINTMAXSTRDIGITS=0 lifts the limit"
+        ) from None
 
 
 def _dense_row(counts: dict[int, int]) -> tuple[int, list[int]]:

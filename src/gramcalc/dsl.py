@@ -52,6 +52,13 @@ def _where(src: str, pos: int) -> tuple[int, int]:
     return src.count("\n", 0, pos) + 1, pos - src.rfind("\n", 0, pos)
 
 
+def _digits_end(src: str, i: int) -> int:
+    """Offset just past the run of ASCII digits starting at offset i."""
+    while i < len(src) and src[i] in _DIGITS:
+        i += 1
+    return i
+
+
 def _tokenize(src: str) -> list[Token]:
     tokens: list[Token] = []
     i, n = 0, len(src)
@@ -66,9 +73,7 @@ def _tokenize(src: str) -> list[Token]:
         elif ch in "+-*^();,":
             kind, value = ch, ch
         elif ch in _DIGITS:
-            while j < n and src[j] in _DIGITS:
-                j += 1
-            kind = "int"
+            kind, j = "int", _digits_end(src, i)
             try:
                 value = int(src[i:j])
             except ValueError:  # longer than the interpreter's int-to-str limit
@@ -121,7 +126,12 @@ class _Parser:
         return self.advance()
 
     def fail(self, tok: Token, expected: tuple[str, ...]):
-        shown = "end of input" if tok.kind == "eof" else repr(str(tok.value))
+        if tok.kind == "eof":
+            shown = "end of input"
+        elif tok.kind == "int":  # its source text, which keeps any leading zeros
+            shown = repr(self.src[tok.pos : _digits_end(self.src, tok.pos)])
+        else:
+            shown = repr(tok.value)
         raise ParseError(
             f"unexpected {shown}",
             *_where(self.src, tok.pos),

@@ -15,12 +15,16 @@ a fixed table of shifts with coefficients affine in (i, j), evaluated by
 picks the builtin or the override grammar and notes an override, derives
 the coefficient grids, loops over levels while checking that each grid
 stays inside the box, counts checks, runs the opener censuses up to the
-cops cap, and skips oracle products above the permutations cap, noting
-each kind of skip.
+cops cap, and skips oracle products above the permutations cap.  A
+skipped product only raises one cut flag; each suite flushes it with its
+own note where its product checks end.  Informational match ratios are
+built by one function over collected (where, expected, actual) cells.
 
 Suite names follow the short labels used by the command line tool: T1
 through T6 for the six grammar studies, plus "golden" for byte-exact
-snapshots of small expansions.
+snapshots of small expansions.  All seven take (nmax, grammar, caps),
+sit in one ``_SUITES`` table and derive through the run object; golden
+refuses a grammar override.
 """
 
 from __future__ import annotations
@@ -46,8 +50,6 @@ from .triangles import (
 )
 
 _DEFAULT_NMAX = {"T1": 8, "T2": 8, "T3": 8, "T4": 8, "T5": 7, "T6": 7, "golden": 3}
-
-SUITE_NAMES = ("T1", "T2", "T3", "T4", "T5", "T6", "golden")
 
 
 @dataclass(frozen=True)
@@ -127,7 +129,7 @@ class _Suite:
         self.side = nmax + 2
         self.caps = caps
         self.report = CheckReport(suite=name, nmax=nmax)
-        self.skipped: set[str] = set()
+        self.cut = False
         if grammar is not None:
             self.note(f"grammar override: {grammar.to_dsl()}{scope}")
         elif builtin is not None:
@@ -194,52 +196,27 @@ class _Suite:
                 if cell is not None:
                     self.check(identity, (n, i, j), table.get(cell, 0), grids[n][i, j])
 
-    def perm_row(self, oracle, size: int, skip_note: str) -> dict | None:
-        """oracle(size), or None above the permutations cap; the skip is kept."""
-        if size > self.caps.permutations:
-            self.skipped.add(skip_note)
-            return None
-        return oracle(size, self.caps)
-
-    def oracle_product(self, s: int, oracle, size: int, key: int, skip_note: str) -> int | None:
-        """s times oracle(size)[key], or None when the oracle is skipped."""
+    def oracle_product(self, s: int, oracle, size: int, key: int) -> int | None:
+        """s times oracle(size)[key], or None above the permutations cap, flagged as a cut."""
         if not s:
             return 0
-        row = self.perm_row(oracle, size, skip_note)
-        return None if row is None else s * row.get(key, 0)
+        if size > self.caps.permutations:
+            self.cut = True
+            return None
+        return s * oracle(size, self.caps).get(key, 0)
 
-    def note_skipped(self, skip_note: str) -> None:
-        if skip_note in self.skipped:
-            self.note(skip_note)
-
-
-class _Tally:
-    """Match counter for cells that are reported but not asserted."""
-
-    def __init__(self):
-        self.seen = 0
-        self.matched = 0
-        self.first = None
-
-    def add(self, where: tuple, expected: int, actual: int) -> None:
-        self.seen += 1
-        if expected == actual:
-            self.matched += 1
-        elif self.first is None:
-            self.first = (where, expected, actual)
-
-    def note(self, text: str, mismatch: str) -> str:
-        """text with the match ratio filled in, then the first mismatch, if any."""
-        text = text.format(f"{self.matched}/{self.seen}")
-        return text if self.first is None else text + mismatch.format(*self.first)
+    def note_cut(self, text: str) -> None:
+        """Note text if an oracle product was cut since the last such note."""
+        if self.cut:
+            self.note(text)
+            self.cut = False
 
 
-def _boundary_note(tally: _Tally, label: str) -> str:
-    return tally.note(
-        f"informational: {label} also matches at {{}} boundary cells"
-        " (i=0 or j=0), outside its asserted range",
-        "; first mismatch at {}: expected {}, got {}",
-    )
+def _match_note(cells: list, text: str, mismatch: str) -> str:
+    """text with the match ratio of (where, expected, actual) cells, then the first mismatch."""
+    misses = [cell for cell in cells if cell[1] != cell[2]]
+    text = text.format(f"{len(cells) - len(misses)}/{len(cells)}")
+    return text + mismatch.format(*misses[0]) if misses else text
 
 
 def _cop_count(nn: int) -> int:
@@ -264,10 +241,6 @@ def _transport(table: dict, prev: Counter, i: int, j: int) -> int:
     return sum(
         (c + ci * i + cj * j) * prev[i + di, j + dj] for (di, dj), (c, ci, cj) in table.items()
     )
-
-
-_PEAKS_SKIPPED = "left-peak product checks above the permutations cap were skipped"
-_LAS_SKIPPED = "alternating-length product checks above the permutations cap were skipped"
 
 
 def suite_t1(
@@ -333,11 +306,7 @@ def suite_t2(
                     "stirling_left_peak_product",
                     (n, i, j),
                     run.oracle_product(
-                        stirling2(n + 1, i + j),
-                        oracles.left_peak_counts,
-                        i + j - 1,
-                        (i - 1) // 2,
-                        _PEAKS_SKIPPED,
+                        stirling2(n + 1, i + j), oracles.left_peak_counts, i + j - 1, (i - 1) // 2
                     ),
                     actual,
                 )
@@ -358,17 +327,14 @@ def suite_t2(
     # The valley table feeding the agreement check, validated on its own.
     for n in range(1, run.nmax + 2):
         for k in range(1, n + 1):
-            peaks = run.perm_row(oracles.left_peak_counts, k - 1, _PEAKS_SKIPPED)
-            if peaks is None:
-                continue
             for l in range((k - 1) // 2 + 1):
                 run.check(
                     "valley_table_product",
                     (n, k, l),
-                    stirling2(n, k) * peaks.get(l, 0),
+                    run.oracle_product(stirling2(n, k), oracles.left_peak_counts, k - 1, l),
                     u.get((n, k, l), 0),
                 )
-    run.note_skipped(_PEAKS_SKIPPED)
+    run.note_cut("left-peak product checks above the permutations cap were skipped")
     for n in run.cop_levels("valley table enumeration", 0):
         table = oracles.cop_stat_table(n, "right_valleys", run.caps)
         for k in range(1, n + 1):
@@ -378,13 +344,14 @@ def suite_t2(
                 )
     # The same product with the left-peak row taken one size up fails;
     # recorded here so the shift in the asserted form stays visible.
-    shifted = _Tally()
+    shifted = []
     for (n, k, l), value in sorted(u.items()):
-        if k <= run.caps.permutations:
-            product_k = stirling2(n, k) * oracles.left_peak_counts(k, run.caps).get(l, 0)
-            shifted.add((n, k, l), value, product_k)
+        product_k = run.oracle_product(stirling2(n, k), oracles.left_peak_counts, k, l)
+        if product_k is not None:
+            shifted.append(((n, k, l), value, product_k))
     run.note(
-        shifted.note(
+        _match_note(
+            shifted,
             "informational: with the left-peak row taken at k instead of k-1 the"
             " valley product matches {} nonzero cells",
             "; first mismatch at (n,k,l)={}: table={}, shifted product={}",
@@ -418,13 +385,11 @@ def suite_t3(
             run.check(
                 "stirling_las_product",
                 (n, i, j),
-                run.oracle_product(
-                    stirling2(n + 1, i + j + 1), oracles.las_counts, i + j, i, _LAS_SKIPPED
-                ),
+                run.oracle_product(stirling2(n + 1, i + j + 1), oracles.las_counts, i + j, i),
                 actual,
             )
         run.check("cop_count_row_sum", (n,), _cop_count(n + 1), sum(cur.values()))
-    run.note_skipped(_LAS_SKIPPED)
+    run.note_cut("alternating-length product checks above the permutations cap were skipped")
     run.census(
         "opener alternating-length census",
         "opener_las_census",
@@ -488,8 +453,7 @@ def suite_t5(
     run = _Suite("T5", nmax, caps, grammar, "g5", scope)
     e = run.grids("x", _EVEN_MAP)
     f = run.grids("x*y", _ODD_MAP)
-    e_boundary = _Tally()
-    f_boundary = _Tally()
+    e_boundary, f_boundary = [], []
     for n in run.levels(e, f):
         for i, j in run.cells():
             ea, fa = e[n][i, j], f[n][i, j]
@@ -505,10 +469,17 @@ def suite_t5(
                 run.check("whitney_matching_product", (n, i, j), e_expected, ea)
                 run.check("scaled_stirling_signed_product", (n, i, j), f_expected, fa)
             else:
-                e_boundary.add((n, i, j), e_expected, ea)
-                f_boundary.add((n, i, j), f_expected, fa)
-    run.note(_boundary_note(e_boundary, "the Whitney times matching product"))
-    run.note(_boundary_note(f_boundary, "the scaled Stirling times signed descent product"))
+                e_boundary.append(((n, i, j), e_expected, ea))
+                f_boundary.append(((n, i, j), f_expected, fa))
+    for cells, label in (
+        (e_boundary, "the Whitney times matching product"),
+        (f_boundary, "the scaled Stirling times signed descent product"),
+    ):
+        text = (
+            f"informational: {label} also matches at {{}} boundary cells"
+            " (i=0 or j=0), outside its asserted range"
+        )
+        run.note(_match_note(cells, text, "; first mismatch at {}: expected {}, got {}"))
     gb = builtin_grammar("gB")
     px = run.grids("x", _EVEN_MAP, gb)
     pxy = run.grids("x*y", _ODD_MAP, gb)
@@ -562,43 +533,44 @@ def suite_t6(
     return run.report
 
 
-_GOLDEN: tuple[tuple[str, str, int, str], ...] = (
-    ("g1", "x", 1, "x + xy"),
-    ("g1", "x", 2, "x + 3xy + xy^2 + x^2y"),
-    ("g1", "x", 3, "x + 7xy + 6xy^2 + xy^3 + 6x^2y + 4x^2y^2 + x^3y"),
-    ("g2", "x", 1, "x + xy"),
-    ("g2", "x", 2, "x + 3xy + xy^2 + x^3"),
-    ("g2", "x", 3, "x + 7xy + 6xy^2 + xy^3 + 6x^3 + 5x^3y"),
-    ("g3", "w", 1, "w + wx"),
-    ("g3", "w", 2, "w + 3wx + wxy + wx^2"),
-    ("g3", "w", 3, "w + 7wx + 6wxy + wxy^2 + 6wx^2 + 3wx^2y + 2wx^3"),
-    ("g4", "x", 1, "x + xy + x^2"),
-    ("g4", "x", 2, "x + 3xy + 2xy^2 + 3x^2 + 4x^2y + 2x^3"),
-    (
-        "g4",
-        "x",
-        3,
+# Expansions of each builtin grammar from one seed, at n = 1, 2, 3.
+_GOLDEN: dict[tuple[str, str], tuple[str, ...]] = {
+    ("g1", "x"): (
+        "x + xy",
+        "x + 3xy + xy^2 + x^2y",
+        "x + 7xy + 6xy^2 + xy^3 + 6x^2y + 4x^2y^2 + x^3y",
+    ),
+    ("g2", "x"): (
+        "x + xy",
+        "x + 3xy + xy^2 + x^3",
+        "x + 7xy + 6xy^2 + xy^3 + 6x^3 + 5x^3y",
+    ),
+    ("g3", "w"): (
+        "w + wx",
+        "w + 3wx + wxy + wx^2",
+        "w + 7wx + 6wxy + wxy^2 + 6wx^2 + 3wx^2y + 2wx^3",
+    ),
+    ("g4", "x"): (
+        "x + xy + x^2",
+        "x + 3xy + 2xy^2 + 3x^2 + 4x^2y + 2x^3",
         "x + 7xy + 12xy^2 + 6xy^3 + 7x^2 + 24x^2y + 18x^2y^2 + 12x^3 + 18x^3y + 6x^4",
     ),
-    ("g5", "x", 1, "x + xy^2"),
-    ("g5", "x", 2, "x + 4xy^2 + xy^4 + 2x^3y^2"),
-    ("g5", "x*y", 1, "2xy + xy^3 + x^3y"),
-    ("g5", "x*y", 2, "4xy + 6xy^3 + xy^5 + 6x^3y + 6x^3y^3 + x^5y"),
-)
+    ("g5", "x"): ("x + xy^2", "x + 4xy^2 + xy^4 + 2x^3y^2"),
+    ("g5", "x*y"): ("2xy + xy^3 + x^3y", "4xy + 6xy^3 + xy^5 + 6x^3y + 6x^3y^3 + x^5y"),
+}
 
 
-def suite_golden(nmax: int | None = None, caps: Caps = Caps()) -> CheckReport:
+def suite_golden(
+    nmax: int | None = None, grammar: Grammar | None = None, caps: Caps = Caps()
+) -> CheckReport:
     """Byte-exact snapshots of small expansions of the builtin grammars."""
+    if grammar is not None:
+        raise ValueError("the golden suite always uses the builtin grammars")
     run = _Suite("golden", nmax, caps)
-    cache: dict[tuple[str, str], list[Polynomial]] = {}
-    depth = min(run.nmax, max(entry[2] for entry in _GOLDEN))
-    for name, start, n, expected in _GOLDEN:
-        if n > run.nmax:
-            continue
-        key = (name, start)
-        if key not in cache:
-            cache[key] = builtin_grammar(name).derive_levels(parse_polynomial(start), depth)
-        run.check("expansion_text", (name, start, n), expected, cache[key][n].compact())
+    for (name, seed), texts in _GOLDEN.items():
+        levels = run.derive(seed, builtin_grammar(name))
+        for n, expected in enumerate(texts[: run.nmax], start=1):
+            run.check("expansion_text", (name, seed, n), expected, levels[n].compact())
     return run.report
 
 
@@ -609,22 +581,19 @@ _SUITES = {
     "T4": suite_t4,
     "T5": suite_t5,
     "T6": suite_t6,
+    "golden": suite_golden,
 }
+
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(
     name: str, nmax: int | None = None, grammar: Grammar | None = None, caps: Caps = Caps()
 ) -> CheckReport:
     """Run one suite by name; grammar overrides apply only to T1..T6."""
-    if name == "golden":
-        if grammar is not None:
-            raise ValueError("the golden suite always uses the builtin grammars")
-        return suite_golden(nmax, caps)
     fn = _SUITES.get(name)
     if fn is None:
-        raise ValueError(
-            f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}"
-        )
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     return fn(nmax, grammar, caps)
 
 

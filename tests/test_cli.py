@@ -74,6 +74,22 @@ def test_derive_json(capsys):
     ]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_coefficient_past_the_digit_limit_is_a_usage_error(capsys, fmt):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter prints integers of any length")
+    # 2^(4*limit) has about 1.2*limit decimal digits.
+    start = f"2^{4 * limit}"
+    code, out, err = run_cli(
+        capsys, "derive", "--builtin", "g1", "--n", "0", "--start", start, "--format", fmt
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: a coefficient is too long to print; PYTHONINTMAXSTRDIGITS=0 lifts the limit\n"
+    )
+
+
 def test_derive_inline_grammar(capsys):
     code, out, _ = run_cli(
         capsys, "derive", "--grammar", "x -> x*y^2; y -> x^2*y", "--n", "1"

@@ -101,6 +101,11 @@ _DEEP = "(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1)
             f"line 2, column {MAX_NESTING + 2}: parentheses nested deeper than {MAX_NESTING}",
         ),
         (parse_polynomial, "x^0", "line 1, column 3: exponent must be a positive integer"),
+        (
+            parse_polynomial,
+            "x 007",
+            "line 1, column 3: unexpected '007' (expected '+' or '-' or '*' or end of input)",
+        ),
     ],
 )
 def test_error_text(parse, src, text):
