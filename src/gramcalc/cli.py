@@ -2,13 +2,22 @@
 
 Subcommands: derive (expand iterated derivatives), triangle (emit count
 triangles), cops (list cyclically ordered partitions), stats (opener
-statistic distributions), verify (run the identity suites).
+statistic distributions), verify (run the identity suites).  Each is a
+``_cmd_<name>`` handler listed once, in ``_DISPATCH``; ``build_parser``
+makes one subparser per entry, with the handler's docstring as its help,
+and adds the shared --format and --out to each.
+
+A handler returns its whole output text and its exit code: ``_lines``,
+``_csv`` and ``_json_text`` form that text, and ``main`` writes it to
+stdout or, with --out, to a file.  A handler refuses bad input by
+raising a ``GramcalcError`` whose message is the error text; ``main``
+prints it as the one "error: ..." line on stderr, and turns Python's
+int-to-str limit error into the PYTHONINTMAXSTRDIGITS=0 hint.
 
 Exit status: 0 on success, 1 when a verification suite fails, 2 on
 usage, parse, and bound errors, 3 on an internal error (any other
-exception, reported with its traceback on stderr).  Output goes to
-stdout or, with --out, to a file; identical invocations produce
-byte-identical output.
+exception, reported with its traceback on stderr).  Identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -22,13 +31,32 @@ from . import config, oracles, triangles, verifier
 from .dsl import builtin_grammar, builtin_names, parse_grammar, parse_polynomial
 from .errors import GramcalcError, UnknownLetter, UnknownTriangle
 from .grammar import Grammar
-from .poly import Polynomial
 
 _FORMATS = ("text", "csv", "json")
+# Triangles whose rows come from oracles.<name>_counts, not from a recurrence.
+_ORACLE_TABLES = ("left_peak", "las")
 
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _lines(lines) -> str:
+    return "\n".join(lines) + "\n"
+
+
+def _csv(header: str, rows) -> str:
+    """The header line, then each row's cells joined by commas."""
+    return _lines([header, *(",".join(map(str, row)) for row in rows)])
+
+
+def _at_least(args, flag: str, least: int) -> int:
+    """The value of --flag, or a usage error naming it when it is below least."""
+    value = getattr(args, flag)
+    if value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise GramcalcError(f"--{flag} must be {bound}, got {value}")
+    return value
 
 
 def _grammar_from_source(src: str) -> Grammar:
@@ -43,52 +71,30 @@ def _grammar_from_source(src: str) -> Grammar:
     )
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _poly_csv(p: Polynomial, n: int, grammar: Grammar) -> str:
-    letters = list(grammar.letters)
-    if letters == ["x", "y"]:
-        header = "n,i,j,value"
-    else:
-        header = "n," + ",".join(letters) + ",value"
-    lines = [header]
-    for mono, coeff in p.sorted_terms():
-        exps = dict(mono)
-        cells = [str(n)] + [str(exps.get(l, 0)) for l in letters] + [str(coeff)]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_derive(args, caps: config.Caps) -> tuple[str, int]:
+    """expand an iterated derivative"""
     grammar = (
         builtin_grammar(args.builtin)
         if args.builtin
         else _grammar_from_source(args.grammar)
     )
-    if args.n < 0:
-        raise GramcalcError(f"--n must be nonnegative, got {args.n}")
-    caps.check("derive", args.n)
+    caps.check("derive", _at_least(args, "n", 0))
     start = parse_polynomial(args.start)
     for letter in start.letters():
         if letter not in grammar.letters:
             raise UnknownLetter(letter, "not in the grammar")
     p = grammar.derive_n(start, args.n)
-    try:
-        if args.format == "json":
-            return _json_text(p.to_json_obj()), 0
-        if args.format == "csv":
-            return _poly_csv(p, args.n, grammar), 0
-        return str(p) + "\n", 0
-    except ValueError:  # a coefficient longer than the interpreter's int-to-str limit
-        raise GramcalcError(
-            "a coefficient is too long to print; PYTHONINTMAXSTRDIGITS=0 lifts the limit"
-        ) from None
+    if args.format == "json":
+        return _json_text(p.to_json_obj()), 0
+    if args.format == "csv":
+        letters = list(grammar.letters)
+        header = "n,i,j" if letters == ["x", "y"] else "n," + ",".join(letters)
+        rows = []
+        for mono, coeff in p.sorted_terms():
+            exps = dict(mono)
+            rows.append((args.n, *(exps.get(l, 0) for l in letters), coeff))
+        return _csv(header + ",value", rows), 0
+    return str(p) + "\n", 0
 
 
 def _dense_row(counts: dict[int, int]) -> tuple[int, list[int]]:
@@ -98,11 +104,10 @@ def _dense_row(counts: dict[int, int]) -> tuple[int, list[int]]:
 
 
 def _cmd_triangle(args, caps: config.Caps) -> tuple[str, int]:
-    if args.nmax < 0:
-        raise GramcalcError(f"--nmax must be nonnegative, got {args.nmax}")
-    caps.check("triangle", args.nmax)
-    counts_of = {"left_peak": oracles.left_peak_counts, "las": oracles.las_counts}.get(args.name)
-    if counts_of is not None:
+    """emit a count triangle"""
+    caps.check("triangle", _at_least(args, "nmax", 0))
+    if args.name in _ORACLE_TABLES:
+        counts_of = getattr(oracles, f"{args.name}_counts")
         table = triangles.make_table(
             args.name, args.nmax, lambda n: _dense_row(counts_of(n, caps))
         )
@@ -110,18 +115,12 @@ def _cmd_triangle(args, caps: config.Caps) -> tuple[str, int]:
         try:
             table = triangles.build_table(args.name, args.nmax)
         except UnknownTriangle as exc:
-            raise UnknownTriangle(f"{exc}; oracle tables: left_peak, las") from None
+            raise UnknownTriangle(f"{exc}; oracle tables: {', '.join(_ORACLE_TABLES)}") from None
     if args.format == "json":
         return _json_text(table.to_json_obj()), 0
     if args.format == "csv":
-        lines = ["n,k,value"]
-        lines.extend(f"{n},{k},{v}" for n, k, v in table.iter_cells())
-        return "\n".join(lines) + "\n", 0
-    lines = []
-    for n, row in enumerate(table.rows()):
-        values = " ".join(map(str, row))
-        lines.append(f"{n}: {values}" if values else f"{n}:")
-    return "\n".join(lines) + "\n", 0
+        return _csv("n,k,value", table.iter_cells()), 0
+    return _lines(" ".join([f"{n}:", *map(str, row)]) for n, row in enumerate(table.rows())), 0
 
 
 class _BlockText(dict):
@@ -143,8 +142,8 @@ class _BlockText(dict):
 
 
 def _cmd_cops(args, caps: config.Caps) -> tuple[str, int]:
-    if args.n < 1:
-        raise GramcalcError(f"--n must be at least 1, got {args.n}")
+    """list cyclically ordered partitions"""
+    _at_least(args, "n", 1)
     if args.format == "csv":
         raise GramcalcError("cops output has no CSV form; use text or json")
     cops = oracles.enumerate_cops(args.n, caps)
@@ -155,14 +154,12 @@ def _cmd_cops(args, caps: config.Caps) -> tuple[str, int]:
         body = ",\n".join("    [\n" + ",\n".join(map(block_text, cop)) + "\n    ]" for cop in cops)
         return f'{{\n  "cops": [\n{body}\n  ],\n  "n": {args.n}\n}}\n', 0
     block_text = _BlockText("(", ",", ")").__getitem__
-    lines = ["".join(map(block_text, cop)) for cop in cops]
-    return "\n".join(lines) + "\n", 0
+    return _lines(["".join(map(block_text, cop)) for cop in cops]), 0
 
 
 def _cmd_stats(args, caps: config.Caps) -> tuple[str, int]:
-    if args.n < 1:
-        raise GramcalcError(f"--n must be at least 1, got {args.n}")
-    table = oracles.cop_stat_table(args.n, args.stat, caps)
+    """opener statistic distribution over partitions"""
+    table = oracles.cop_stat_table(_at_least(args, "n", 1), args.stat, caps)
     items = sorted(table.items())
     if args.format == "json":
         payload = {
@@ -174,43 +171,34 @@ def _cmd_stats(args, caps: config.Caps) -> tuple[str, int]:
         }
         return _json_text(payload), 0
     if args.format == "csv":
-        lines = ["blocks,value,count"]
-        lines.extend(f"{k},{s},{c}" for (k, s), c in items)
-        return "\n".join(lines) + "\n", 0
-    lines = [f"blocks={k} {args.stat}={s}: {c}" for (k, s), c in items]
-    return "\n".join(lines) + "\n", 0
+        return _csv("blocks,value,count", ((k, s, c) for (k, s), c in items)), 0
+    return _lines(f"blocks={k} {args.stat}={s}: {c}" for (k, s), c in items), 0
 
 
 def _cmd_verify(args, caps: config.Caps) -> tuple[str, int]:
-    grammar = None
-    if args.grammar is not None:
-        if args.suite in ("golden", "all"):
-            raise GramcalcError("--grammar applies only to suites T1..T6")
-        grammar = _grammar_from_source(args.grammar)
+    """run identity suites"""
+    if args.grammar is not None and args.suite in ("golden", "all"):
+        raise GramcalcError("--grammar applies only to suites T1..T6")
     if args.suite == "all":
         reports = verifier.run_all(args.nmax, caps)
     else:
+        grammar = None if args.grammar is None else _grammar_from_source(args.grammar)
         reports = [verifier.run_suite(args.suite, args.nmax, grammar, caps)]
     code = 0 if all(r.passed for r in reports) else 1
     if args.format == "json":
-        payload = (
-            [r.to_json_obj() for r in reports]
-            if args.suite == "all"
-            else reports[0].to_json_obj()
-        )
-        return _json_text(payload), code
+        payload = [r.to_json_obj() for r in reports]
+        return _json_text(payload if args.suite == "all" else payload[0]), code
     lines = []
     for report in reports:
         lines.append(report.summary())
-        for note in report.notes:
-            lines.append(f"  note: {note}")
+        lines.extend(f"  note: {note}" for note in report.notes)
         ff = report.first_failure
         if ff is not None:
             lines.append(
                 f"  first failure: {ff.identity} at {ff.indices}:"
                 f" expected {ff.expected}, got {ff.actual}"
             )
-    return "\n".join(lines) + "\n", code
+    return _lines(lines), code
 
 
 _DISPATCH = {
@@ -231,66 +219,53 @@ def build_parser() -> argparse.ArgumentParser:
         "--config", metavar="PATH", help="caps config file with 'name = value' lines"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("derive", help="expand an iterated derivative")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument(
-        "--grammar", metavar="SRC", help="rule DSL text, or a path to a file of it"
-    )
+    # One subparser per handler, in _DISPATCH order, with its docstring as help.
+    p = {name: sub.add_parser(name, help=cmd.__doc__) for name, cmd in _DISPATCH.items()}
+    src = p["derive"].add_mutually_exclusive_group(required=True)
+    src.add_argument("--grammar", metavar="SRC", help="rule DSL text, or a path to a file of it")
     src.add_argument("--builtin", choices=builtin_names(), help="named builtin grammar")
-    p.add_argument("--start", default="x", help="starting polynomial (default: x)")
-    p.add_argument("--n", type=int, required=True, help="derivative depth")
-    p.add_argument("--format", choices=_FORMATS, default="text")
-    p.add_argument("--out", metavar="PATH", help="write to a file instead of stdout")
-
-    p = sub.add_parser("triangle", help="emit a count triangle")
-    p.add_argument(
-        "name",
-        help="stirling2, eulerian, type_b_eulerian, matching, whitney:<m>,"
-        " left_peak, or las",
-    )
-    p.add_argument("--nmax", type=int, required=True, help="last row to emit")
-    p.add_argument("--format", choices=_FORMATS, default="text")
-    p.add_argument("--out", metavar="PATH")
-
-    p = sub.add_parser("cops", help="list cyclically ordered partitions")
-    p.add_argument("--n", type=int, required=True, help="ground set size")
-    p.add_argument("--format", choices=_FORMATS, default="text")
-    p.add_argument("--out", metavar="PATH")
-
-    p = sub.add_parser("stats", help="opener statistic distribution over partitions")
-    p.add_argument("--n", type=int, required=True, help="ground set size")
-    p.add_argument(
+    p["derive"].add_argument("--start", default="x", help="starting polynomial (default: x)")
+    p["derive"].add_argument("--n", type=int, required=True, help="derivative depth")
+    names = triangles.triangle_names() + _ORACLE_TABLES
+    p["triangle"].add_argument("name", help=", ".join(names[:-1]) + f", or {names[-1]}")
+    p["triangle"].add_argument("--nmax", type=int, required=True, help="last row to emit")
+    for name in ("cops", "stats"):
+        p[name].add_argument("--n", type=int, required=True, help="ground set size")
+    p["stats"].add_argument(
         "--stat", choices=oracles.stat_names(), required=True, help="opener statistic"
     )
-    p.add_argument("--format", choices=_FORMATS, default="text")
-    p.add_argument("--out", metavar="PATH")
-
-    p = sub.add_parser("verify", help="run identity suites")
-    p.add_argument("suite", choices=verifier.SUITE_NAMES + ("all",))
-    p.add_argument("--nmax", type=int, default=None, help="override the suite depth")
-    p.add_argument(
+    p["verify"].add_argument("suite", choices=verifier.SUITE_NAMES + ("all",))
+    p["verify"].add_argument("--nmax", type=int, default=None, help="override the suite depth")
+    p["verify"].add_argument(
         "--grammar", metavar="SRC", help="override the suite grammar (T1..T6 only)"
     )
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out", metavar="PATH")
-
+    for name, q in p.items():
+        formats = ("text", "json") if name == "verify" else _FORMATS
+        q.add_argument("--format", choices=formats, default="text")
+        q.add_argument("--out", metavar="PATH", help="write to a file instead of stdout")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         caps = config.load_caps(args.config, os.environ)
         text, code = _DISPATCH[args.command](args, caps)
-        _emit(text, args.out)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
         return code
     except (GramcalcError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        # Python's own text for str() of an int past the int-to-str digit limit.
+        if "for integer string conversion" in message:
+            message = "a coefficient is too long to print; PYTHONINTMAXSTRDIGITS=0 lifts the limit"
+        print(f"error: {message}", file=sys.stderr)
         return 2
     except Exception as exc:
         # Exit 1 is reserved for a counterexample, so a bug must not reuse it.

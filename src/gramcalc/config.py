@@ -73,7 +73,13 @@ def _parse_value(key: str, raw: str, origin: str) -> int:
     text = raw.strip()
     if not (text.isascii() and text.isdigit()):
         raise GramcalcError(f"{origin}: cap {key!r} needs a nonnegative integer, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # longer than the interpreter's int-to-str limit
+        raise GramcalcError(
+            f"{origin}: cap {key!r} of {len(text)} digits is too long to read;"
+            " PYTHONINTMAXSTRDIGITS=0 lifts the limit"
+        ) from None
 
 
 def load_caps(path: str | None = None, environ=None) -> Caps:

@@ -198,9 +198,17 @@ def build_table(name: str, max_n: int) -> TriangleTable:
     """
     if name.startswith("whitney:"):
         raw = name.split(":", 1)[1]
-        if not (raw.isascii() and raw.isdigit()) or int(raw) < 1:
+        m = 0
+        if raw.isascii() and raw.isdigit():
+            try:
+                m = int(raw)
+            except ValueError:  # longer than the interpreter's int-to-str limit
+                raise UnknownTriangle(
+                    f"whitney order of {len(raw)} digits is too long to read;"
+                    " PYTHONINTMAXSTRDIGITS=0 lifts the limit"
+                ) from None
+        if m < 1:
             raise UnknownTriangle(f"whitney order must be a positive integer, got {raw!r}")
-        m = int(raw)
         return make_table(name, max_n, lambda n: (0, [whitney(m, n, k) for k in range(n + 1)]))
     if name not in _TABLES:
         raise UnknownTriangle(

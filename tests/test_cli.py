@@ -1,5 +1,6 @@
 """End-to-end command line behavior through main(argv)."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -88,6 +89,84 @@ def test_coefficient_past_the_digit_limit_is_a_usage_error(capsys, fmt):
     assert err == (
         "error: a coefficient is too long to print; PYTHONINTMAXSTRDIGITS=0 lifts the limit\n"
     )
+
+
+@pytest.fixture
+def digit_limit():
+    """The interpreter's int-to-str digit limit; the test is skipped when there is none."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter reads and prints integers of any length")
+    return limit
+
+
+TOO_LONG_TO_PRINT = (
+    "error: a coefficient is too long to print; PYTHONINTMAXSTRDIGITS=0 lifts the limit\n"
+)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_coefficient_past_the_digit_limit_is_a_usage_error(capsys, digit_limit, fmt):
+    # The failing report shows a value with the rule's coefficient of limit + 2 digits.
+    grammar = f"x -> 10^{digit_limit + 1}*x + x*y; y -> y + x*y"
+    code, out, err = run_cli(
+        capsys, "verify", "T1", "--nmax", "1", "--grammar", grammar, "--format", fmt
+    )
+    assert (code, out, err) == (2, "", TOO_LONG_TO_PRINT)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_triangle_cell_past_the_digit_limit_is_a_usage_error(capsys, digit_limit, fmt):
+    # Row 45 of whitney:10^d holds a cell of 44*d + 1 digits.
+    order = "1" + "0" * (digit_limit // 44 + 1)
+    code, out, err = run_cli(
+        capsys, "triangle", f"whitney:{order}", "--nmax", "45", "--format", fmt
+    )
+    assert (code, out, err) == (2, "", TOO_LONG_TO_PRINT)
+
+
+def test_cap_variable_past_the_digit_limit_is_a_usage_error(capsys, digit_limit, monkeypatch):
+    monkeypatch.setenv("GRAMCALC_CAP_DERIVE", "9" * (digit_limit + 1))
+    code, out, err = run_cli(capsys, "derive", "--builtin", "g1", "--n", "1")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: GRAMCALC_CAP_DERIVE: cap 'derive' of {digit_limit + 1} digits is too long"
+        " to read; PYTHONINTMAXSTRDIGITS=0 lifts the limit\n"
+    )
+
+
+def test_cap_config_line_past_the_digit_limit_is_a_usage_error(capsys, digit_limit, tmp_path):
+    path = tmp_path / "caps.cfg"
+    path.write_text(f"# caps\nderive = {'9' * (digit_limit + 1)}\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "--config", str(path), "derive", "--builtin", "g1", "--n", "1"
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {path}:2: cap 'derive' of {digit_limit + 1} digits is too long"
+        " to read; PYTHONINTMAXSTRDIGITS=0 lifts the limit\n"
+    )
+
+
+def test_whitney_order_past_the_digit_limit_is_a_usage_error(capsys, digit_limit):
+    order = "9" * (digit_limit + 1)
+    code, out, err = run_cli(capsys, "triangle", f"whitney:{order}", "--nmax", "1")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: whitney order of {digit_limit + 1} digits is too long to read;"
+        " PYTHONINTMAXSTRDIGITS=0 lifts the limit; oracle tables: left_peak, las\n"
+    )
+
+
+def test_parser_has_one_subparser_per_handler():
+    parser = cli.build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(cli._DISPATCH)
+    for name, subparser in sub.choices.items():
+        options = {flag: a for a in subparser._actions for flag in a.option_strings}
+        assert "--out" in options, name
+        formats = ("text", "json") if name == "verify" else ("text", "csv", "json")
+        assert tuple(options["--format"].choices) == formats, name
 
 
 def test_derive_inline_grammar(capsys):
