@@ -115,6 +115,8 @@ def _cmd_triangle(args, caps: config.Caps) -> tuple[str, int]:
         try:
             table = triangles.build_table(args.name, args.nmax)
         except UnknownTriangle as exc:
+            if args.name.startswith("whitney:"):
+                raise  # a malformed order of a known family, not an unknown name
             raise UnknownTriangle(f"{exc}; oracle tables: {', '.join(_ORACLE_TABLES)}") from None
     if args.format == "json":
         return _json_text(table.to_json_obj()), 0

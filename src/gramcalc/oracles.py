@@ -25,12 +25,20 @@ comparison between neighbours that turns the way the subsequence needs
 next adds one entry, so its state is the previous entry and the parity.
 
 The distributions are counted by the transfer-matrix method (Stanley,
-Enumerative Combinatorics I, section 4.7).  ``_tally`` places the values
-one at a time and keys each layer on (values used, scan state, total so
-far): every ordering is still scored by the statistic's own step, but
-orderings that reach the same key share all their continuations and are
-counted together.  That takes n 2^n steps times the (state, total)
-pairs a mask can reach, where brute force takes n n! steps.
+Enumerative Combinatorics I, section 4.7).  For each statistic and head
+list, one memo maps a set of values placed, as a mask in which bit x
+stands for the value x itself, to the number of its orderings that reach
+each (scan state, total so far).  The orderings of a set are those of
+the set without x followed by x, for each x in it, so every ordering is
+still scored by the statistic's own step, and orderings that reach the
+same key are counted together.  An ordering of a set is a prefix of an
+ordering of each of its supersets, so ``_tally`` requests share the
+memo: every minima set of every census shares one walk, and so do the
+rows 0..n of a permutation distribution.  The memo is keyed on the
+values, never on how many there are.  Its walk over the subsets of N
+values takes N 2^(N-1) steps times the (state, total) pairs a set can
+reach, once per statistic and head, where brute force takes n n! steps
+for each request.
 
 A cyclically ordered partition (cop) of [n] is kept in canonical form: a
 tuple of blocks, each block increasing, the block containing 1 first.
@@ -258,30 +266,78 @@ def stat_names() -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=None)
+def _subset_memo(
+    stat: Stat, head: tuple[int, ...]
+) -> tuple[dict[int, dict[tuple[object, int], int]], dict]:
+    """The shared memo of stat after head, and its store of distinct keys.
+
+    The memo maps the set of values placed, a mask in which bit x stands
+    for the value x, to the number of their orderings that reach each
+    (scan state, total so far).  It starts with the empty set and grows
+    as ``_fill`` adds sets.  The second dict stores each distinct
+    (state, total) key once, so every set that reaches a key shares one
+    object instead of holding a fresh tuple of its own.
+    """
+    return {0: {_run(stat, head): 1}}, {}
+
+
+def _fill(stat: Stat, head: tuple[int, ...], mask: int) -> dict[tuple[object, int], int]:
+    """The memo entry of mask, after adding it and its missing subsets.
+
+    The missing subsets are found with a stack and counted smallest
+    first, so no recursion grows with the size of the set.  The orderings
+    of a set end in each of its values x, after an ordering of the set
+    without x, and every one of them is scored by stat's own step.
+    """
+    memo, keys = _subset_memo(stat, head)
+    missing, stack = set(), [mask]
+    while stack:
+        used = stack.pop()
+        if used not in memo and used not in missing:
+            missing.add(used)
+            rest = used
+            while rest:
+                bit = rest & -rest
+                stack.append(used ^ bit)
+                rest ^= bit
+    step = stat.step
+    for used in sorted(missing, key=int.bit_count):
+        counts: dict[tuple[object, int], int] = {}
+        rest = used
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            x = bit.bit_length() - 1
+            for (state, total), count in memo[used ^ bit].items():
+                new, add = step(state, x)
+                key = (new, total + add)
+                key = keys.setdefault(key, key)
+                counts[key] = counts.get(key, 0) + count
+        memo[used] = counts
+    return memo[mask]
+
+
+@lru_cache(maxsize=None)
 def _tally(
     stat: Stat, head: tuple[int, ...], values: tuple[int, ...]
 ) -> tuple[tuple[int, int], ...]:
     """Distribution of stat over head followed by each ordering of values.
 
-    Layer m maps (mask of the values placed, scan state, total so far),
-    after head and m more entries, to the number of orderings that reach
-    it.  Orderings that meet at a key share every continuation, so they
-    are carried on together.
+    values are distinct positive ints; a repeat or a value below 1
+    raises ValueError.  Their orderings are read off the memo of (stat,
+    head), which every request with that stat and head shares: an
+    ordering of a set is a prefix of an ordering of each of its
+    supersets, so a request counts only the subsets that no earlier one
+    reached, and all requests together walk the 2^N subsets of the N
+    values they use once, instead of once per request.
     """
-    step = stat.step
-    layer = {(0, *_run(stat, head)): 1}
-    bits = [(1 << i, x) for i, x in enumerate(values)]
-    for _ in values:
-        nxt: dict[tuple[int, object, int], int] = {}
-        for (used, state, total), count in layer.items():
-            for bit, x in bits:
-                if not used & bit:
-                    new, add = step(state, x)
-                    key = (used | bit, new, total + add)
-                    nxt[key] = nxt.get(key, 0) + count
-        layer = nxt
+    mask = 0
+    for x in values:
+        if x < 1 or mask >> x & 1:
+            raise ValueError(f"tally values must be distinct positive ints, got {values!r}")
+        mask |= 1 << x
     counts: dict[int, int] = {}
-    for (_, state, total), count in layer.items():
+    for (state, total), count in _fill(stat, head, mask).items():
         value = total + stat.final(state)
         counts[value] = counts.get(value, 0) + count
     return tuple(sorted(counts.items()))

@@ -17,7 +17,7 @@ from collections import Counter
 
 from gramcalc.errors import UnknownLetter
 from gramcalc.grammar import Grammar
-from gramcalc.oracles import Cop, _set_partitions
+from gramcalc.oracles import Cop, Stat, _set_partitions, scan
 from gramcalc.poly import Monomial, Polynomial
 
 
@@ -127,6 +127,11 @@ def reference_cop_line(cop: Cop) -> str:
 def reference_perm_counts(n: int, fn) -> Counter:
     """Distribution of fn over the permutations of [n], one at a time."""
     return Counter(map(fn, itertools.permutations(range(1, n + 1))))
+
+
+def reference_tally(stat: Stat, head: tuple[int, ...], values: tuple[int, ...]) -> Counter:
+    """Distribution of stat over head followed by each ordering of values, one at a time."""
+    return Counter(scan(stat, head + rest) for rest in itertools.permutations(values))
 
 
 def reference_census(n: int, fn) -> dict[tuple[int, int], int]:

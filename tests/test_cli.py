@@ -154,7 +154,7 @@ def test_whitney_order_past_the_digit_limit_is_a_usage_error(capsys, digit_limit
     assert (code, out) == (2, "")
     assert err == (
         f"error: whitney order of {digit_limit + 1} digits is too long to read;"
-        " PYTHONINTMAXSTRDIGITS=0 lifts the limit; oracle tables: left_peak, las\n"
+        " PYTHONINTMAXSTRDIGITS=0 lifts the limit\n"
     )
 
 
@@ -312,7 +312,7 @@ def test_triangle_unknown_name(capsys):
     assert "oracle tables: left_peak, las" in err
     code, _, err = run_cli(capsys, "triangle", "whitney:0", "--nmax", "2")
     assert code == 2
-    assert "positive integer" in err
+    assert err == "error: whitney order must be a positive integer, got '0'\n"
 
 
 def test_triangle_negative_nmax(capsys):

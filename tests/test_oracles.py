@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import pathlib
+import sys
 from collections import Counter
 
 import pytest
@@ -34,7 +35,7 @@ from gramcalc.oracles import (
 )
 from gramcalc.triangles import stirling2
 
-from reference import reference_census, reference_cops, reference_perm_counts
+from reference import reference_census, reference_cops, reference_perm_counts, reference_tally
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +169,83 @@ def test_minima_walk_matches_set_partitions():
             tuple(block[0] for block in blocks) for blocks in oracles._set_partitions(n)
         )
         assert dict(oracles._minima_walk(n)) == by_minima, n
+
+
+def clear_tally_caches():
+    for cached in (oracles._subset_memo, oracles._tally, oracles._census):
+        cached.cache_clear()
+
+
+def test_tally_memo_ignores_request_order():
+    # A large set first leaves every subset in the shared memo, which the
+    # smaller requests then read back; the census at n = 8 goes first too.
+    clear_tally_caches()
+    for n in (9, *range(9)):
+        assert left_peak_counts(n) == reference_perm_counts(n, left_peaks), n
+    for n in (8, *range(2, 8)):
+        for stat in stat_names():
+            assert cop_stat_table(n, stat) == reference_census(n, getattr(oracles, stat)), n
+
+
+@pytest.mark.parametrize("name", ["DESCENTS", "LEFT_PEAKS", "RIGHT_VALLEYS", "LAS"])
+@pytest.mark.parametrize("head", [(), (1,), (4, 2)])
+def test_tally_of_values_with_gaps_matches_reference(name, head):
+    stat = getattr(oracles, name)
+    clear_tally_caches()
+    for values in ((3, 5, 8, 9), (9, 3), (6,), (5, 9, 3, 8, 10, 7)):
+        assert dict(oracles._tally(stat, head, values)) == reference_tally(stat, head, values)
+
+
+@pytest.mark.parametrize("values", [(2, 2), (1, 3, 1), (0, 1), (-1,), (1, 2, -2)])
+def test_tally_refuses_repeated_or_non_positive_values(values):
+    with pytest.raises(ValueError, match="distinct positive"):
+        oracles._tally(oracles.LAS, (), values)
+
+
+def test_rows_beyond_the_default_cap():
+    # Rows 10 and 11 fill the memo deeper than any default-cap call; the
+    # expected counts come from the per-request layered walk.
+    caps = Caps(permutations=11)
+    clear_tally_caches()
+    rows = {n: (left_peak_counts(n, caps), las_counts(n, caps)) for n in (11, 10)}
+    assert rows[10] == (
+        {0: 1, 1: 14757, 2: 540242, 3: 1949762, 4: 1073517, 5: 50521},
+        {1: 1, 2: 511, 3: 14246, 4: 114266, 5: 425976, 6: 878856, 7: 1070906,
+         8: 770246, 9: 303271, 10: 50521},
+    )
+    assert rows[11] == (
+        {0: 1, 1: 44281, 2: 2819266, 3: 16889786, 4: 17460701, 5: 2702765},
+        {1: 1, 2: 1023, 3: 43258, 4: 475398, 5: 2343868, 6: 6384708, 7: 10505078,
+         8: 10748298, 9: 6712403, 10: 2348973, 11: 353792},
+    )
+    for n, row in rows.items():
+        for counts in row:
+            assert sum(counts.values()) == math.factorial(n), n
+
+
+def test_tally_depth_does_not_grow_with_the_set():
+    # The least recursion limit under which a fresh memo fills for one
+    # value must do for eleven; a fill that recursed once per value would
+    # need ten more frames.
+    caps = Caps(permutations=11)
+
+    def fills(n, limit):
+        clear_tally_caches()
+        old = sys.getrecursionlimit()
+        try:
+            sys.setrecursionlimit(limit)
+            left_peak_counts(n, caps)
+            return True
+        except RecursionError:
+            return False
+        finally:
+            sys.setrecursionlimit(old)
+
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    least = next(limit for limit in itertools.count(depth) if fills(1, limit))
+    assert fills(11, least)
 
 
 def test_statistics_on_reference_list():
