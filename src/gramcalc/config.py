@@ -11,7 +11,8 @@ config file entries, environment variables.
 
 A config file holds ``key = value`` lines; ``#`` starts a comment.
 Environment variables use the ``GRAMCALC_CAP_`` prefix, for example
-``GRAMCALC_CAP_PERMUTATIONS=10``.
+``GRAMCALC_CAP_PERMUTATIONS=10``.  An unknown cap is refused in either
+place, so a misspelt name fails instead of leaving the default in force.
 """
 
 from __future__ import annotations
@@ -68,6 +69,10 @@ class Caps:
 CAP_KEYS = tuple(f.name for f in dataclasses.fields(Caps))
 
 
+def _unknown_cap(origin: str, key: str) -> GramcalcError:
+    return GramcalcError(f"{origin}: unknown cap {key!r}; known caps: " + ", ".join(CAP_KEYS))
+
+
 def _parse_value(key: str, raw: str, origin: str) -> int:
     """The cap written in raw, which must be ASCII digits once stripped."""
     text = raw.strip()
@@ -97,14 +102,13 @@ def load_caps(path: str | None = None, environ=None) -> Caps:
                     )
                 key, raw = (part.strip() for part in text.split("=", 1))
                 if key not in values:
-                    raise GramcalcError(
-                        f"{path}:{lineno}: unknown cap {key!r}; known caps: "
-                        + ", ".join(CAP_KEYS)
-                    )
+                    raise _unknown_cap(f"{path}:{lineno}", key)
                 values[key] = _parse_value(key, raw, f"{path}:{lineno}")
     env = os.environ if environ is None else environ
-    for key in values:
-        raw = env.get(ENV_PREFIX + key.upper())
-        if raw is not None:
-            values[key] = _parse_value(key, raw, ENV_PREFIX + key.upper())
+    for name, raw in env.items():
+        if name.startswith(ENV_PREFIX):
+            key = name[len(ENV_PREFIX) :].lower()
+            if key not in values or name != ENV_PREFIX + key.upper():
+                raise _unknown_cap(name, key)
+            values[key] = _parse_value(key, raw, name)
     return Caps(**values)

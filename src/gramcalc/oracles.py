@@ -3,7 +3,10 @@
 Everything here is read off the definitions of the objects and of the
 statistics, never off the recurrences or closed forms that the verifier
 checks them against, so these counts sit on the independent side of
-each cross-check.
+each cross-check.  The one exception is ``u_table``, which is built
+from its three-term recurrence and is the recurrence side of the
+valley census check; it keeps its place and name here because the
+benchmark's tracer (``perfbench/child.py``) wraps ``oracles.u_table``.
 
 Statistic conventions on a list w of distinct integers, 1-based:
 
@@ -50,9 +53,9 @@ elements, then joins each M with the tally of the orderings of M's own
 values; it never reduces M to its size, which would make the census the
 Stirling-times product that it is checked against.  Only
 ``enumerate_cops`` builds the cops themselves, because its canonical
-order is part of the CLI output: it files each cop under its block
-count, sorts each group in plain tuple order and joins the groups by
-ascending count.
+order is part of the CLI output: on each call it files each cop under
+its block count, sorts each group in plain tuple order and joins the
+groups by ascending count.
 """
 
 from __future__ import annotations
@@ -227,14 +230,17 @@ def _set_partitions(n: int) -> Iterator[Cop]:
     return rec(1)
 
 
-@lru_cache(maxsize=None)
-def _cops(n: int) -> tuple[Cop, ...]:
-    """All cops of [n] in canonical order.
+def enumerate_cops(n: int, caps: Caps = Caps()) -> Iterator[Cop]:
+    """Cyclically ordered partitions of [n] in canonical form.
 
-    Sorting each block-count group by the tuple order and joining the
-    groups by ascending count gives the order of a sort keyed on
-    ``(len(cop), cop)``, without building a key for every cop.
+    Order: by block count, then lexicographically on the block tuples.
+    The cap is checked at the call, and the cops are built there too:
+    each is filed under its block count, each group is sorted in plain
+    tuple order, and the iterator joins the groups by ascending count,
+    which is the order of a sort keyed on ``(len(cop), cop)`` without a
+    key for every cop.
     """
+    caps.check("cops", n, 1)
     groups: list[list[Cop]] = [[] for _ in range(n + 1)]
     for blocks in _set_partitions(n):
         first, rest = blocks[0], blocks[1:]
@@ -243,16 +249,7 @@ def _cops(n: int) -> tuple[Cop, ...]:
             group.append((first,) + arrangement)
     for group in groups:
         group.sort()
-    return tuple(itertools.chain.from_iterable(groups))
-
-
-def enumerate_cops(n: int, caps: Caps = Caps()) -> Iterator[Cop]:
-    """Cyclically ordered partitions of [n] in canonical form.
-
-    Order: by block count, then lexicographically on the block tuples.
-    """
-    caps.check("cops", n, 1)
-    return iter(_cops(n))
+    return itertools.chain.from_iterable(groups)
 
 
 # ---------------------------------------------------------------------------
@@ -274,32 +271,43 @@ def _subset_memo(
     The memo maps the set of values placed, a mask in which bit x stands
     for the value x, to the number of their orderings that reach each
     (scan state, total so far).  It starts with the empty set and grows
-    as ``_fill`` adds sets.  The second dict stores each distinct
+    as ``_tally`` adds sets.  The second dict stores each distinct
     (state, total) key once, so every set that reaches a key shares one
     object instead of holding a fresh tuple of its own.
     """
     return {0: {_run(stat, head): 1}}, {}
 
 
-def _fill(stat: Stat, head: tuple[int, ...], mask: int) -> dict[tuple[object, int], int]:
-    """The memo entry of mask, after adding it and its missing subsets.
+@lru_cache(maxsize=None)
+def _tally(
+    stat: Stat, head: tuple[int, ...], values: tuple[int, ...]
+) -> tuple[tuple[int, int], ...]:
+    """Distribution of stat over head followed by each ordering of values.
 
-    The missing subsets are found with a stack and counted smallest
-    first, so no recursion grows with the size of the set.  The orderings
-    of a set end in each of its values x, after an ordering of the set
-    without x, and every one of them is scored by stat's own step.
+    values are distinct positive ints; a repeat or a value below 1
+    raises ValueError.  Their orderings are read off the memo of (stat,
+    head), which every request with that stat and head shares: an
+    ordering of a set is a prefix of an ordering of each of its
+    supersets, so a request counts only the subsets that no earlier one
+    reached, and all requests together count the 2^N subsets of the N
+    values they use once, instead of once per request.  One walk over
+    the submasks of the request finds the sets not yet in the memo, and
+    they are counted smallest first, so no recursion grows with the size
+    of the set.  The orderings of a set end in each of its values x,
+    after an ordering of the set without x, and every one of them is
+    scored by stat's own step.
     """
+    mask = 0
+    for x in values:
+        if x < 1 or mask >> x & 1:
+            raise ValueError(f"tally values must be distinct positive ints, got {values!r}")
+        mask |= 1 << x
     memo, keys = _subset_memo(stat, head)
-    missing, stack = set(), [mask]
-    while stack:
-        used = stack.pop()
-        if used not in memo and used not in missing:
-            missing.add(used)
-            rest = used
-            while rest:
-                bit = rest & -rest
-                stack.append(used ^ bit)
-                rest ^= bit
+    missing, used = [], mask
+    while used:
+        if used not in memo:
+            missing.append(used)
+        used = (used - 1) & mask
     step = stat.step
     for used in sorted(missing, key=int.bit_count):
         counts: dict[tuple[object, int], int] = {}
@@ -314,37 +322,14 @@ def _fill(stat: Stat, head: tuple[int, ...], mask: int) -> dict[tuple[object, in
                 key = keys.setdefault(key, key)
                 counts[key] = counts.get(key, 0) + count
         memo[used] = counts
-    return memo[mask]
-
-
-@lru_cache(maxsize=None)
-def _tally(
-    stat: Stat, head: tuple[int, ...], values: tuple[int, ...]
-) -> tuple[tuple[int, int], ...]:
-    """Distribution of stat over head followed by each ordering of values.
-
-    values are distinct positive ints; a repeat or a value below 1
-    raises ValueError.  Their orderings are read off the memo of (stat,
-    head), which every request with that stat and head shares: an
-    ordering of a set is a prefix of an ordering of each of its
-    supersets, so a request counts only the subsets that no earlier one
-    reached, and all requests together walk the 2^N subsets of the N
-    values they use once, instead of once per request.
-    """
-    mask = 0
-    for x in values:
-        if x < 1 or mask >> x & 1:
-            raise ValueError(f"tally values must be distinct positive ints, got {values!r}")
-        mask |= 1 << x
-    counts: dict[int, int] = {}
-    for (state, total), count in _fill(stat, head, mask).items():
+    by_value: dict[int, int] = {}
+    for (state, total), count in memo[mask].items():
         value = total + stat.final(state)
-        counts[value] = counts.get(value, 0) + count
-    return tuple(sorted(counts.items()))
+        by_value[value] = by_value.get(value, 0) + count
+    return tuple(sorted(by_value.items()))
 
 
-@lru_cache(maxsize=None)
-def _minima_walk(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+def _minima_walk(n: int) -> dict[tuple[int, ...], int]:
     """Set partitions of [n], n >= 1, counted by their block minima.
 
     Element i = 2..n joins one of the blocks open so far, one per
@@ -357,31 +342,29 @@ def _minima_walk(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
             nxt[minima] = count * len(minima)
             nxt[minima + (i,)] = count
         layer = nxt
-    return tuple(layer.items())
-
-
-@lru_cache(maxsize=None)
-def _census(n: int, stat: str) -> tuple[tuple[tuple[int, int], int], ...]:
-    counts: dict[tuple[int, int], int] = {}
-    for minima, partitions in _minima_walk(n):
-        # The opener lists of the cops on these blocks: 1, then every
-        # ordering of the other minima.
-        for value, orders in _tally(_STATS[stat], (1,), minima[1:]):
-            key = (len(minima), value)
-            counts[key] = counts.get(key, 0) + partitions * orders
-    return tuple(sorted(counts.items()))
+    return layer
 
 
 def cop_stat_table(n: int, stat: str, caps: Caps = Caps()) -> dict[tuple[int, int], int]:
     """Counts of cyclically ordered partitions of [n] by (blocks, statistic).
 
     The statistic is applied to the opener list; recognized names are
-    descents, right_valleys, and las.
+    descents, right_valleys, and las.  Each call walks the set partitions
+    by their minima and joins each minima set with the tally of its
+    opener orderings, so no cop is listed; the dict returned is the
+    caller's own, with its keys in ascending order.
     """
     if stat not in _STATS:
         raise ValueError(f"unknown statistic {stat!r}; choose from {', '.join(_STATS)}")
     caps.check("cops", n, 1)
-    return dict(_census(n, stat))
+    counts: dict[tuple[int, int], int] = {}
+    for minima, partitions in _minima_walk(n).items():
+        # The opener lists of the cops on these blocks: 1, then every
+        # ordering of the other minima.
+        for value, orders in _tally(_STATS[stat], (1,), minima[1:]):
+            key = (len(minima), value)
+            counts[key] = counts.get(key, 0) + partitions * orders
+    return dict(sorted(counts.items()))
 
 
 def u_table(nmax: int) -> dict[tuple[int, int, int], int]:
@@ -390,7 +373,8 @@ def u_table(nmax: int) -> dict[tuple[int, int, int], int]:
     u[n, k, l] counts cyclically ordered partitions of [n] with k blocks
     and l right valleys in the opener list, seeded by u[1, 1, 0] = 1 and
     grown level by level; no enumeration is involved, which makes this
-    the recurrence side of a cross-check against enumerate_cops.
+    the recurrence side of a cross-check against the right-valley
+    census of ``cop_stat_table``.
     """
     _exact(nmax, "u_table size", 1)
     u: dict[tuple[int, int, int], int] = {(1, 1, 0): 1}

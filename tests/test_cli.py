@@ -537,6 +537,21 @@ def test_environment_beats_config_file(capsys, tmp_path, monkeypatch):
     assert out.startswith("x + ")
 
 
+def test_misspelt_cap_variable_is_a_usage_error(capsys, monkeypatch):
+    # Ignoring it would run with the default permutations cap of 9 instead.
+    monkeypatch.setenv("GRAMCALC_CAP_PERMUTATION", "12")
+    code, out, err = run_cli(capsys, "triangle", "las", "--nmax", "10")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: GRAMCALC_CAP_PERMUTATION: unknown cap 'permutation'; known caps: "
+        "permutations, cops, signed, matchings, derive, verify, triangle\n"
+    )
+    monkeypatch.delenv("GRAMCALC_CAP_PERMUTATION")
+    monkeypatch.setenv("GRAMCALC_CAP_PERMUTATIONS", "10")
+    code, out, _ = run_cli(capsys, "triangle", "las", "--nmax", "10")
+    assert code == 0 and out
+
+
 def test_caps_reset_after_run(capsys, tmp_path):
     # A config file lowers a cap for the one run of each subcommand it is
     # given to; the same command run next, without it, has the defaults.

@@ -94,3 +94,17 @@ def test_every_cap_is_documented():
     doc = inspect.getdoc(config.Caps)
     for key in config.CAP_KEYS:
         assert re.search(rf"^{key}: ", doc, re.MULTILINE), key
+
+
+def test_misspelt_environment_cap_is_refused():
+    known = "known caps: " + ", ".join(config.CAP_KEYS)
+    for name, key in [
+        ("GRAMCALC_CAP_PERMUTATION", "permutation"),
+        ("GRAMCALC_CAP_permutations", "permutations"),
+        ("GRAMCALC_CAP_", ""),
+    ]:
+        with pytest.raises(GramcalcError) as info:
+            config.load_caps(None, environ={name: "12", "GRAMCALC_CAP_COPS": "9"})
+        assert str(info.value) == f"{name}: unknown cap {key!r}; {known}"
+    caps = config.load_caps(None, environ={"GRAMCALC_CAP_PERMUTATIONS": "12", "GRAMCALC_X": "1"})
+    assert caps.permutations == 12

@@ -172,7 +172,7 @@ def test_minima_walk_matches_set_partitions():
 
 
 def clear_tally_caches():
-    for cached in (oracles._subset_memo, oracles._tally, oracles._census):
+    for cached in (oracles._subset_memo, oracles._tally):
         cached.cache_clear()
 
 
@@ -400,6 +400,22 @@ def test_cop_stat_tables_small():
         (3, 1): 1,
     }
     assert cop_stat_table(3, "las") == {(1, 1): 1, (2, 1): 3, (3, 1): 1, (3, 2): 1}
+
+
+def test_tables_return_the_callers_own_dict():
+    # A caller that edits its table must not change what the next call sees.
+    calls = [
+        lambda: cop_stat_table(6, "las"),
+        lambda: left_peak_counts(6),
+        lambda: las_counts(6),
+    ]
+    for call in calls:
+        first = call()
+        expected = dict(first)
+        first.clear()
+        first[99] = 1
+        assert call() == expected
+    assert list(enumerate_cops(6)) == list(enumerate_cops(6)) == reference_cops(6)
 
 
 def test_cop_stat_table_unknown():
