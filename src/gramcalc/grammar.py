@@ -14,7 +14,8 @@ exponent pattern, such as ``x^(2i+1) y^(2j)``.
 Derive runs on the packed-key layout of ``poly._Packing``, which
 ``Polynomial`` multiplication shares; this module adds only what is
 specific to derive: the unknown-letter check, the degree bound for a
-depth, the rule deltas and the step.
+depth, the folded rule deltas and the step.  Every level past the start
+lists its terms in print order.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ class Grammar:
         return packing.unpack(terms)
 
     def derive_levels(self, p: Polynomial, nmax: int) -> list[Polynomial]:
-        """All levels 0..nmax of the iterated derivative, in order."""
+        """All levels 0..nmax of the iterated derivative; level 0 is p itself."""
         levels = [p]
         if not poly._exact(nmax, "derivative depth", 0):
             return levels
@@ -130,16 +131,17 @@ class _Packing(poly._Packing):
     The slots are the grammar's letters, and the degree bound is proven: a
     step raises a term's total degree by at most the largest rule-term
     degree minus one, so no term of levels 0..n has total degree above
-    ``p.degree() + n * max(0, that degree - 1)``.  Each rule is kept as its
-    letter's shift and the key deltas of its terms, so multiplying by a
-    rule term is one integer add.
+    ``p.degree() + n * max(0, that degree - 1)``.
 
-    ``step`` updates its dict in the same order as a term-by-term
-    derivative over tuple monomials, so the unpacked terms come out in the
-    same first-seen order.
+    The rule terms of all ruled letters are folded by key delta: a rule
+    term ``c*m`` of letter L moves a term from key to key + delta, where
+    delta is the key of m minus L's unit key, so each delta keeps the
+    (slot shift, rule coefficient) pairs of every letter whose rule
+    reaches it.  A step then adds coeff * sum(exponent * rule coefficient)
+    at key + delta: one big-int multiply-add per target key and term.
     """
 
-    __slots__ = ("_rules",)
+    __slots__ = ("_deltas",)
 
     def __init__(self, grammar: Grammar, p: Polynomial, n: int):
         rules = grammar._rules
@@ -152,32 +154,31 @@ class _Packing(poly._Packing):
             default=0,
         )
         super().__init__(grammar.letters, p.degree() + n * max(0, growth))
-        shifts = self._shifts
-        self._rules = [
-            (
-                shifts[letter],
-                [(self.pack_mono(m) - (1 << shifts[letter]), c) for m, c in rhs._terms.items()],
-            )
-            for letter, rhs in sorted(rules.items())
-        ]
+        folded: dict[int, list[tuple[int, int]]] = {}
+        for letter, rhs in rules.items():
+            shift = self._shifts[letter]
+            for m, c in rhs._terms.items():
+                folded.setdefault(self.pack_mono(m) - (1 << shift), []).append((shift, c))
+        self._deltas = list(folded.items())
 
     def step(self, terms: dict[int, int]) -> dict[int, int]:
-        """One derivative: each ruled slot with exponent e adds coeff*e*rc at key+delta."""
-        rules, mask = self._rules, self._mask
+        """One derivative: each delta adds coeff * sum(exp * rcoeff) at key + delta."""
+        mask = self._mask
         out: dict[int, int] = {}
         get = out.get
-        for key, coeff in terms.items():
-            for shift, deltas in rules:
-                exp = (key >> shift) & mask
-                if exp:
-                    factor = coeff * exp
-                    for delta, rcoeff in deltas:
-                        k = key + delta
-                        c = get(k, 0) + factor * rcoeff
-                        if c:
-                            out[k] = c
-                        elif k in out:
-                            del out[k]
+        items = terms.items()
+        for delta, pairs in self._deltas:
+            for key, coeff in items:
+                m = 0
+                for shift, rcoeff in pairs:
+                    m += ((key >> shift) & mask) * rcoeff
+                if m:
+                    k = key + delta
+                    c = get(k, 0) + coeff * m
+                    if c:
+                        out[k] = c
+                    elif k in out:
+                        del out[k]
         return out
 
 
@@ -298,8 +299,9 @@ def extract_coeffs(p: Polynomial, index_map: IndexMap) -> dict[tuple[int, int], 
     """Read a sparse (i, j) coefficient array out of an expansion.
 
     Every monomial of p must fit the index map's exponent pattern;
-    violations raise instead of being dropped.  No zero entries are
-    stored.
+    violations raise instead of being dropped, naming the first offending
+    monomial in p's term order, which for a derive level n >= 1 is the
+    print order.  No zero entries are stored.
     """
     out: dict[tuple[int, int], int] = {}
     for mono, coeff in p.terms().items():

@@ -15,7 +15,9 @@ ascending lexicographic order of that vector.  ``str(p)`` writes explicit
 
 Products run on packed keys (``_Packing``): each letter's exponent sits
 in a fixed bit slot of one int, so multiplying two monomials is one
-integer add.  The derive kernel in ``grammar`` builds on the same class.
+integer add.  The alphabetically first letter owns the highest slot, so
+ascending key order is the print order, and every product lists its terms
+in print order.  The derive kernel in ``grammar`` builds on the same class.
 """
 
 from __future__ import annotations
@@ -84,20 +86,23 @@ def _term_text(coeff: int, m: Monomial, explicit_mul: bool) -> str:
 class _Packing:
     """Kronecker-packed exponent vectors over a fixed set of letters.
 
-    Each letter, in sorted order, owns a slot of ``width`` bits in one int
-    key, where width is the bit length of a degree bound.  No exponent of
-    a term within that bound exceeds it, so no slot ever carries into the
-    next and the key of a product of such terms is the sum of their keys;
+    Each letter owns a slot of ``width`` bits in one int key, where width
+    is the bit length of a degree bound; the alphabetically first letter
+    owns the highest slot and the last the lowest.  No exponent of a term
+    within that bound exceeds it, so no slot ever carries into the next
+    and the key of a product of such terms is the sum of their keys;
     Python ints never wrap, so keys stay exact with no overflow check.
-    Keys map one to one onto monomials, so a dict of keys keeps the
-    first-seen order of the terms it was built from.
+    Keys map one to one onto monomials, and comparing two keys compares
+    the exponent vectors over the sorted letters lexicographically, so
+    ``unpack`` lists terms in print order by sorting their keys.
     """
 
     __slots__ = ("_shifts", "_mask")
 
     def __init__(self, letters: Iterable[str], degree: int):
         width = max(1, degree).bit_length()
-        self._shifts = {letter: i * width for i, letter in enumerate(sorted(letters))}
+        letters = sorted(letters)
+        self._shifts = {l: (len(letters) - 1 - i) * width for i, l in enumerate(letters)}
         self._mask = (1 << width) - 1
 
     def pack_mono(self, mono: Monomial) -> int:
@@ -112,8 +117,8 @@ class _Packing:
             {
                 tuple(
                     (letter, exp) for letter, shift in slots if (exp := (key >> shift) & mask)
-                ): coeff
-                for key, coeff in terms.items()
+                ): terms[key]
+                for key in sorted(terms)
             }
         )
 

@@ -2,7 +2,10 @@
 
 Polynomial multiplication and the derive kernel run on Kronecker-packed
 int keys.  Their references merge sorted (letter, exponent) tuples
-instead; the differential tests compare both, term order included.
+instead, and list terms in the order they are first reached; the
+differential tests compare the fast path's exact term list with the
+reference's terms in print order, since products and derive levels list
+their terms in that order.
 
 The canonical cop order and the ``cops`` text lines have references too:
 one key-sorted list, and every block rendered afresh on every line.
@@ -48,7 +51,7 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 
 def _add_term(out: dict, key: Monomial, coeff: int) -> None:
-    # Delete on zero, so a cancelled term that comes back is listed last.
+    # Delete on zero, so no zero coefficient is stored.
     c = out.get(key, 0) + coeff
     if c:
         out[key] = c
@@ -103,9 +106,10 @@ def reference_levels(grammar: Grammar, p: Polynomial, nmax: int) -> list[Polynom
 
 
 def assert_same_terms(actual: Polynomial, expected: Polynomial) -> None:
-    # Lists, not dicts: extract_coeffs reports the first bad monomial in
+    # Lists, not dicts: products and derive levels hold their terms in
+    # print order, and extract_coeffs reports the first bad monomial in
     # term order, so the order is part of the contract.
-    assert list(actual.terms().items()) == list(expected.terms().items())
+    assert list(actual.terms().items()) == expected.sorted_terms()
 
 
 def reference_cops(n: int) -> list[Cop]:

@@ -3,12 +3,12 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gramcalc.dsl import builtin_grammar, builtin_names, parse_grammar, parse_polynomial
 from gramcalc.errors import DuplicateRule, PatternViolation, UnknownLetter
 from gramcalc.grammar import Grammar, IndexMap, extract_coeffs
-from gramcalc.poly import Polynomial
+from gramcalc.poly import Polynomial, mono_text
 from gramcalc.triangles import eulerian, stirling2
 
 from reference import assert_same_terms, reference_derive, reference_levels
@@ -213,11 +213,14 @@ def test_packed_kernel_matches_reference(case, n):
         return
     levels = grammar.derive_levels(p, n)
     assert len(levels) == n + 1
-    for actual, want in zip(levels, expected):
+    assert levels[0] is p
+    for actual, want in zip(levels[1:], expected[1:]):
         assert_same_terms(actual, want)
-    assert_same_terms(grammar.derive_n(p, n), expected[-1])
     if n:
+        assert_same_terms(grammar.derive_n(p, n), expected[-1])
         assert_same_terms(grammar.derive(p), expected[1])
+    else:
+        assert grammar.derive_n(p, 0) is p
 
 
 # bound = p.degree() + n * max(0, largest rule-term degree - 1), the
@@ -240,13 +243,38 @@ def test_exponent_reaches_the_width_bound(src, start, n, bound):
     assert_same_terms(g.derive_n(p, n), expected[-1])
 
 
-def test_cancelled_term_is_reinserted_last():
-    # c cancels (a then b), then d brings it back after x's y: the
-    # kernel deletes on zero, so c comes out last, as in the reference.
+def test_cancelled_term_comes_back_in_print_order():
+    # c cancels (a then b), then d brings it back; the level lists y
+    # before c, as print order puts exponent vector (c, y) = (0, 1) first.
     g = parse_grammar("const c, y; a -> c; b -> -c; d -> c; x -> y")
     p = Polynomial.from_terms([({"a": 1}, 1), ({"b": 1}, 1), ({"x": 1}, 1), ({"d": 1}, 1)])
     assert list(g.derive(p).terms()) == [(("y", 1),), (("c", 1),)]
     assert_same_terms(g.derive_n(p, 1), reference_derive(g, p))
+
+
+# Rule terms x (of x) and -y (of y) share key delta 0 with opposite signs,
+# so a term with equal x and y exponents gets multiplier 0 there, and a
+# key that several deltas reach can sum to zero.
+_FOLD = "x -> x + x*y; y -> -y + x*y"
+
+
+def test_folded_deltas_skip_a_zero_multiplier():
+    g = parse_grammar(_FOLD)
+    assert list(g.derive(x * y).terms()) == [(("x", 1), ("y", 2)), (("x", 2), ("y", 1))]
+
+
+# In x - x*y^2 a key of level 1 sums to zero and is reached again within
+# the step, as deltas are taken in rule order.
+@pytest.mark.parametrize("start", ["x*y + x - y", "x - x*y^2"])
+def test_folded_deltas_cancel_like_the_reference(start):
+    g = parse_grammar(_FOLD)
+    p = parse_polynomial(start)
+    expected = reference_levels(g, p, 10)
+    levels = g.derive_levels(p, 10)
+    assert levels[0] is p
+    for actual, want in zip(levels[1:], expected[1:]):
+        assert_same_terms(actual, want)
+    assert_same_terms(g.derive_n(p, 10), expected[-1])
 
 
 def test_zero_polynomial_derives_to_zero():
@@ -263,6 +291,41 @@ def test_depth_zero_accepts_an_unknown_letter():
     assert g.derive_levels(q, 0) == [q]
     with pytest.raises(UnknownLetter, match="'q'"):
         g.derive_n(x + q, 1)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_builtins_match_reference_from_mixed_starts(name, data):
+    g = builtin_grammar(name)
+    p = data.draw(_terms_over(list(g.letters), st.integers(min_value=0, max_value=3)))
+    n = data.draw(st.integers(min_value=8, max_value=12))
+    expected = reference_levels(g, p, n)
+    for actual, want in zip(g.derive_levels(p, n)[1:], expected[1:]):
+        assert_same_terms(actual, want)
+    assert_same_terms(g.derive_n(p, n), expected[-1])
+
+
+@given(_grammar_and_start(), st.integers(min_value=1, max_value=4))
+def test_derive_levels_are_in_print_order(case, n):
+    grammar, p = case
+    try:
+        levels = grammar.derive_levels(p, n)
+    except UnknownLetter:
+        return
+    for level in levels[1:] + [grammar.derive_n(p, n)]:
+        assert list(level.terms()) == [m for m, _ in level.sorted_terms()]
+
+
+def test_extract_names_the_first_bad_monomial_in_print_order():
+    # Every monomial of g6's D^3(x) carrying z breaks an x, y index map;
+    # the error names the first of them in print order.
+    level = builtin_grammar("g6").derive_n(x, 3)
+    bad = [m for m, _ in level.sorted_terms() if dict(m).get("z")]
+    assert len(bad) > 1
+    with pytest.raises(PatternViolation) as caught:
+        extract_coeffs(level, IndexMap.identity("x", "y"))
+    assert caught.value.monomial == mono_text(bad[0])
 
 
 @pytest.mark.parametrize("name", builtin_names())

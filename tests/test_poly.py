@@ -192,6 +192,12 @@ def test_product_matches_tuple_reference(p, q, r):
         assert_same_terms(a * b, reference_mul(a, b))
 
 
+@given(_polys(), _polys(), _polys("ab"))
+def test_products_are_in_print_order(p, q, r):
+    for product in (p * q, p * r, q * q):
+        assert list(product.terms()) == [m for m, _ in product.sorted_terms()]
+
+
 @given(_polys(), st.integers(0, 5))
 def test_power_matches_tuple_reference(p, e):
     assert_same_terms(p**e, reference_pow(p, e))
