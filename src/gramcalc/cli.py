@@ -10,9 +10,11 @@ and adds the shared --format and --out to each.
 A handler returns its whole output text and its exit code: ``_lines``,
 ``_csv`` and ``_json_text`` form that text, and ``main`` writes it to
 stdout or, with --out, to a file.  A handler refuses bad input by
-raising a ``GramcalcError`` whose message is the error text; ``main``
-prints it as the one "error: ..." line on stderr, and turns Python's
-int-to-str limit error into the PYTHONINTMAXSTRDIGITS=0 hint.
+raising a ``GramcalcError`` or ``ValueError`` whose message is the error
+text; ``main`` prints it as the one "error: ..." line on stderr, and
+turns Python's int-to-str limit error into the PYTHONINTMAXSTRDIGITS=0
+hint.  The size flags stay strings until ``_at_least`` reads them with
+``poly._read_int``, so every bad value takes that same path.
 
 Exit status: 0 on success, 1 when a verification suite fails, 2 on
 usage, parse, and bound errors, 3 on an internal error (any other
@@ -31,6 +33,7 @@ from . import config, oracles, triangles, verifier
 from .dsl import builtin_grammar, builtin_names, parse_grammar, parse_polynomial
 from .errors import GramcalcError, UnknownLetter, UnknownTriangle
 from .grammar import Grammar
+from .poly import _read_int
 
 _FORMATS = ("text", "csv", "json")
 # Triangles whose rows come from oracles.<name>_counts, not from a recurrence.
@@ -51,12 +54,8 @@ def _csv(header: str, rows) -> str:
 
 
 def _at_least(args, flag: str, least: int) -> int:
-    """The value of --flag, or a usage error naming it when it is below least."""
-    value = getattr(args, flag)
-    if value < least:
-        bound = "nonnegative" if least == 0 else f"at least {least}"
-        raise GramcalcError(f"--{flag} must be {bound}, got {value}")
-    return value
+    """The int written in --flag, or a ValueError naming the flag."""
+    return _read_int(getattr(args, flag), f"--{flag}", least)
 
 
 def _grammar_from_source(src: str) -> Grammar:
@@ -78,12 +77,13 @@ def _cmd_derive(args, caps: config.Caps) -> tuple[str, int]:
         if args.builtin
         else _grammar_from_source(args.grammar)
     )
-    caps.check("derive", _at_least(args, "n", 0))
+    n = _at_least(args, "n", 0)
+    caps.check("derive", n)
     start = parse_polynomial(args.start)
     for letter in start.letters():
         if letter not in grammar.letters:
             raise UnknownLetter(letter, "not in the grammar")
-    p = grammar.derive_n(start, args.n)
+    p = grammar.derive_n(start, n)
     if args.format == "json":
         return _json_text(p.to_json_obj()), 0
     if args.format == "csv":
@@ -92,7 +92,7 @@ def _cmd_derive(args, caps: config.Caps) -> tuple[str, int]:
         rows = []
         for mono, coeff in p.sorted_terms():
             exps = dict(mono)
-            rows.append((args.n, *(exps.get(l, 0) for l in letters), coeff))
+            rows.append((n, *(exps.get(l, 0) for l in letters), coeff))
         return _csv(header + ",value", rows), 0
     return str(p) + "\n", 0
 
@@ -105,15 +105,16 @@ def _dense_row(counts: dict[int, int]) -> tuple[int, list[int]]:
 
 def _cmd_triangle(args, caps: config.Caps) -> tuple[str, int]:
     """emit a count triangle"""
-    caps.check("triangle", _at_least(args, "nmax", 0))
+    nmax = _at_least(args, "nmax", 0)
+    caps.check("triangle", nmax)
     if args.name in _ORACLE_TABLES:
         counts_of = getattr(oracles, f"{args.name}_counts")
         table = triangles.make_table(
-            args.name, args.nmax, lambda n: _dense_row(counts_of(n, caps))
+            args.name, nmax, lambda n: _dense_row(counts_of(n, caps))
         )
     else:
         try:
-            table = triangles.build_table(args.name, args.nmax)
+            table = triangles.build_table(args.name, nmax)
         except UnknownTriangle as exc:
             if args.name.startswith("whitney:"):
                 raise  # a malformed order of a known family, not an unknown name
@@ -145,27 +146,28 @@ class _BlockText(dict):
 
 def _cmd_cops(args, caps: config.Caps) -> tuple[str, int]:
     """list cyclically ordered partitions"""
-    _at_least(args, "n", 1)
+    n = _at_least(args, "n", 1)
     if args.format == "csv":
         raise GramcalcError("cops output has no CSV form; use text or json")
-    cops = oracles.enumerate_cops(args.n, caps)
+    cops = oracles.enumerate_cops(n, caps)
     if args.format == "json":
         # The bytes _json_text writes for {"cops": [[list(b) for b in cop]
         # for cop in cops], "n": n}, without building those lists.
         block_text = _BlockText("      [\n        ", ",\n        ", "\n      ]").__getitem__
         body = ",\n".join("    [\n" + ",\n".join(map(block_text, cop)) + "\n    ]" for cop in cops)
-        return f'{{\n  "cops": [\n{body}\n  ],\n  "n": {args.n}\n}}\n', 0
+        return f'{{\n  "cops": [\n{body}\n  ],\n  "n": {n}\n}}\n', 0
     block_text = _BlockText("(", ",", ")").__getitem__
     return _lines(["".join(map(block_text, cop)) for cop in cops]), 0
 
 
 def _cmd_stats(args, caps: config.Caps) -> tuple[str, int]:
     """opener statistic distribution over partitions"""
-    table = oracles.cop_stat_table(_at_least(args, "n", 1), args.stat, caps)
+    n = _at_least(args, "n", 1)
+    table = oracles.cop_stat_table(n, args.stat, caps)
     items = sorted(table.items())
     if args.format == "json":
         payload = {
-            "n": args.n,
+            "n": n,
             "stat": args.stat,
             "counts": [
                 {"blocks": k, "value": s, "count": c} for (k, s), c in items
@@ -181,11 +183,12 @@ def _cmd_verify(args, caps: config.Caps) -> tuple[str, int]:
     """run identity suites"""
     if args.grammar is not None and args.suite in ("golden", "all"):
         raise GramcalcError("--grammar applies only to suites T1..T6")
+    nmax = None if args.nmax is None else _at_least(args, "nmax", 0)
     if args.suite == "all":
-        reports = verifier.run_all(args.nmax, caps)
+        reports = verifier.run_all(nmax, caps)
     else:
         grammar = None if args.grammar is None else _grammar_from_source(args.grammar)
-        reports = [verifier.run_suite(args.suite, args.nmax, grammar, caps)]
+        reports = [verifier.run_suite(args.suite, nmax, grammar, caps)]
     code = 0 if all(r.passed for r in reports) else 1
     if args.format == "json":
         payload = [r.to_json_obj() for r in reports]
@@ -227,17 +230,17 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--grammar", metavar="SRC", help="rule DSL text, or a path to a file of it")
     src.add_argument("--builtin", choices=builtin_names(), help="named builtin grammar")
     p["derive"].add_argument("--start", default="x", help="starting polynomial (default: x)")
-    p["derive"].add_argument("--n", type=int, required=True, help="derivative depth")
+    p["derive"].add_argument("--n", required=True, help="derivative depth")
     names = triangles.triangle_names() + _ORACLE_TABLES
     p["triangle"].add_argument("name", help=", ".join(names[:-1]) + f", or {names[-1]}")
-    p["triangle"].add_argument("--nmax", type=int, required=True, help="last row to emit")
+    p["triangle"].add_argument("--nmax", required=True, help="last row to emit")
     for name in ("cops", "stats"):
-        p[name].add_argument("--n", type=int, required=True, help="ground set size")
+        p[name].add_argument("--n", required=True, help="ground set size")
     p["stats"].add_argument(
         "--stat", choices=oracles.stat_names(), required=True, help="opener statistic"
     )
     p["verify"].add_argument("suite", choices=verifier.SUITE_NAMES + ("all",))
-    p["verify"].add_argument("--nmax", type=int, default=None, help="override the suite depth")
+    p["verify"].add_argument("--nmax", help="override the suite depth")
     p["verify"].add_argument(
         "--grammar", metavar="SRC", help="override the suite grammar (T1..T6 only)"
     )

@@ -22,7 +22,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import BoundExceeded, GramcalcError
-from .poly import _exact
+from .poly import _exact, _read_int
 
 ENV_PREFIX = "GRAMCALC_CAP_"
 
@@ -75,16 +75,10 @@ def _unknown_cap(origin: str, key: str) -> GramcalcError:
 
 def _parse_value(key: str, raw: str, origin: str) -> int:
     """The cap written in raw, which must be ASCII digits once stripped."""
-    text = raw.strip()
-    if not (text.isascii() and text.isdigit()):
-        raise GramcalcError(f"{origin}: cap {key!r} needs a nonnegative integer, got {text!r}")
     try:
-        return int(text)
-    except ValueError:  # longer than the interpreter's int-to-str limit
-        raise GramcalcError(
-            f"{origin}: cap {key!r} of {len(text)} digits is too long to read;"
-            " PYTHONINTMAXSTRDIGITS=0 lifts the limit"
-        ) from None
+        return _read_int(raw.strip(), f"cap {key!r}")
+    except ValueError as exc:
+        raise GramcalcError(f"{origin}: {exc}") from None
 
 
 def load_caps(path: str | None = None, environ=None) -> Caps:

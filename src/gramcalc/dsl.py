@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from .errors import DuplicateRule, ParseError
 from .grammar import Grammar
-from .poly import Polynomial
+from .poly import Polynomial, _read_int
 
 
 class Token(NamedTuple):
@@ -75,13 +75,9 @@ def _tokenize(src: str) -> list[Token]:
         elif ch in _DIGITS:
             kind, j = "int", _digits_end(src, i)
             try:
-                value = int(src[i:j])
-            except ValueError:  # longer than the interpreter's int-to-str limit
-                raise ParseError(
-                    f"integer of {j - i} digits is too long to read;"
-                    " PYTHONINTMAXSTRDIGITS=0 lifts the limit",
-                    *_where(src, i),
-                ) from None
+                value = _read_int(src[i:j], "integer")
+            except ValueError as exc:  # past the interpreter's int-to-str limit
+                raise ParseError(str(exc), *_where(src, i)) from None
         elif ch.isidentifier():
             while j < n and ("_" + src[j]).isidentifier():
                 j += 1

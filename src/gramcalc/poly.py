@@ -44,6 +44,26 @@ def _exact(value: object, what: str, least: int | None = None) -> int:
     return value
 
 
+def _read_int(text: str, what: str, least: int = 0) -> int:
+    """The int written in text, checked by ``_exact`` against least.
+
+    The one reader of integers from text: rule literals, caps, Whitney
+    orders and the CLI size flags.  Only ASCII digits are read, so a sign,
+    an underscore or another script's digits raise ValueError, as does a
+    digit string past the interpreter's int-to-str limit.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{what} needs a nonnegative integer, got {text!r}")
+    try:
+        value = int(text)
+    except ValueError:  # longer than the interpreter's int-to-str limit
+        raise ValueError(
+            f"{what} of {len(text)} digits is too long to read;"
+            " PYTHONINTMAXSTRDIGITS=0 lifts the limit"
+        ) from None
+    return _exact(value, what, least)
+
+
 def mono_from_exps(exps: Mapping[str, int]) -> Monomial:
     """Build a canonical monomial from a letter-to-exponent mapping.
 
@@ -199,11 +219,7 @@ class Polynomial:
 
     def coefficient(self, exps: Mapping[str, int] | Monomial) -> int:
         """Coefficient of the given monomial, 0 when absent."""
-        if isinstance(exps, tuple):
-            key = mono_from_exps(dict(exps))
-        else:
-            key = mono_from_exps(exps)
-        return self._terms.get(key, 0)
+        return self._terms.get(mono_from_exps(dict(exps)), 0)
 
     def coeff_sum(self) -> int:
         """Sum of all coefficients (the value at every letter set to 1)."""

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InternalMismatch, UnknownTriangle
-from .poly import _exact
+from .poly import _exact, _read_int
 
 
 def binomial(n: int, k: int) -> int:
@@ -197,18 +197,10 @@ def build_table(name: str, max_n: int) -> TriangleTable:
     sum-against-recurrence check.
     """
     if name.startswith("whitney:"):
-        raw = name.split(":", 1)[1]
-        m = 0
-        if raw.isascii() and raw.isdigit():
-            try:
-                m = int(raw)
-            except ValueError:  # longer than the interpreter's int-to-str limit
-                raise UnknownTriangle(
-                    f"whitney order of {len(raw)} digits is too long to read;"
-                    " PYTHONINTMAXSTRDIGITS=0 lifts the limit"
-                ) from None
-        if m < 1:
-            raise UnknownTriangle(f"whitney order must be a positive integer, got {raw!r}")
+        try:
+            m = _read_int(name.split(":", 1)[1], "whitney order", 1)
+        except ValueError as exc:
+            raise UnknownTriangle(str(exc)) from None
         return make_table(name, max_n, lambda n: (0, [whitney(m, n, k) for k in range(n + 1)]))
     if name not in _TABLES:
         raise UnknownTriangle(

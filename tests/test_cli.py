@@ -158,6 +158,32 @@ def test_whitney_order_past_the_digit_limit_is_a_usage_error(capsys, digit_limit
     )
 
 
+SIZE_FLAGS = [
+    ("derive", "--builtin", "g1", "--n"),
+    ("triangle", "stirling2", "--nmax"),
+    ("cops", "--n"),
+    ("stats", "--stat", "las", "--n"),
+    ("verify", "T1", "--nmax"),
+]
+
+
+@pytest.mark.parametrize("value", ["\u0663", "1_0", "+3", "-1", "abc", "past the limit"])
+@pytest.mark.parametrize("argv", SIZE_FLAGS, ids=lambda argv: f"{argv[0]} {argv[-1]}")
+def test_size_flag_reads_only_ascii_digits(capsys, request, argv, value):
+    flag = argv[-1]
+    if value == "past the limit":
+        limit = request.getfixturevalue("digit_limit")
+        value = "9" * (limit + 1)
+        message = (
+            f"{flag} of {limit + 1} digits is too long to read;"
+            " PYTHONINTMAXSTRDIGITS=0 lifts the limit"
+        )
+    else:
+        message = f"{flag} needs a nonnegative integer, got {value!r}"
+    code, out, err = run_cli(capsys, *argv, value)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_parser_has_one_subparser_per_handler():
     parser = cli.build_parser()
     (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -312,7 +338,7 @@ def test_triangle_unknown_name(capsys):
     assert "oracle tables: left_peak, las" in err
     code, _, err = run_cli(capsys, "triangle", "whitney:0", "--nmax", "2")
     assert code == 2
-    assert err == "error: whitney order must be a positive integer, got '0'\n"
+    assert err == "error: whitney order must be at least 1, got 0\n"
 
 
 def test_triangle_negative_nmax(capsys):

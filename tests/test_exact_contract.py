@@ -1,16 +1,19 @@
-"""The exact-integers contract: int() only reads digit strings already checked."""
+"""The exact-integers contract: one reader turns text into ints, after checking it."""
 
+import argparse
 import ast
 import pathlib
+import sys
+
+import pytest
 
 import gramcalc
+from gramcalc import cli, config, triangles
+from gramcalc.dsl import parse_polynomial
+from gramcalc.errors import GramcalcError, ParseError, UnknownTriangle
 
-# Each of these reads a string it has first checked to be ASCII digits.
-CHECKED_DIGIT_READERS = {
-    ("dsl", "_tokenize"),
-    ("triangles", "build_table"),
-    ("config", "_parse_value"),
-}
+# The one function that calls int(): it first checks its text is ASCII digits.
+CHECKED_DIGIT_READERS = {("poly", "_read_int")}
 
 
 def int_calls(path: pathlib.Path) -> list[tuple[str, str | None, int]]:
@@ -41,3 +44,72 @@ def test_int_is_called_only_on_checked_digits():
     calls = [call for path in sorted(package.glob("*.py")) for call in int_calls(path)]
     assert [call for call in calls if call[:2] not in CHECKED_DIGIT_READERS] == []
     assert {call[:2] for call in calls} == CHECKED_DIGIT_READERS
+
+
+def test_no_cli_flag_reads_an_int_itself():
+    # argparse's type=int reads '٣', '1_0' and '+3' as ints, past the reader.
+    parsers, actions = [cli.build_parser()], []
+    while parsers:
+        for action in parsers.pop()._actions:
+            actions.append(action)
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    assert [a.dest for a in actions if a.type is int] == []
+
+
+def _library_readers(tmp_path):
+    """Name -> (read one text, the exception type, the message before the shared wording)."""
+    path = tmp_path / "caps.cfg"
+
+    def caps_file(text):
+        path.write_text(f"derive = {text}\n", encoding="utf-8")
+        config.load_caps(str(path), environ={})
+
+    return {
+        "rule text": (
+            lambda text: parse_polynomial("x +\n x^" + text),
+            ParseError,
+            "line 2, column 4: integer",
+        ),
+        "caps file": (caps_file, GramcalcError, f"{path}:1: cap 'derive'"),
+        "caps env": (
+            lambda text: config.load_caps(None, environ={"GRAMCALC_CAP_DERIVE": text}),
+            GramcalcError,
+            "GRAMCALC_CAP_DERIVE: cap 'derive'",
+        ),
+        "whitney": (
+            lambda text: triangles.build_table("whitney:" + text, 1),
+            UnknownTriangle,
+            "whitney order",
+        ),
+    }
+
+
+PAST_LIMIT = None  # stands for a digit string one longer than the interpreter reads
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [(reader, PAST_LIMIT) for reader in ("rule text", "caps file", "caps env", "whitney")]
+    # The DSL tokenizer ends an integer at its first non-ASCII digit, so
+    # rule text never hands these to the reader.
+    + [
+        (reader, text)
+        for reader in ("caps file", "caps env", "whitney")
+        for text in ("١٢", "1_0", "+3")
+    ],
+)
+def test_every_library_reader_words_a_bad_integer_alike(tmp_path, reader, text):
+    read, error, head = _library_readers(tmp_path)[reader]
+    if text is PAST_LIMIT:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter reads integers of any length")
+        text = "9" * (limit + 1)
+        wording = f"of {limit + 1} digits is too long to read; PYTHONINTMAXSTRDIGITS=0 lifts the limit"
+    else:
+        wording = f"needs a nonnegative integer, got {text!r}"
+    with pytest.raises(error) as info:
+        read(text)
+    assert type(info.value) is error
+    assert str(info.value) == f"{head} {wording}"
