@@ -14,8 +14,12 @@ exponent pattern, such as ``x^(2i+1) y^(2j)``.
 Derive runs on the packed-key layout of ``poly._Packing``, which
 ``Polynomial`` multiplication shares; this module adds only what is
 specific to derive: the unknown-letter check, the degree bound for a
-depth, the folded rule deltas and the step.  Every level past the start
-lists its terms in print order.
+depth, the rule terms folded into entries and the step.  An entry is a
+key delta, a rule coefficient and a weight word with one bit per letter
+whose rule reaches that delta with that coefficient; a step reads each
+term's multiplier for an entry as one field of key * weights, a sum of
+exponents of distinct letters that the degree bound keeps inside one
+slot.  Every level past the start lists its terms in print order.
 """
 
 from __future__ import annotations
@@ -133,15 +137,26 @@ class _Packing(poly._Packing):
     degree minus one, so no term of levels 0..n has total degree above
     ``p.degree() + n * max(0, that degree - 1)``.
 
-    The rule terms of all ruled letters are folded by key delta: a rule
-    term ``c*m`` of letter L moves a term from key to key + delta, where
-    delta is the key of m minus L's unit key, so each delta keeps the
-    (slot shift, rule coefficient) pairs of every letter whose rule
-    reaches it.  A step then adds coeff * sum(exponent * rule coefficient)
-    at key + delta: one big-int multiply-add per target key and term.
+    The rule terms of all ruled letters are folded into entries by key
+    delta and rule coefficient: a rule term ``c*m`` of letter L moves a
+    term from key to key + delta, where delta is the key of m minus L's
+    unit key, and adds coeff * e_L * c there.  An entry keeps that delta,
+    the coefficient c, and a weight word ``sum(1 << (top - shift_L))``
+    over the letters L whose rule reaches the delta with c, where top is
+    the highest slot shift (0 with no letters).  ``key * weights`` adds
+    one copy of the key per letter L, moved up by top - shift_L; distinct
+    letters move distinct slots onto each field, so every field sums the
+    exponents of distinct letters and holds at most the term's total
+    degree, which the degree bound fits in one slot.  No field carries
+    into the next, and the field at top is exactly the multiplier, the
+    sum of e_L over the entry's letters, read with one multiply, shift
+    and mask.  Rule coefficients stay out of the weight word, where they
+    would need slots that grow with them; a step multiplies each
+    multiplier by its entry's c instead, so a delta that letters reach
+    with k distinct coefficients costs k passes over the terms.
     """
 
-    __slots__ = ("_deltas",)
+    __slots__ = ("_top", "_entries")
 
     def __init__(self, grammar: Grammar, p: Polynomial, n: int):
         rules = grammar._rules
@@ -154,29 +169,29 @@ class _Packing(poly._Packing):
             default=0,
         )
         super().__init__(grammar.letters, p.degree() + n * max(0, growth))
-        folded: dict[int, list[tuple[int, int]]] = {}
+        top = self._top = max(self._shifts.values(), default=0)
+        folded: dict[tuple[int, int], int] = {}
         for letter, rhs in rules.items():
             shift = self._shifts[letter]
             for m, c in rhs._terms.items():
-                folded.setdefault(self.pack_mono(m) - (1 << shift), []).append((shift, c))
-        self._deltas = list(folded.items())
+                entry = (self.pack_mono(m) - (1 << shift), c)
+                folded[entry] = folded.get(entry, 0) + (1 << (top - shift))
+        self._entries = [(delta, weights, c) for (delta, c), weights in folded.items()]
 
     def step(self, terms: dict[int, int]) -> dict[int, int]:
-        """One derivative: each delta adds coeff * sum(exp * rcoeff) at key + delta."""
-        mask = self._mask
+        """One derivative: each entry adds coeff * multiplier * c at key + delta."""
+        top, mask = self._top, self._mask
         out: dict[int, int] = {}
         get = out.get
         items = terms.items()
-        for delta, pairs in self._deltas:
+        for delta, weights, c in self._entries:
             for key, coeff in items:
-                m = 0
-                for shift, rcoeff in pairs:
-                    m += ((key >> shift) & mask) * rcoeff
+                m = key * weights >> top & mask
                 if m:
                     k = key + delta
-                    c = get(k, 0) + coeff * m
-                    if c:
-                        out[k] = c
+                    v = get(k, 0) + coeff * (m * c)
+                    if v:
+                        out[k] = v
                     elif k in out:
                         del out[k]
         return out

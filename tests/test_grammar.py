@@ -3,11 +3,11 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gramcalc.dsl import builtin_grammar, builtin_names, parse_grammar, parse_polynomial
 from gramcalc.errors import DuplicateRule, PatternViolation, UnknownLetter
-from gramcalc.grammar import Grammar, IndexMap, extract_coeffs
+from gramcalc.grammar import Grammar, IndexMap, _Packing, extract_coeffs
 from gramcalc.poly import Polynomial, mono_text
 from gramcalc.triangles import eulerian, stirling2
 
@@ -200,7 +200,12 @@ def _grammar_and_start(draw):
     return grammar, start
 
 
+# Beyond the strategy's reach: Grammar({}) has no letters, so top is 0;
+# a rule of 0 and a constant rule give entries whose terms lose a letter.
 @given(_grammar_and_start(), st.integers(min_value=0, max_value=4))
+@example((Grammar({}), parse_polynomial("4")), 3)
+@example((parse_grammar("const a; x -> 0"), parse_polynomial("3*a*x^2 + a - x")), 3)
+@example((parse_grammar("x -> 5"), parse_polynomial("x^3 + 2*x - 7")), 3)
 def test_packed_kernel_matches_reference(case, n):
     grammar, p = case
     try:
@@ -243,6 +248,44 @@ def test_exponent_reaches_the_width_bound(src, start, n, bound):
     assert_same_terms(g.derive_n(p, n), expected[-1])
 
 
+# Each folded entry reads its multiplier, the sum of its letters'
+# exponents, as the top field of key * weights.  From a at depth 6 the
+# degree bound 1 + 6 * (2 - 1) = 7 fills the 3-bit slots, and deepest
+# terms such as a*c^6 put that bound in the {a, c} field.  With c = 2 a
+# coefficient in the weight word would overflow the slot.
+@pytest.mark.parametrize("c", [1, 2])
+def test_entry_field_sum_reaches_the_degree_bound(c):
+    g = parse_grammar(
+        f"a -> {c}*a*b + {c}*a*c; b -> {c}*b*a + {c}*b*c; c -> {c}*c*a + {c}*c*b"
+    )
+    a = Polynomial.letter("a")
+    expected = reference_levels(g, a, 6)
+    for actual, want in zip(g.derive_levels(a, 6)[1:], expected[1:]):
+        assert_same_terms(actual, want)
+    packing = _Packing(g, a, 6)
+    top, mask, shifts = packing._top, packing._mask, packing._shifts
+    assert mask == 7
+    reached = 0
+    for _, weights, _ in packing._entries:
+        letters = [l for l, s in shifts.items() if weights >> (top - s) & 1]
+        assert len(letters) == 2
+        for mono in expected[-1].terms():
+            field = packing.pack_mono(mono) * weights >> top & mask
+            assert field == sum(e for l, e in mono if l in letters)
+            reached = max(reached, field)
+    assert reached == mask
+
+
+def test_rule_coefficients_leave_the_slot_width_alone():
+    small = parse_grammar("x -> x*y; y -> y")
+    large = Grammar({"x": 10**40 * x * y, "y": -7 * y})
+    assert _Packing(small, x, 6)._mask == _Packing(large, x, 6)._mask
+    for g in (small, large):
+        expected = reference_levels(g, x, 6)
+        for actual, want in zip(g.derive_levels(x, 6)[1:], expected[1:]):
+            assert_same_terms(actual, want)
+
+
 def test_cancelled_term_comes_back_in_print_order():
     # c cancels (a then b), then d brings it back; the level lists y
     # before c, as print order puts exponent vector (c, y) = (0, 1) first.
@@ -253,28 +296,31 @@ def test_cancelled_term_comes_back_in_print_order():
 
 
 # Rule terms x (of x) and -y (of y) share key delta 0 with opposite signs,
-# so a term with equal x and y exponents gets multiplier 0 there, and a
-# key that several deltas reach can sum to zero.
+# as 2*x and -3*y do in _MIXED, so each delta-0 entry skips the terms
+# without its letter, and a key that several entries reach can sum to zero.
 _FOLD = "x -> x + x*y; y -> -y + x*y"
+_MIXED = "x -> 2*x + x*y; y -> -3*y + x*y"
 
 
 def test_folded_deltas_skip_a_zero_multiplier():
+    # x*y reaches delta 0 with +1 from x and -1 from y, and the two cancel.
     g = parse_grammar(_FOLD)
     assert list(g.derive(x * y).terms()) == [(("x", 1), ("y", 2)), (("x", 2), ("y", 1))]
 
 
-# In x - x*y^2 a key of level 1 sums to zero and is reached again within
-# the step, as deltas are taken in rule order.
-@pytest.mark.parametrize("start", ["x*y + x - y", "x - x*y^2"])
-def test_folded_deltas_cancel_like_the_reference(start):
-    g = parse_grammar(_FOLD)
+# From each start, some step of both grammars deletes a key that sums to
+# zero and then reaches it again from a later entry.
+@pytest.mark.parametrize("src", [_FOLD, _MIXED], ids=["unit", "mixed"])
+@pytest.mark.parametrize("start", ["x", "x*y + x - y", "x - x*y^2"])
+def test_folded_deltas_cancel_like_the_reference(src, start):
+    g = parse_grammar(src)
     p = parse_polynomial(start)
-    expected = reference_levels(g, p, 10)
-    levels = g.derive_levels(p, 10)
+    expected = reference_levels(g, p, 12)
+    levels = g.derive_levels(p, 12)
     assert levels[0] is p
     for actual, want in zip(levels[1:], expected[1:]):
         assert_same_terms(actual, want)
-    assert_same_terms(g.derive_n(p, 10), expected[-1])
+    assert_same_terms(g.derive_n(p, 12), expected[-1])
 
 
 def test_zero_polynomial_derives_to_zero():
