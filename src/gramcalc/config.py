@@ -31,13 +31,19 @@ ENV_PREFIX = "GRAMCALC_CAP_"
 class Caps:
     """Maximum sizes accepted by the brute-force and derivative layers.
 
-    permutations: largest n for enumerating the symmetric group S_n.
-    cops: largest n for enumerating cyclically ordered partitions of [n].
-    signed: largest n for enumerating signed permutations of [n].
-    matchings: largest n for enumerating perfect matchings of [2n].
-    derive: largest derivative depth accepted by the CLI.
-    verify: largest nmax accepted by the verification suites.
-    triangle: largest nmax accepted by the triangle subcommand.
+    Each cap names the calls that check it:
+
+    permutations: largest n of S_n for ``enumerate_permutations`` and for
+        the subset-walk tallies ``left_peak_counts`` and ``las_counts``,
+        which enumerate nothing.
+    cops: largest n of [n] for the ``enumerate_cops`` listing and the
+        ``cop_stat_table`` census of cyclically ordered partitions.
+    signed: largest n for ``enumerate_signed``, signed permutations of [n].
+    matchings: largest n for ``enumerate_matchings``, perfect matchings of [2n].
+    derive: largest depth of the CLI's ``derive`` subcommand.
+    verify: largest nmax of the verification suites (``run_suite``,
+        ``run_all`` and the suite functions).
+    triangle: largest nmax of the CLI's ``triangle`` subcommand.
 
     Every field must be a nonnegative int; anything else, a bool included,
     raises ValueError.

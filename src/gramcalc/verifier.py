@@ -14,11 +14,15 @@ a fixed table of shifts with coefficients affine in (i, j), evaluated by
 ``_transport``.  The run object checks the depth against the verify cap,
 picks the builtin or the override grammar and notes an override, derives
 the coefficient grids, loops over levels while checking that each grid
-stays inside the box, counts checks, runs the opener censuses up to the
-cops cap, and skips oracle products above the permutations cap.  A
-skipped product only raises one cut flag; each suite flushes it with its
-own note where its product checks end.  Informational match ratios are
-built by one function over collected (where, expected, actual) cells.
+stays inside the box, and counts checks.  It is also the one door to the
+oracles, and it never reads a cap itself: each oracle checks its own cap,
+and the run object turns the oracle's ``BoundExceeded`` into a cut.  The
+opener censuses run level by level until the census first refuses a size,
+which ends them with a note naming the refusing cap.  A refused
+permutation tally skips its product and only raises one cut flag; each
+suite flushes it with its own note where its product checks end.
+Informational match ratios are built by one function over collected
+(where, expected, actual) cells.
 
 Suite names follow the short labels used by the command line tool: T1
 through T6 for the six grammar studies, plus "golden" for byte-exact
@@ -36,7 +40,7 @@ from itertools import product
 from . import oracles
 from .config import Caps
 from .dsl import builtin_grammar, parse_polynomial
-from .errors import PatternViolation
+from .errors import BoundExceeded, PatternViolation
 from .grammar import Grammar, IndexMap, extract_coeffs
 from .poly import Polynomial, _exact, mono_degree
 from .triangles import (
@@ -111,7 +115,9 @@ class _Suite:
     """One suite run: its depth, grammar and report, and the loops all suites share.
 
     ``grammar`` overrides the builtin grammar named ``builtin``; the
-    override is noted, with ``scope`` appended to the note.
+    override is noted, with ``scope`` appended to the note.  Every census
+    comes from ``cop_tables`` and every permutation tally from
+    ``oracle_product``; the oracles' own cap checks decide where both stop.
     """
 
     def __init__(
@@ -172,16 +178,21 @@ class _Suite:
         """Every (i, j) of the box, row by row."""
         return product(range(self.side + 1), repeat=2)
 
-    def cop_levels(self, what: str, offset: int) -> range:
-        """Levels n whose census of [n + offset] fits the cops cap, noting a cut."""
-        last = self.nmax + 1 - offset
-        top = min(last, self.caps.cops - offset)
-        if top < last:
-            self.note(
-                f"{what} checks stop at n={top}: enumerating"
-                f" cyclically ordered partitions of [{self.nmax + 1}] exceeds the cops cap"
-            )
-        return range(1, top + 1)
+    def cop_tables(self, what: str, stat: str, offset: int):
+        """(n, census of [n + offset] by stat) for n = 1 .. nmax + 1 - offset.
+
+        Stops at the first size the census refuses, noting the cut.
+        """
+        for n in range(1, self.nmax + 2 - offset):
+            try:
+                table = oracles.cop_stat_table(n + offset, stat, self.caps)
+            except BoundExceeded as exc:
+                self.note(
+                    f"{what} checks stop at n={n - 1}: enumerating cyclically ordered"
+                    f" partitions of [{self.nmax + 1}] exceeds the {exc.kind} cap"
+                )
+                return
+            yield n, table
 
     def census(self, what: str, identity: str, stat: str, grids: list, key) -> None:
         """Check grid cells against the census of [n + 1] by opener statistic.
@@ -189,21 +200,21 @@ class _Suite:
         ``key(i, j)`` gives the (blocks, value) cell of the census, or None
         for a grid cell that the identity leaves out.
         """
-        for n in self.cop_levels(what, 1):
-            table = oracles.cop_stat_table(n + 1, stat, self.caps)
+        for n, table in self.cop_tables(what, stat, 1):
             for i, j in self.cells():
                 cell = key(i, j)
                 if cell is not None:
                     self.check(identity, (n, i, j), table.get(cell, 0), grids[n][i, j])
 
     def oracle_product(self, s: int, oracle, size: int, key: int) -> int | None:
-        """s times oracle(size)[key], or None above the permutations cap, flagged as a cut."""
+        """s times oracle(size)[key], or None if the oracle refuses size, flagged as a cut."""
         if not s:
             return 0
-        if size > self.caps.permutations:
+        try:
+            return s * oracle(size, self.caps).get(key, 0)
+        except BoundExceeded:
             self.cut = True
             return None
-        return s * oracle(size, self.caps).get(key, 0)
 
     def note_cut(self, text: str) -> None:
         """Note text if an oracle product was cut since the last such note."""
@@ -288,7 +299,7 @@ def suite_t2(
     Stirling times left-peak closed form, agreement with the valley
     recurrence table and with valley counts over partition openers, and
     the row sum.  The valley table itself is validated both against its
-    product form and against brute enumeration.
+    product form and against the opener census by right valleys.
     """
     run = _Suite("T2", nmax, caps, grammar, "g2")
     grids = run.grids("x", IndexMap.identity())
@@ -335,8 +346,7 @@ def suite_t2(
                     u.get((n, k, l), 0),
                 )
     run.note_cut("left-peak product checks above the permutations cap were skipped")
-    for n in run.cop_levels("valley table enumeration", 0):
-        table = oracles.cop_stat_table(n, "right_valleys", run.caps)
+    for n, table in run.cop_tables("valley table enumeration", "right_valleys", 0):
         for k in range(1, n + 1):
             for l in range((k - 1) // 2 + 1):
                 run.check(

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from gramcalc import verifier
+from gramcalc import oracles, verifier
 from gramcalc.config import Caps
 from gramcalc.dsl import builtin_grammar, parse_grammar
 from gramcalc.errors import BoundExceeded
@@ -112,6 +112,44 @@ def test_raised_cops_cap_reaches_the_census():
     assert report.passed
     assert report.checks_run == 2752
     assert report.notes == []
+
+
+def test_zero_cops_cap_stops_every_census_at_n_0():
+    # Each census refuses the first size it asks for, [2] or [1], so no level is checked.
+    cut = ": enumerating cyclically ordered partitions of [3] exceeds the cops cap"
+    t1 = run_suite("T1", 2, caps=Caps(cops=0))
+    assert t1.notes == ["opener-descent census checks stop at n=0" + cut]
+    t2 = run_suite("T2", 2, caps=Caps(cops=0))
+    assert t2.notes[:2] == [
+        "opener-valley census checks stop at n=0" + cut,
+        "valley table enumeration checks stop at n=0" + cut,
+    ]
+    assert t2.notes[2].startswith("informational:")
+    # At nmax 0 the descent census has no level to check, so nothing is cut.
+    assert run_suite("T1", 0, caps=Caps(cops=0)).notes == []
+
+
+def test_the_oracles_own_cap_checks_decide_every_cut(monkeypatch):
+    census, las = oracles.cop_stat_table, oracles.las_counts
+
+    def refusing(real, kind, cap):
+        def oracle(n, *args):
+            if n > cap:
+                raise BoundExceeded(kind, n, cap, "raised by the test")
+            return real(n, *args)
+
+        return oracle
+
+    expected = {
+        name: run_suite(name, 6, caps=Caps(cops=4, permutations=5)).to_json_obj()
+        for name in ("T1", "T3")
+    }
+    monkeypatch.setattr(oracles, "cop_stat_table", refusing(census, "cops", 4))
+    monkeypatch.setattr(oracles, "las_counts", refusing(las, "permutations", 5))
+    for name, report in expected.items():
+        assert run_suite(name, 6).to_json_obj() == report
+    assert any("stop at n=3" in note for note in expected["T1"]["notes"])
+    assert any("above the permutations cap" in note for note in expected["T3"]["notes"])
 
 
 def test_valley_product_shift_note():

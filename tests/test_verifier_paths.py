@@ -1,9 +1,12 @@
 """The verifier does each job one way, read off its source.
 
-Every suite derives through the run object, ``_Suite``, and reaches the
-permutation oracles only through ``_Suite.oracle_product``, which applies
-the permutations cap and flags a cut product.  A second path beside
-either would skip the cap check or the cut flag without failing any
+Every suite derives through the run object, ``_Suite``, reaches the
+permutation oracles only through ``_Suite.oracle_product``, and reaches
+the opener census only through the one ``cop_stat_table`` call inside
+``_Suite``.  The verifier reads no cap itself: a ``caps`` value is only
+passed on or asked to ``check``, so each oracle's own cap check decides
+every cut.  A second path beside either door, or a cap rule copied into
+the verifier, would drift from the oracle's check without failing any
 report test at default caps.
 """
 
@@ -63,3 +66,21 @@ def test_permutation_oracles_are_only_passed_to_oracle_product():
             stray.append((name, node.lineno))
     assert stray == []
     assert passed == PERMUTATION_ORACLES
+
+
+def test_census_has_one_call_site_inside_the_run_object():
+    uses = [
+        (cls, isinstance(parent, ast.Call) and parent.func is node)
+        for name, cls, node, parent in _uses()
+        if name == "cop_stat_table"
+    ]
+    assert uses == [("_Suite", True)]
+
+
+def test_no_cap_field_is_read():
+    read = {
+        (parent.attr, node.lineno)
+        for name, _, node, parent in _uses()
+        if name == "caps" and isinstance(parent, ast.Attribute) and parent.value is node
+    }
+    assert read and {attr for attr, _ in read} == {"check"}, sorted(read)
