@@ -31,7 +31,7 @@ import sys
 
 from . import config, oracles, triangles, verifier
 from .dsl import builtin_grammar, builtin_names, parse_grammar, parse_polynomial
-from .errors import GramcalcError, UnknownLetter, UnknownTriangle
+from .errors import GramcalcError, UnknownTriangle
 from .grammar import Grammar
 from .poly import _read_int
 
@@ -79,11 +79,7 @@ def _cmd_derive(args, caps: config.Caps) -> tuple[str, int]:
     )
     n = _at_least(args, "n", 0)
     caps.check("derive", n)
-    start = parse_polynomial(args.start)
-    for letter in start.letters():
-        if letter not in grammar.letters:
-            raise UnknownLetter(letter, "not in the grammar")
-    p = grammar.derive_n(start, n)
+    p = grammar.derive_n(parse_polynomial(args.start), n)
     if args.format == "json":
         return _json_text(p.to_json_obj()), 0
     if args.format == "csv":
@@ -163,8 +159,7 @@ def _cmd_cops(args, caps: config.Caps) -> tuple[str, int]:
 def _cmd_stats(args, caps: config.Caps) -> tuple[str, int]:
     """opener statistic distribution over partitions"""
     n = _at_least(args, "n", 1)
-    table = oracles.cop_stat_table(n, args.stat, caps)
-    items = sorted(table.items())
+    items = oracles.cop_stat_table(n, args.stat, caps).items()
     if args.format == "json":
         payload = {
             "n": n,

@@ -137,14 +137,15 @@ class _Parser:
     # Expression grammar.
 
     def expr(self) -> Polynomial:
-        p = -self.term() if self.accept("-") else self.term()
+        # One sum of all the terms, so the result is put in print order once.
+        parts = [-self.term() if self.accept("-") else self.term()]
         while True:
             if self.accept("+"):
-                p = p + self.term()
+                parts.append(self.term())
             elif self.accept("-"):
-                p = p - self.term()
+                parts.append(-self.term())
             else:
-                return p
+                return Polynomial.sum_of(parts)
 
     def term(self) -> Polynomial:
         p = self.factor()

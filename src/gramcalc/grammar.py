@@ -19,7 +19,8 @@ key delta, a rule coefficient and a weight word with one bit per letter
 whose rule reaches that delta with that coefficient; a step reads each
 term's multiplier for an entry as one field of key * weights, a sum of
 exponents of distinct letters that the degree bound keeps inside one
-slot.  Every level past the start lists its terms in print order.
+slot.  The unknown-letter check runs at every depth, 0 included, and
+every level lists its terms in print order, as every polynomial does.
 """
 
 from __future__ import annotations
@@ -108,20 +109,22 @@ class Grammar:
 
     def derive_n(self, p: Polynomial, n: int) -> Polynomial:
         """n-fold derivative, keeping only the final level."""
-        if not poly._exact(n, "derivative depth", 0):
+        packing = _Packing(self, p, poly._exact(n, "derivative depth", 0))
+        if not n:
             return p
-        packing = _Packing(self, p, n)
         terms = packing.pack(p)
         for _ in range(n):
             terms = packing.step(terms)
         return packing.unpack(terms)
 
     def derive_levels(self, p: Polynomial, nmax: int) -> list[Polynomial]:
-        """All levels 0..nmax of the iterated derivative; level 0 is p itself."""
+        """All levels 0..nmax of the iterated derivative; level 0 is p itself.
+
+        A letter of p with no rule and no const declaration raises
+        UnknownLetter at every depth, 0 included.
+        """
+        packing = _Packing(self, p, poly._exact(nmax, "derivative depth", 0))
         levels = [p]
-        if not poly._exact(nmax, "derivative depth", 0):
-            return levels
-        packing = _Packing(self, p, nmax)
         terms = packing.pack(p)
         for _ in range(nmax):
             terms = packing.step(terms)
@@ -160,10 +163,9 @@ class _Packing(poly._Packing):
 
     def __init__(self, grammar: Grammar, p: Polynomial, n: int):
         rules = grammar._rules
-        for mono in p._terms:
-            for letter, _ in mono:
-                if letter not in rules and letter not in grammar._constants:
-                    raise UnknownLetter(letter, "cannot derive")
+        for letter in p.letters():
+            if letter not in rules and letter not in grammar._constants:
+                raise UnknownLetter(letter, "cannot derive")
         growth = max(
             (mono_degree(m) - 1 for rhs in rules.values() for m in rhs._terms),
             default=0,
@@ -315,8 +317,7 @@ def extract_coeffs(p: Polynomial, index_map: IndexMap) -> dict[tuple[int, int], 
 
     Every monomial of p must fit the index map's exponent pattern;
     violations raise instead of being dropped, naming the first offending
-    monomial in p's term order, which for a derive level n >= 1 is the
-    print order.  No zero entries are stored.
+    monomial in print order.  No zero entries are stored.
     """
     out: dict[tuple[int, int], int] = {}
     for mono, coeff in p.terms().items():

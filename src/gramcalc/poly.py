@@ -16,8 +16,12 @@ ascending lexicographic order of that vector.  ``str(p)`` writes explicit
 Products run on packed keys (``_Packing``): each letter's exponent sits
 in a fixed bit slot of one int, so multiplying two monomials is one
 integer add.  The alphabetically first letter owns the highest slot, so
-ascending key order is the print order, and every product lists its terms
-in print order.  The derive kernel in ``grammar`` builds on the same class.
+ascending key order is the print order.  Every polynomial lists its terms
+in print order: ``_Packing.unpack`` is the one place terms are sorted,
+and products, ``from_terms`` and sums all finish through it.  A sum of
+many parts, such as a parsed expression, is one ``sum_of`` call, so its
+terms are ordered once.  The derive kernel in ``grammar`` builds on the
+same class.
 """
 
 from __future__ import annotations
@@ -154,10 +158,29 @@ class Polynomial:
 
     @classmethod
     def _raw(cls, terms: dict[Monomial, int]) -> "Polynomial":
-        # Trusted fast path: terms must already be canonical and zero-free.
+        # Trusted fast path: terms must already be canonical, zero-free and
+        # in print order.
         p = cls.__new__(cls)
         p._terms = terms
         return p
+
+    @classmethod
+    def _summed(cls, pairs: Iterable[tuple[Monomial, int]]) -> "Polynomial":
+        """Sum of canonical (monomial, coefficient) pairs, put in print order once.
+
+        The terms go through the ``_Packing`` pack/``unpack`` round trip,
+        so ``unpack`` is the one place they are sorted.
+        """
+        acc: dict[Monomial, int] = {}
+        for mono, coeff in pairs:
+            c = acc.get(mono, 0) + coeff
+            if c:
+                acc[mono] = c
+            elif mono in acc:
+                del acc[mono]
+        p = cls._raw(acc)
+        packing = _Packing(p.letters(), p.degree())
+        return packing.unpack(packing.pack(p))
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -187,15 +210,14 @@ class Polynomial:
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[Mapping[str, int], int]]) -> "Polynomial":
         """Sum of (exponents, coefficient) terms, canonicalised; the one checked path."""
-        acc: dict[Monomial, int] = {}
-        for exps, coeff in terms:
-            key = mono_from_exps(exps)
-            c = acc.get(key, 0) + _exact(coeff, "coefficient")
-            if c:
-                acc[key] = c
-            elif key in acc:
-                del acc[key]
-        return cls._raw(acc)
+        return Polynomial._summed(
+            (mono_from_exps(exps), _exact(coeff, "coefficient")) for exps, coeff in terms
+        )
+
+    @classmethod
+    def sum_of(cls, parts: Iterable["Polynomial"]) -> "Polynomial":
+        """Sum of polynomials, ordered once however many there are."""
+        return Polynomial._summed(item for part in parts for item in part._terms.items())
 
     def terms(self) -> dict[Monomial, int]:
         """Copy of the underlying monomial-to-coefficient map."""
@@ -210,12 +232,8 @@ class Polynomial:
         return tuple(sorted(seen))
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        """Terms in the canonical print order (ascending exponent-vector lex)."""
-        axes = self.letters()
-        def key(item: tuple[Monomial, int]):
-            exps = dict(item[0])
-            return tuple(exps.get(a, 0) for a in axes)
-        return sorted(self._terms.items(), key=key)
+        """The (monomial, coefficient) terms as a list, in print order."""
+        return list(self._terms.items())
 
     def coefficient(self, exps: Mapping[str, int] | Monomial) -> int:
         """Coefficient of the given monomial, 0 when absent."""
@@ -252,14 +270,7 @@ class Polynomial:
             other = Polynomial.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            c = out.get(mono, 0) + coeff
-            if c:
-                out[mono] = c
-            elif mono in out:
-                del out[mono]
-        return Polynomial._raw(out)
+        return Polynomial.sum_of((self, other))
 
     __radd__ = __add__
 
@@ -310,7 +321,7 @@ class Polynomial:
 
     def _format(self, explicit_mul: bool) -> str:
         parts: list[str] = []
-        for idx, (mono, coeff) in enumerate(self.sorted_terms()):
+        for idx, (mono, coeff) in enumerate(self._terms.items()):
             body = _term_text(abs(coeff), mono, explicit_mul)
             if idx == 0:
                 parts.append(body if coeff > 0 else "-" + body)
@@ -331,6 +342,6 @@ class Polynomial:
     def to_json_obj(self) -> list[dict]:
         """JSON-ready list of terms; coefficients as decimal strings."""
         out = []
-        for mono, coeff in self.sorted_terms():
+        for mono, coeff in self._terms.items():
             out.append({"exponents": {l: e for l, e in mono}, "coeff": str(coeff)})
         return out

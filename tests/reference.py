@@ -4,8 +4,10 @@ Polynomial multiplication and the derive kernel run on Kronecker-packed
 int keys.  Their references merge sorted (letter, exponent) tuples
 instead, and list terms in the order they are first reached; the
 differential tests compare the fast path's exact term list with the
-reference's terms in print order, since products and derive levels list
-their terms in that order.
+reference's terms in print order, since every polynomial lists its terms
+in that order.  ``print_order`` computes that order with its own sort key,
+not from the packed keys that ``poly`` sorts by, so the order tests do not
+compare the code with itself.
 
 The canonical cop order and the ``cops`` text lines have references too:
 one key-sorted list, and every block rendered afresh on every line.
@@ -99,17 +101,33 @@ def reference_derive(grammar: Grammar, p: Polynomial) -> Polynomial:
 
 
 def reference_levels(grammar: Grammar, p: Polynomial, nmax: int) -> list[Polynomial]:
+    """Levels 0..nmax; a letter of p that the grammar does not know is
+    refused at every depth, 0 included, the alphabetically first named."""
+    for letter in p.letters():
+        if letter not in grammar.letters:
+            raise UnknownLetter(letter, "cannot derive")
     levels = [p]
     for _ in range(nmax):
         levels.append(reference_derive(grammar, levels[-1]))
     return levels
 
 
+def print_order(p: Polynomial) -> list[tuple[Monomial, int]]:
+    """p's terms by ascending exponent vector over its sorted letters."""
+    axes = p.letters()
+
+    def key(item: tuple[Monomial, int]) -> tuple[int, ...]:
+        exps = dict(item[0])
+        return tuple(exps.get(a, 0) for a in axes)
+
+    return sorted(p.terms().items(), key=key)
+
+
 def assert_same_terms(actual: Polynomial, expected: Polynomial) -> None:
-    # Lists, not dicts: products and derive levels hold their terms in
-    # print order, and extract_coeffs reports the first bad monomial in
-    # term order, so the order is part of the contract.
-    assert list(actual.terms().items()) == expected.sorted_terms()
+    # Lists, not dicts: every polynomial holds its terms in print order,
+    # and extract_coeffs reports the first bad monomial in term order, so
+    # the order is part of the contract.
+    assert list(actual.terms().items()) == print_order(expected)
 
 
 def reference_cops(n: int) -> list[Cop]:

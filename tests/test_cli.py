@@ -233,6 +233,12 @@ def test_derive_unknown_start_letter(capsys):
     )
     assert code == 2
     assert "unknown letter 'z'" in err
+    code, out, err = run_cli(
+        capsys, "derive", "--builtin", "g1", "--start", "q", "--n", "0"
+    )
+    assert code == 2
+    assert out == ""
+    assert "unknown letter 'q'" in err
 
 
 def test_derive_checks_start_letters_after_a_large_power(capsys):

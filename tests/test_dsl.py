@@ -5,6 +5,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
+from gramcalc import poly
 from gramcalc.dsl import (
     BUILTIN_SOURCES,
     MAX_NESTING,
@@ -38,6 +39,25 @@ def test_caret_binds_tighter_than_star():
 
 def test_whitespace_and_newlines():
     assert parse_polynomial(" x\n + \n y ") == x + y
+
+
+def test_a_printed_level_parses_back_in_print_order():
+    level = builtin_grammar("g1").derive_n(x, 12)
+    back = parse_polynomial(str(level))
+    assert back == level
+    assert list(back.terms().items()) == list(level.terms().items())
+
+
+def test_a_sum_of_terms_is_ordered_once(monkeypatch):
+    # A k-term sum is one pack/unpack round trip, not k growing ones.
+    calls = []
+    unpack = poly._Packing.unpack
+    monkeypatch.setattr(poly._Packing, "unpack", lambda *a: calls.append(1) or unpack(*a))
+    letters = [f"a{i}" for i in range(40)]
+    p = parse_polynomial(" - ".join(reversed(letters)))
+    assert len(calls) == 1
+    assert p.letters() == tuple(sorted(letters))
+    assert p.coeff_sum() == 1 - 39
 
 
 @pytest.mark.parametrize(

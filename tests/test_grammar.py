@@ -11,7 +11,7 @@ from gramcalc.grammar import Grammar, IndexMap, _Packing, extract_coeffs
 from gramcalc.poly import Polynomial, mono_text
 from gramcalc.triangles import eulerian, stirling2
 
-from reference import assert_same_terms, reference_derive, reference_levels
+from reference import assert_same_terms, print_order, reference_derive, reference_levels
 
 x = Polynomial.letter("x")
 y = Polynomial.letter("y")
@@ -189,7 +189,7 @@ def _grammar_and_start(draw):
 
     Rule terms have degree 0, 1 or 3 and coefficients of either sign, so
     terms cancel and come back.  The start may use the undeclared letter
-    q, which only derive_n(p, 0) accepts.
+    q, which every depth refuses.
     """
     known = draw(st.lists(st.sampled_from("abxy"), min_size=1, unique=True))
     ruled = draw(st.lists(st.sampled_from(known), unique=True))
@@ -330,13 +330,15 @@ def test_zero_polynomial_derives_to_zero():
     assert g.derive_levels(zero, 2) == [zero, zero, zero]
 
 
-def test_depth_zero_accepts_an_unknown_letter():
+def test_depth_zero_refuses_an_unknown_letter():
     g = parse_grammar("x -> x*y; y -> y")
     q = Polynomial.letter("q")
-    assert g.derive_n(q, 0) is q
-    assert g.derive_levels(q, 0) == [q]
-    with pytest.raises(UnknownLetter, match="'q'"):
-        g.derive_n(x + q, 1)
+    for call in (g.derive_n, g.derive_levels):
+        for p, n in ((q, 0), (x + q, 0), (x + q, 1)):
+            with pytest.raises(UnknownLetter, match="'q'"):
+                call(p, n)
+    assert g.derive_n(x, 0) is x
+    assert g.derive_levels(x, 0)[0] is x
 
 
 @pytest.mark.parametrize("name", builtin_names())
@@ -352,22 +354,22 @@ def test_builtins_match_reference_from_mixed_starts(name, data):
     assert_same_terms(g.derive_n(p, n), expected[-1])
 
 
-@given(_grammar_and_start(), st.integers(min_value=1, max_value=4))
+@given(_grammar_and_start(), st.integers(min_value=0, max_value=4))
 def test_derive_levels_are_in_print_order(case, n):
     grammar, p = case
     try:
         levels = grammar.derive_levels(p, n)
     except UnknownLetter:
         return
-    for level in levels[1:] + [grammar.derive_n(p, n)]:
-        assert list(level.terms()) == [m for m, _ in level.sorted_terms()]
+    for level in levels + [grammar.derive_n(p, n)]:
+        assert list(level.terms().items()) == print_order(level)
 
 
 def test_extract_names_the_first_bad_monomial_in_print_order():
     # Every monomial of g6's D^3(x) carrying z breaks an x, y index map;
     # the error names the first of them in print order.
     level = builtin_grammar("g6").derive_n(x, 3)
-    bad = [m for m, _ in level.sorted_terms() if dict(m).get("z")]
+    bad = [m for m, _ in print_order(level) if dict(m).get("z")]
     assert len(bad) > 1
     with pytest.raises(PatternViolation) as caught:
         extract_coeffs(level, IndexMap.identity("x", "y"))

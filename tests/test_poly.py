@@ -5,9 +5,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from gramcalc.dsl import parse_polynomial
 from gramcalc.poly import CONST_MONO, Polynomial, mono_degree, mono_from_exps
 
-from reference import assert_same_terms, mono_mul, reference_mul, reference_pow
+from reference import assert_same_terms, mono_mul, print_order, reference_mul, reference_pow
 
 x = Polynomial.letter("x")
 y = Polynomial.letter("y")
@@ -195,7 +196,25 @@ def test_product_matches_tuple_reference(p, q, r):
 @given(_polys(), _polys(), _polys("ab"))
 def test_products_are_in_print_order(p, q, r):
     for product in (p * q, p * r, q * q):
-        assert list(product.terms()) == [m for m, _ in product.sorted_terms()]
+        assert list(product.terms().items()) == print_order(product)
+
+
+@given(_polys(), _polys(), st.integers(-3, 3), st.integers(0, 3), st.data())
+def test_every_result_is_in_print_order(p, q, k, e, data):
+    # The checked constructors read p's terms in a shuffled order.
+    shuffled = data.draw(st.permutations(list(p.terms().items())))
+    text = " + ".join(f"({Polynomial._raw({m: c})})" for m, c in shuffled) or "0"
+    built = [
+        parse_polynomial(text),
+        Polynomial.from_terms((dict(m), c) for m, c in shuffled),
+        Polynomial(dict(shuffled)),
+    ]
+    assert built == [p, p, p]
+    results = [*built, p + q, p + k, k + p, p - q, p - k, k - p, -p, k * p, p * k, p * q, p**e]
+    results.append(Polynomial.sum_of([q, p, -q, p]))
+    assert results[-1] == p + p
+    for result in results:
+        assert list(result.terms().items()) == print_order(result)
 
 
 @given(_polys(), st.integers(0, 5))
