@@ -61,7 +61,7 @@ def _at_least(args, flag: str, least: int) -> int:
 def _grammar_from_source(src: str) -> Grammar:
     """Parse a grammar from inline DSL text or from a file path."""
     if os.path.exists(src):
-        with open(src, encoding="utf-8") as fh:
+        with open(src, encoding="utf-8-sig") as fh:
             return parse_grammar(fh.read())
     if "->" in src:
         return parse_grammar(src)

@@ -91,7 +91,7 @@ def load_caps(path: str | None = None, environ=None) -> Caps:
     """Build a Caps value from defaults, an optional file, and the environment."""
     values = dataclasses.asdict(Caps())
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 text = line.split("#", 1)[0].strip()
                 if not text:

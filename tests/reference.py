@@ -12,12 +12,14 @@ compare the code with itself.
 The canonical cop order and the ``cops`` text lines have references too:
 one key-sorted list, and every block rendered afresh on every line.
 
-The statistic distributions are counted by a prefix-state tally.  Their
-references score every permutation, and every cop's opener list, one by
-one.
+The list statistics have references read straight off their definitions,
+and the perfect matchings one by tuple-slicing recursion.  The statistic
+distributions are counted by a prefix-state tally.  Their references
+score every permutation, and every cop's opener list, one by one.
 """
 
 import itertools
+import math
 from collections import Counter
 
 from gramcalc.errors import UnknownLetter
@@ -167,3 +169,56 @@ def reference_census(n: int, fn) -> dict[tuple[int, int], int]:
             key = (k, fn((1,) + rest))
             counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def reference_descents(w):
+    return sum(1 for i in range(len(w) - 1) if w[i] > w[i + 1])
+
+
+def reference_left_peaks(w):
+    count = 0
+    for i in range(len(w) - 1):
+        prev = w[i - 1] if i > 0 else 0
+        if prev < w[i] > w[i + 1]:
+            count += 1
+    return count
+
+
+def reference_right_valleys(w):
+    count = 0
+    n = len(w)
+    for i in range(1, n):
+        nxt = w[i + 1] if i + 1 < n else math.inf
+        if w[i - 1] > w[i] < nxt:
+            count += 1
+    return count
+
+
+def reference_las(w):
+    """Quadratic DP over end positions: best odd and even lengths ending at each entry."""
+    n = len(w)
+    best_odd = [1] * n
+    best_even = [0] * n
+    for j in range(n):
+        for i in range(j):
+            if w[i] > w[j] and best_odd[i] + 1 > best_even[j]:
+                best_even[j] = best_odd[i] + 1
+            if w[i] < w[j] and best_even[i] + 1 > best_odd[j]:
+                best_odd[j] = best_even[i] + 1
+    return max(max(best_odd), max(best_even))
+
+
+def reference_matchings(n):
+    """Perfect matchings of [2n] by tuple-slicing recursion."""
+
+    def gen(elems):
+        if not elems:
+            yield ()
+            return
+        first = elems[0]
+        for idx in range(1, len(elems)):
+            rest = elems[1:idx] + elems[idx + 1 :]
+            for sub in gen(rest):
+                yield ((first, elems[idx]),) + sub
+
+    return gen(tuple(range(1, 2 * n + 1)))

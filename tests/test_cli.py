@@ -212,6 +212,14 @@ def test_derive_grammar_file(capsys, tmp_path):
     assert (code2, out) == (0, builtin_out)
 
 
+def test_derive_grammar_file_with_byte_order_mark(capsys, tmp_path):
+    path = tmp_path / "rules.txt"
+    path.write_text("\ufeffx -> x + x*y;\ny -> y + x*y\n", encoding="utf-8")
+    assert run_cli(capsys, "derive", "--grammar", str(path), "--n", "3") == run_cli(
+        capsys, "derive", "--builtin", "g1", "--n", "3"
+    )
+
+
 def test_derive_missing_grammar_file(capsys):
     code, _, err = run_cli(capsys, "derive", "--grammar", "/no/such/file", "--n", "1")
     assert code == 2

@@ -43,6 +43,12 @@ def test_load_caps_from_file(tmp_path):
     assert caps.cops == 8
 
 
+def test_load_caps_from_file_with_byte_order_mark(tmp_path):
+    path = tmp_path / "caps.cfg"
+    path.write_text("\ufeffcops = 9\n", encoding="utf-8")
+    assert config.load_caps(str(path), environ={}).cops == 9
+
+
 def test_environment_beats_file(tmp_path):
     path = tmp_path / "caps.cfg"
     path.write_text("permutations = 11\n")

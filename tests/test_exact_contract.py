@@ -11,30 +11,19 @@ import gramcalc
 from gramcalc import cli, config, triangles
 from gramcalc.dsl import parse_polynomial
 from gramcalc.errors import GramcalcError, ParseError, UnknownTriangle
+from source_tree import name, tree, walk
 
 # The one function that calls int(): it first checks its text is ASCII digits.
 CHECKED_DIGIT_READERS = {("poly", "_read_int")}
 
 
-def int_calls(path: pathlib.Path) -> list[tuple[str, str | None, int]]:
-    """(module, innermost enclosing function, line) of each int(...) call in path."""
-    found = []
-
-    def visit(node: ast.AST, function: str | None) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            if (
-                isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Name)
-                and child.func.id == "int"
-            ):
-                found.append((path.stem, function, child.lineno))
-            visit(child, function)
-
-    visit(ast.parse(path.read_text(encoding="utf-8")), None)
-    return found
+def int_calls(path: pathlib.Path) -> list[tuple[str, str, int]]:
+    """(module, innermost enclosing class or function, line) of each int(...) call in path."""
+    return [
+        (path.stem, scope.rpartition(".")[2], node.lineno)
+        for node, _, scope in walk(tree(path))
+        if isinstance(node, ast.Call) and name(node.func) == "int"
+    ]
 
 
 def test_int_is_called_only_on_checked_digits():

@@ -9,41 +9,29 @@ and would still pass every count test at default caps.
 """
 
 import ast
-import pathlib
 
 from gramcalc import oracles
+from source_tree import name, tree, walk
 
 LISTINGS = {"_set_partitions", "enumerate_cops", "permutations"}
 
 
-def _name(node: ast.AST) -> str | None:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
-
-def _functions() -> dict[str, ast.FunctionDef]:
-    source = pathlib.Path(oracles.__file__).read_text(encoding="utf-8")
-    return {
-        node.name: node
-        for node in ast.parse(source).body
-        if isinstance(node, ast.FunctionDef)
-    }
-
-
-def _names(fn: ast.FunctionDef) -> set[str]:
-    return {name for node in ast.walk(fn) if (name := _name(node)) is not None}
+def _names() -> dict[str, set[str]]:
+    """Top-level class or function of oracles.py ('' for module level) -> the names used in it."""
+    found: dict[str, set[str]] = {}
+    for node, _, scope in walk(tree(oracles)):
+        used = found.setdefault(scope.partition(".")[0], set())
+        if name(node) is not None:
+            used.add(name(node))
+    return found
 
 
 def test_subset_memo_is_used_only_by_tally():
-    users = {name for name, fn in _functions().items() if "_subset_memo" in _names(fn)}
+    users = {function for function, used in _names().items() if "_subset_memo" in used}
     calls = [
-        fn.name
-        for fn in _functions().values()
-        for node in ast.walk(fn)
-        if isinstance(node, ast.Call) and _name(node.func) == "_subset_memo"
+        scope.partition(".")[0]
+        for node, _, scope in walk(tree(oracles))
+        if isinstance(node, ast.Call) and name(node.func) == "_subset_memo"
     ]
     assert users == {"_tally"}
     assert calls == ["_tally"]
@@ -52,13 +40,13 @@ def test_subset_memo_is_used_only_by_tally():
 def test_census_never_lists_cops():
     # Everything cop_stat_table reaches through the module's own
     # functions, itself included, must stay clear of the listings.
-    functions = _functions()
+    names = _names()
     reached, todo = set(), ["cop_stat_table"]
     while todo:
-        name = todo.pop()
-        if name not in reached:
-            reached.add(name)
-            todo.extend(_names(functions[name]) & functions.keys())
+        function = todo.pop()
+        if function not in reached:
+            reached.add(function)
+            todo.extend(names[function] & names.keys())
     assert {"_minima_walk", "_tally"} <= reached
-    for name in reached:
-        assert not _names(functions[name]) & LISTINGS, name
+    for function in reached:
+        assert not names[function] & LISTINGS, function

@@ -35,66 +35,23 @@ from gramcalc.oracles import (
 )
 from gramcalc.triangles import stirling2
 
-from reference import reference_census, reference_cops, reference_perm_counts, reference_tally
+from reference import (
+    reference_census,
+    reference_cops,
+    reference_descents,
+    reference_las,
+    reference_left_peaks,
+    reference_matchings,
+    reference_perm_counts,
+    reference_right_valleys,
+    reference_tally,
+)
+from source_tree import tree, walk
 
 
 # ---------------------------------------------------------------------------
-# Reference implementations of the fast paths, read straight off the
-# definitions, and the differential tests against them.
-
-
-def reference_descents(w):
-    return sum(1 for i in range(len(w) - 1) if w[i] > w[i + 1])
-
-
-def reference_left_peaks(w):
-    count = 0
-    for i in range(len(w) - 1):
-        prev = w[i - 1] if i > 0 else 0
-        if prev < w[i] > w[i + 1]:
-            count += 1
-    return count
-
-
-def reference_right_valleys(w):
-    count = 0
-    n = len(w)
-    for i in range(1, n):
-        nxt = w[i + 1] if i + 1 < n else math.inf
-        if w[i - 1] > w[i] < nxt:
-            count += 1
-    return count
-
-
-def reference_las(w):
-    """Quadratic DP over end positions: best odd and even lengths ending at each entry."""
-    n = len(w)
-    best_odd = [1] * n
-    best_even = [0] * n
-    for j in range(n):
-        for i in range(j):
-            if w[i] > w[j] and best_odd[i] + 1 > best_even[j]:
-                best_even[j] = best_odd[i] + 1
-            if w[i] < w[j] and best_even[i] + 1 > best_odd[j]:
-                best_odd[j] = best_even[i] + 1
-    return max(max(best_odd), max(best_even))
-
-
-def reference_matchings(n):
-    """Perfect matchings of [2n] by tuple-slicing recursion."""
-
-    def gen(elems):
-        if not elems:
-            yield ()
-            return
-        first = elems[0]
-        for idx in range(1, len(elems)):
-            rest = elems[1:idx] + elems[idx + 1 :]
-            for sub in gen(rest):
-                yield ((first, elems[idx]),) + sub
-
-    return gen(tuple(range(1, 2 * n + 1)))
-
+# Differential tests of the fast paths against the references in
+# reference.py, read straight off the definitions.
 
 STAT_REFERENCES = (
     (descents, reference_descents),
@@ -135,11 +92,7 @@ def test_enumerate_matchings_matches_reference_order():
 
 @pytest.mark.parametrize("stat", stat_names())
 def test_cop_stat_table_matches_cop_tally(stat):
-    fn = {
-        "descents": reference_descents,
-        "right_valleys": reference_right_valleys,
-        "las": reference_las,
-    }[stat]
+    fn = {fast.__name__: reference for fast, reference in STAT_REFERENCES}[stat]
     for n in range(1, 9):
         tally = {}
         for cop in enumerate_cops(n):
@@ -546,7 +499,7 @@ def test_distribution_tables(capsys):
 def package_imports(path: pathlib.Path) -> set[str]:
     """The gramcalc modules that the source file at path imports."""
     found = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node, _, _ in walk(tree(path)):
         if isinstance(node, ast.ImportFrom):
             parts = (node.module or "").split(".")
             if node.level == 0:

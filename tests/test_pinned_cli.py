@@ -1,35 +1,53 @@
-"""Command line bytes pinned by digest.
+"""Command line bytes pinned by digest, for every subcommand in every format.
 
 Each case runs ``gramcalc`` in-process with one argument list and reduces
 the run to one string: the exit code, then the sha256 of stdout, then the
-sha256 of stderr.  The cases are the ones no other pinned digest guards:
-``derive`` for every builtin grammar in every format, ``verify`` on the
-mutant grammars of ``test_pinned_reports.py`` (failing reports, with
-their summary, note and first-failure lines, and the mutants the suites
-refuse), and ``verify all``.  The expected strings in ``pinned_cli.json``
-were taken from commit ee031ba, before the subcommands shared one parser
-table and one output step.  Regenerate them only for an intended change
-of output, with ``python tests/test_pinned_cli.py`` run against the code
-whose output should become the reference.
+sha256 of stderr.  ``pinned_cli.json`` holds that string for each case.
+Each family was first pinned at the commit named here, so any change in
+its output since then shows up as a failing case:
+
+- ``derive`` for every builtin grammar in every format, ``verify`` on the
+  mutant grammars of ``test_pinned_reports.py`` (failing reports, with
+  their summary, note and first-failure lines, and the mutants the suites
+  refuse), and ``verify all``: commit ee031ba, before the subcommands
+  shared one parser table and one output step;
+- ``cops``: commit 0a9f3e0, which sorted the whole list on one key and
+  rendered every block on every line, and ``cops --n 8 --format json``
+  at commit bfd049b, which ran ``json.dumps`` on the whole list;
+- ``stats``: commit e979065, whose census read the full sorted list of
+  cyclically ordered partitions;
+- ``triangle``: commit 3450708, whose tables kept a sparse dict of
+  nonzero entries plus per-row bounds.
+
+The ``cops``, ``stats`` and ``triangle`` digests were first taken of
+stdout alone, with exit 0 asserted, and were carried over with exit 0
+and an empty stderr.  Regenerate the file only for an intended change of
+output, with ``python tests/test_pinned_cli.py > tests/pinned_cli.json``
+run against the code whose output should become the reference; then
+``git diff tests/pinned_cli.json`` lists every case whose bytes changed.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
-import hashlib
 import io
 import json
 import pathlib
 import sys
-from functools import lru_cache
 
 import pytest
 
-from gramcalc.cli import main
+from gramcalc.cli import build_parser, main
 from gramcalc.dsl import builtin_names
-from test_pinned_reports import MUTANTS
+from test_pinned_reports import MUTANTS, load, sha
 
-PINNED = pathlib.Path(__file__).with_name("pinned_cli.json")
+HERE = pathlib.Path(__file__).parent
+PINNED = HERE / "pinned_cli.json"
+BENCH_EXPECTED = HERE.parent / "perfbench" / "expected.json"
+
+TRIANGLES = ("stirling2", "eulerian", "type_b_eulerian", "matching", "whitney:1", "whitney:2")
+ORACLE_TRIANGLES = ("left_peak", "las")
 
 CASES = (
     [
@@ -45,6 +63,21 @@ CASES = (
         for fmt in ("text", "json")
     ]
     + [("verify", "all", "--format", fmt) for fmt in ("text", "json")]
+    + [("cops", "--n", str(n), "--format", fmt) for fmt in ("text", "json") for n in range(1, 9)]
+    # cops offers csv and refuses it.
+    + [("cops", "--n", "2", "--format", "csv")]
+    + [
+        ("stats", "--n", str(n), "--stat", stat, "--format", fmt)
+        for stat in ("descents", "right_valleys", "las")
+        for fmt in ("text", "csv", "json")
+        for n in range(1, 9)
+    ]
+    + [
+        ("triangle", name, "--nmax", str(nmax), "--format", fmt)
+        for name in TRIANGLES + ORACLE_TRIANGLES
+        for nmax in (0, 1, 9)
+        for fmt in ("text", "csv", "json")
+    ]
 )
 
 
@@ -52,30 +85,39 @@ def case_id(case: tuple[str, ...]) -> str:
     return " ".join(case)
 
 
-def _sha(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def outcome(case: tuple[str, ...]) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(case))
-    return f"{code} {_sha(out.getvalue())} {_sha(err.getvalue())}"
-
-
-@lru_cache(maxsize=None)
-def _load() -> dict[str, str]:
-    with open(PINNED, encoding="utf-8") as fh:
-        return json.load(fh)
+    return f"{code} {sha(out.getvalue())} {sha(err.getvalue())}"
 
 
 def test_matrix_matches_pinned_cases():
-    assert sorted(case_id(c) for c in CASES) == sorted(_load())
+    assert sorted(case_id(c) for c in CASES) == sorted(load(PINNED))
+
+
+def test_every_subcommand_is_pinned_in_every_format():
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    offered = {
+        (command, fmt)
+        for command, parser in commands.choices.items()
+        for action in parser._actions
+        if action.dest == "format"
+        for fmt in action.choices
+    }
+    pinned = {(case[0], case[case.index("--format") + 1]) for case in CASES}
+    assert sorted(offered - pinned) == []
+
+
+def test_largest_text_case_is_the_benchmark_digest():
+    with open(BENCH_EXPECTED, encoding="utf-8") as fh:
+        stdout = json.load(fh)["cops --n 8"]
+    assert load(PINNED)["cops --n 8 --format text"] == f"0 {stdout} {sha('')}"
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_cli_output_matches_pinned(case):
-    assert outcome(case) == _load()[case_id(case)]
+    assert outcome(case) == load(PINNED)[case_id(case)]
 
 
 if __name__ == "__main__":

@@ -112,29 +112,33 @@ def outcome(suite: str, nmax: int, caps: str, src: str | None) -> str:
         report = run_suite(suite, nmax, grammar, CAPS[caps])
     except (GramcalcError, ValueError) as exc:
         return f"{type(exc).__name__}: {exc}"
-    text = json.dumps(report.to_json_obj(), sort_keys=True)
+    return sha(json.dumps(report.to_json_obj(), sort_keys=True))
+
+
+def sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @lru_cache(maxsize=None)
-def _load() -> dict[str, str]:
-    with open(PINNED, encoding="utf-8") as fh:
+def load(path: pathlib.Path) -> dict[str, str]:
+    """The pinned strings in the JSON file at path, by case id."""
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
 def test_matrix_matches_pinned_cases():
-    assert sorted(case_id(c) for c in CASES) == sorted(_load())
+    assert sorted(case_id(c) for c in CASES) == sorted(load(PINNED))
 
 
 def test_matrix_fires_every_outcome_kind():
-    pinned = _load()
+    pinned = load(PINNED)
     assert any(v.startswith("PatternViolation: ") for v in pinned.values())
     assert any(v.startswith("UnknownLetter: ") for v in pinned.values())
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_report_matches_pinned(case):
-    assert outcome(*case) == _load()[case_id(case)]
+    assert outcome(*case) == load(PINNED)[case_id(case)]
 
 
 if __name__ == "__main__":
