@@ -1,74 +1,57 @@
 """Exact formal-derivative calculus on polynomial substitution rules,
 with combinatorial count triangles, brute-force enumeration oracles, and
 identity verification suites tying them together.
+
+The exports below are loaded on first use (PEP 562), so importing one
+module, such as ``gramcalc.cli``, loads only what that module imports.
 """
 
-from .config import Caps, load_caps
-from .dsl import builtin_grammar, builtin_names, parse_grammar, parse_polynomial
-from .errors import (
-    BoundExceeded,
-    DuplicateRule,
-    EmptyList,
-    GramcalcError,
-    InternalMismatch,
-    ParseError,
-    PatternViolation,
-    UnknownLetter,
-    UnknownTriangle,
-)
-from .grammar import Grammar, IndexMap, extract_coeffs
-from .poly import Polynomial
-from .triangles import (
-    TriangleTable,
-    binomial,
-    build_table,
-    eulerian,
-    factorial,
-    make_table,
-    matching_count,
-    stirling2,
-    triangle_names,
-    type_b_eulerian,
-    whitney,
-)
-from .verifier import CheckReport, Failure, run_all, run_suite
+import importlib
+
+# Home module of each export.
+_EXPORTS = {
+    "config": ("Caps", "load_caps"),
+    "dsl": ("builtin_grammar", "builtin_names", "parse_grammar", "parse_polynomial"),
+    "errors": (
+        "BoundExceeded",
+        "DuplicateRule",
+        "EmptyList",
+        "GramcalcError",
+        "InternalMismatch",
+        "ParseError",
+        "PatternViolation",
+        "UnknownLetter",
+        "UnknownTriangle",
+    ),
+    "grammar": ("Grammar", "IndexMap", "extract_coeffs"),
+    "poly": ("Polynomial",),
+    "triangles": (
+        "TriangleTable",
+        "binomial",
+        "build_table",
+        "eulerian",
+        "factorial",
+        "make_table",
+        "matching_count",
+        "stirling2",
+        "triangle_names",
+        "type_b_eulerian",
+        "whitney",
+    ),
+    "verifier": ("CheckReport", "Failure", "run_all", "run_suite"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundExceeded",
-    "Caps",
-    "CheckReport",
-    "DuplicateRule",
-    "EmptyList",
-    "Failure",
-    "Grammar",
-    "GramcalcError",
-    "IndexMap",
-    "InternalMismatch",
-    "ParseError",
-    "PatternViolation",
-    "Polynomial",
-    "TriangleTable",
-    "UnknownLetter",
-    "UnknownTriangle",
-    "binomial",
-    "build_table",
-    "builtin_grammar",
-    "builtin_names",
-    "eulerian",
-    "extract_coeffs",
-    "factorial",
-    "load_caps",
-    "make_table",
-    "matching_count",
-    "parse_grammar",
-    "parse_polynomial",
-    "run_all",
-    "run_suite",
-    "stirling2",
-    "triangle_names",
-    "type_b_eulerian",
-    "whitney",
-    "__version__",
-]
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted([*globals(), *_HOME])

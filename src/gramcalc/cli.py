@@ -16,6 +16,11 @@ turns Python's int-to-str limit error into the PYTHONINTMAXSTRDIGITS=0
 hint.  The size flags stay strings until ``_at_least`` reads them with
 ``poly._read_int``, so every bad value takes that same path.
 
+Start-up imports only what ``derive`` needs.  ``oracles``, ``triangles``
+and ``verifier`` are imported in the handlers that run them, and the
+parser's choices from those modules are spelled here, so ``derive``
+never loads them and ``cops`` never loads the verifier.
+
 Exit status: 0 on success, 1 when a verification suite fails, 2 on
 usage, parse, and bound errors, 3 on an internal error (any other
 exception, reported with its traceback on stderr).  Identical
@@ -29,13 +34,18 @@ import json
 import os
 import sys
 
-from . import config, oracles, triangles, verifier
+from . import config
 from .dsl import builtin_grammar, builtin_names, parse_grammar, parse_polynomial
 from .errors import GramcalcError, UnknownTriangle
 from .grammar import Grammar
 from .poly import _read_int
 
 _FORMATS = ("text", "csv", "json")
+# Copies of verifier.SUITE_NAMES, oracles.stat_names() and
+# triangles.triangle_names(), which tests/test_imports.py keeps equal.
+_SUITE_NAMES = ("T1", "T2", "T3", "T4", "T5", "T6", "golden")
+_STAT_NAMES = ("descents", "right_valleys", "las")
+_TRIANGLE_NAMES = ("stirling2", "eulerian", "type_b_eulerian", "matching", "whitney:<m>")
 # Triangles whose rows come from oracles.<name>_counts, not from a recurrence.
 _ORACLE_TABLES = ("left_peak", "las")
 
@@ -101,9 +111,13 @@ def _dense_row(counts: dict[int, int]) -> tuple[int, list[int]]:
 
 def _cmd_triangle(args, caps: config.Caps) -> tuple[str, int]:
     """emit a count triangle"""
+    from . import triangles
+
     nmax = _at_least(args, "nmax", 0)
     caps.check("triangle", nmax)
     if args.name in _ORACLE_TABLES:
+        from . import oracles
+
         counts_of = getattr(oracles, f"{args.name}_counts")
         table = triangles.make_table(
             args.name, nmax, lambda n: _dense_row(counts_of(n, caps))
@@ -142,9 +156,9 @@ class _BlockText(dict):
 
 def _cmd_cops(args, caps: config.Caps) -> tuple[str, int]:
     """list cyclically ordered partitions"""
+    from . import oracles
+
     n = _at_least(args, "n", 1)
-    if args.format == "csv":
-        raise GramcalcError("cops output has no CSV form; use text or json")
     cops = oracles.enumerate_cops(n, caps)
     if args.format == "json":
         # The bytes _json_text writes for {"cops": [[list(b) for b in cop]
@@ -158,6 +172,8 @@ def _cmd_cops(args, caps: config.Caps) -> tuple[str, int]:
 
 def _cmd_stats(args, caps: config.Caps) -> tuple[str, int]:
     """opener statistic distribution over partitions"""
+    from . import oracles
+
     n = _at_least(args, "n", 1)
     items = oracles.cop_stat_table(n, args.stat, caps).items()
     if args.format == "json":
@@ -176,6 +192,8 @@ def _cmd_stats(args, caps: config.Caps) -> tuple[str, int]:
 
 def _cmd_verify(args, caps: config.Caps) -> tuple[str, int]:
     """run identity suites"""
+    from . import verifier
+
     if args.grammar is not None and args.suite in ("golden", "all"):
         raise GramcalcError("--grammar applies only to suites T1..T6")
     nmax = None if args.nmax is None else _at_least(args, "nmax", 0)
@@ -226,21 +244,21 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--builtin", choices=builtin_names(), help="named builtin grammar")
     p["derive"].add_argument("--start", default="x", help="starting polynomial (default: x)")
     p["derive"].add_argument("--n", required=True, help="derivative depth")
-    names = triangles.triangle_names() + _ORACLE_TABLES
+    names = _TRIANGLE_NAMES + _ORACLE_TABLES
     p["triangle"].add_argument("name", help=", ".join(names[:-1]) + f", or {names[-1]}")
     p["triangle"].add_argument("--nmax", required=True, help="last row to emit")
     for name in ("cops", "stats"):
         p[name].add_argument("--n", required=True, help="ground set size")
     p["stats"].add_argument(
-        "--stat", choices=oracles.stat_names(), required=True, help="opener statistic"
+        "--stat", choices=_STAT_NAMES, required=True, help="opener statistic"
     )
-    p["verify"].add_argument("suite", choices=verifier.SUITE_NAMES + ("all",))
+    p["verify"].add_argument("suite", choices=_SUITE_NAMES + ("all",))
     p["verify"].add_argument("--nmax", help="override the suite depth")
     p["verify"].add_argument(
         "--grammar", metavar="SRC", help="override the suite grammar (T1..T6 only)"
     )
     for name, q in p.items():
-        formats = ("text", "json") if name == "verify" else _FORMATS
+        formats = ("text", "json") if name in ("cops", "verify") else _FORMATS
         q.add_argument("--format", choices=formats, default="text")
         q.add_argument("--out", metavar="PATH", help="write to a file instead of stdout")
     return parser

@@ -17,9 +17,8 @@ place, so a misspelt name fails instead of leaving the default in force.
 
 from __future__ import annotations
 
-import dataclasses
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BoundExceeded, GramcalcError
 from .poly import _exact, _read_int
@@ -27,8 +26,17 @@ from .poly import _exact, _read_int
 ENV_PREFIX = "GRAMCALC_CAP_"
 
 
-@dataclass(frozen=True)
-class Caps:
+class _CapFields(NamedTuple):
+    permutations: int = 9
+    cops: int = 8
+    signed: int = 5
+    matchings: int = 7
+    derive: int = 100
+    verify: int = 10
+    triangle: int = 200
+
+
+class Caps(_CapFields):
     """Maximum sizes accepted by the brute-force and derivative layers.
 
     Each cap names the calls that check it:
@@ -49,17 +57,17 @@ class Caps:
     raises ValueError.
     """
 
-    permutations: int = 9
-    cops: int = 8
-    signed: int = 5
-    matchings: int = 7
-    derive: int = 100
-    verify: int = 10
-    triangle: int = 200
+    __slots__ = ()
 
-    def __post_init__(self):
-        for key, value in vars(self).items():
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for key, value in zip(self._fields, self):
             _exact(value, f"cap {key!r}", 0)
+        return self
+
+    @classmethod
+    def _make(cls, values):  # so _replace validates too
+        return cls(*values)
 
     def check(self, kind: str, n: int, least: int = 0) -> None:
         """ValueError for an n that is not an int or is below least; BoundExceeded above the cap."""
@@ -72,7 +80,7 @@ class Caps:
             raise BoundExceeded(kind, n, cap, hint)
 
 
-CAP_KEYS = tuple(f.name for f in dataclasses.fields(Caps))
+CAP_KEYS = Caps._fields
 
 
 def _unknown_cap(origin: str, key: str) -> GramcalcError:
@@ -89,7 +97,7 @@ def _parse_value(key: str, raw: str, origin: str) -> int:
 
 def load_caps(path: str | None = None, environ=None) -> Caps:
     """Build a Caps value from defaults, an optional file, and the environment."""
-    values = dataclasses.asdict(Caps())
+    values = Caps()._asdict()
     if path is not None:
         with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):

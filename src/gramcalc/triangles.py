@@ -26,7 +26,7 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalMismatch, UnknownTriangle
 from .poly import _exact, _read_int
@@ -128,8 +128,7 @@ def whitney(m: int, n: int, k: int) -> int:
     return by_sum
 
 
-@dataclass(frozen=True)
-class TriangleTable:
+class TriangleTable(NamedTuple):
     """A finished triangle: row n is ``by_row[n]``, a pair (first k, values).
 
     The values are dense over the row's k-range, in-support zeros

@@ -34,8 +34,8 @@ refuses a grammar override.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import product
+from typing import NamedTuple
 
 from . import oracles
 from .config import Caps
@@ -56,8 +56,7 @@ from .triangles import (
 _DEFAULT_NMAX = {"T1": 8, "T2": 8, "T3": 8, "T4": 8, "T5": 7, "T6": 7, "golden": 3}
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(NamedTuple):
     """One identity cell whose two sides disagreed."""
 
     identity: str
@@ -74,13 +73,15 @@ class Failure:
         }
 
 
-@dataclass
 class CheckReport:
-    suite: str
-    nmax: int
-    checks_run: int = 0
-    failures: list[Failure] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    """One suite's result, filled in by its run: checks counted, failures and notes."""
+
+    def __init__(self, suite: str, nmax: int) -> None:
+        self.suite = suite
+        self.nmax = nmax
+        self.checks_run = 0
+        self.failures: list[Failure] = []
+        self.notes: list[str] = []
 
     @property
     def passed(self) -> bool:

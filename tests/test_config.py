@@ -1,6 +1,5 @@
 """Cap loading: defaults, config files, environment, precedence."""
 
-import dataclasses
 import inspect
 import pathlib
 import re
@@ -84,6 +83,8 @@ def test_caps_reject_fields_that_are_not_nonnegative_ints(value):
     for key in config.CAP_KEYS:
         with pytest.raises(ValueError, match=f"cap '{key}' must be"):
             config.Caps(**{key: value})
+        with pytest.raises(ValueError, match=f"cap '{key}' must be"):
+            config.Caps()._replace(**{key: value})
 
 
 def test_every_cap_is_documented():
@@ -96,7 +97,7 @@ def test_every_cap_is_documented():
     for item in sentence.split(", "):
         name, value = item.split()
         documented[name] = int(value)
-    assert documented == dataclasses.asdict(config.Caps())
+    assert documented == config.Caps()._asdict()
     doc = inspect.getdoc(config.Caps)
     for key in config.CAP_KEYS:
         assert re.search(rf"^{key}: ", doc, re.MULTILINE), key

@@ -33,8 +33,10 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import pathlib
 import sys
+from unittest import mock
 
 import pytest
 
@@ -64,7 +66,7 @@ CASES = (
     ]
     + [("verify", "all", "--format", fmt) for fmt in ("text", "json")]
     + [("cops", "--n", str(n), "--format", fmt) for fmt in ("text", "json") for n in range(1, 9)]
-    # cops offers csv and refuses it.
+    # cops offers no csv, so argparse refuses it with a usage error.
     + [("cops", "--n", "2", "--format", "csv")]
     + [
         ("stats", "--n", str(n), "--stat", stat, "--format", fmt)
@@ -87,7 +89,13 @@ def case_id(case: tuple[str, ...]) -> str:
 
 def outcome(case: tuple[str, ...]) -> str:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    # argparse wraps a usage error at the terminal width, which it reads
+    # from COLUMNS, so the refused cases are pinned at one width.
+    with (
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+        mock.patch.dict(os.environ, {"COLUMNS": "80"}),
+    ):
         code = main(list(case))
     return f"{code} {sha(out.getvalue())} {sha(err.getvalue())}"
 
