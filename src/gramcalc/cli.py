@@ -8,8 +8,11 @@ makes one subparser per entry, with the handler's docstring as its help,
 and adds the shared --format and --out to each.
 
 A handler returns its whole output text and its exit code: ``_lines``,
-``_csv`` and ``_json_text`` form that text, and ``main`` writes it to
-stdout or, with --out, to a file.  A handler refuses bad input by
+``_csv`` and ``_json_text`` form that text, except for ``cops``, whose
+listing ``oracles.enumerate_cops`` writes with the ``COPS_TEXT`` or
+``COPS_JSON`` pieces, and to which the handler adds only the last newline
+or the JSON object around it.  ``main`` writes the text to stdout or,
+with --out, to a file.  A handler refuses bad input by
 raising a ``GramcalcError`` or ``ValueError`` whose message is the error
 text; ``main`` prints it as the one "error: ..." line on stderr, and
 turns Python's int-to-str limit error into the PYTHONINTMAXSTRDIGITS=0
@@ -136,38 +139,17 @@ def _cmd_triangle(args, caps: config.Caps) -> tuple[str, int]:
     return _lines(" ".join([f"{n}:", *map(str, row)]) for n, row in enumerate(table.rows())), 0
 
 
-class _BlockText(dict):
-    """Block tuple -> its text, rendered on first lookup.
-
-    A listing of cops repeats each of at most 2^n - 1 distinct blocks
-    many times, so each is rendered once: head, its entries joined by
-    sep, then tail.
-    """
-
-    def __init__(self, head: str, sep: str, tail: str) -> None:
-        super().__init__()
-        self.parts = (head, sep, tail)
-
-    def __missing__(self, block: tuple[int, ...]) -> str:
-        head, sep, tail = self.parts
-        text = self[block] = head + sep.join(map(str, block)) + tail
-        return text
-
-
 def _cmd_cops(args, caps: config.Caps) -> tuple[str, int]:
     """list cyclically ordered partitions"""
     from . import oracles
 
     n = _at_least(args, "n", 1)
-    cops = oracles.enumerate_cops(n, caps)
     if args.format == "json":
         # The bytes _json_text writes for {"cops": [[list(b) for b in cop]
         # for cop in cops], "n": n}, without building those lists.
-        block_text = _BlockText("      [\n        ", ",\n        ", "\n      ]").__getitem__
-        body = ",\n".join("    [\n" + ",\n".join(map(block_text, cop)) + "\n    ]" for cop in cops)
+        body = oracles.enumerate_cops(n, caps, oracles.COPS_JSON)
         return f'{{\n  "cops": [\n{body}\n  ],\n  "n": {n}\n}}\n', 0
-    block_text = _BlockText("(", ",", ")").__getitem__
-    return _lines(["".join(map(block_text, cop)) for cop in cops]), 0
+    return oracles.enumerate_cops(n, caps, oracles.COPS_TEXT) + "\n", 0
 
 
 def _cmd_stats(args, caps: config.Caps) -> tuple[str, int]:

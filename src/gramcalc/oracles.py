@@ -52,10 +52,11 @@ set partitions of [n] by their set of minima M in one walk over the
 elements, then joins each M with the tally of the orderings of M's own
 values; it never reduces M to its size, which would make the census the
 Stirling-times product that it is checked against.  Only
-``enumerate_cops`` builds the cops themselves, because its canonical
-order is part of the CLI output: on each call it files each cop under
-its block count, sorts each group in plain tuple order and joins the
-groups by ascending count.
+``enumerate_cops`` lists the cops themselves, because its canonical
+order is part of the CLI output, and it lists them as text, never as
+tuples: its recursion yields them in canonical order with no sort, and
+each run of cops that share a tail is written once and given each of its
+heads by one string replace.
 """
 
 from __future__ import annotations
@@ -207,49 +208,73 @@ def enumerate_matchings(n: int, caps: Caps = Caps()) -> Iterator[Matching]:
     return gen()
 
 
-def _set_partitions(n: int) -> Iterator[Cop]:
-    """Partitions of [n] as canonical block tuples, blocks ordered by minimum.
+# The pieces of a cops listing: a block's opener, the separator between its
+# entries and its closer; a cop's opener, the separator between its blocks
+# and its closer; and the separator between cops.  COPS_JSON gives the bytes
+# that json.dumps(indent=2) writes for the cops as lists of lists, nested in
+# the CLI's {"cops": [...], "n": n} object.
+COPS_TEXT = ("(", ",", ")", "", "", "", "\n")
+COPS_JSON = ("      [\n        ", ",\n        ", "\n      ]", "    [\n", ",\n", "\n    ]", ",\n")
 
-    Yielded one at a time: element i joins each open block in turn, then
-    opens a block of its own.
+
+def _blocks(rest: tuple[int, ...], most: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """(block, what it leaves of rest) for each nonempty block of rest.
+
+    Blocks have at most ``most`` entries and come in tuple order: each
+    entry x of rest, then x followed by each block of the entries after x.
     """
-    blocks: list[list[int]] = []
-
-    def rec(i: int) -> Iterator[Cop]:
-        if i > n:
-            yield tuple(map(tuple, blocks))
-            return
-        for b in blocks:
-            b.append(i)
-            yield from rec(i + 1)
-            b.pop()
-        blocks.append([i])
-        yield from rec(i + 1)
-        blocks.pop()
-
-    return rec(1)
+    for i, x in enumerate(rest):
+        yield (x,), rest[:i] + rest[i + 1 :]
+        if most > 1:
+            for block, others in _blocks(rest[i + 1 :], most - 1):
+                yield (x, *block), rest[:i] + others
 
 
-def enumerate_cops(n: int, caps: Caps = Caps()) -> Iterator[Cop]:
-    """Cyclically ordered partitions of [n] in canonical form.
+def _cop_listing(ground: tuple[int, ...], form: tuple[str, ...]) -> str:
+    """The cops of the increasing tuple ground in canonical order, as one text.
+
+    ``parts(rest, j)`` is the text of every ordered partition of rest into
+    j blocks in lexicographic order, each line after a NUL marker that no
+    output contains: each block B of rest in tuple order, followed by the
+    ordered partitions of what B leaves into j - 1 blocks.  Putting B's
+    text in front of all those lines is one ``str.replace`` of the marker,
+    and each (rest, j) and each distinct block is rendered once per call.
+    A cop with k blocks is its first block, which holds the least element,
+    then an ordered partition of the rest into k - 1 blocks.
+    """
+    block_open, entry_sep, block_close, cop_open, block_sep, cop_close, cop_sep = form
+    text = lru_cache(maxsize=None)(
+        lambda block: block_open + entry_sep.join(map(str, block)) + block_close
+    )
+
+    @lru_cache(maxsize=None)
+    def parts(rest: tuple[int, ...], j: int) -> str:
+        if j == 1:
+            return "\0" + block_sep + text(rest) + cop_close
+        return "".join(
+            parts(others, j - 1).replace("\0", "\0" + block_sep + text(block))
+            for block, others in _blocks(rest, len(rest) - j + 1)
+        )
+
+    chunks = [cop_open + text(ground) + cop_close]
+    for k in range(2, len(ground) + 1):
+        for first, others in _blocks(ground, len(ground) - k + 1):
+            if first[0] != ground[0]:
+                break
+            chunks.append(parts(others, k - 1).replace("\0", cop_sep + cop_open + text(first)))
+    parts.cache_clear()
+    return "".join(chunks)
+
+
+def enumerate_cops(n: int, caps: Caps = Caps(), form: tuple[str, ...] = COPS_TEXT) -> str:
+    """The cyclically ordered partitions of [n] in canonical form, as one text.
 
     Order: by block count, then lexicographically on the block tuples.
-    The cap is checked at the call, and the cops are built there too:
-    each is filed under its block count, each group is sorted in plain
-    tuple order, and the iterator joins the groups by ascending count,
-    which is the order of a sort keyed on ``(len(cop), cop)`` without a
-    key for every cop.
+    Each cop is written with form's pieces, ``COPS_TEXT`` or ``COPS_JSON``,
+    and the cops are joined by its separator, with nothing after the last.
     """
     caps.check("cops", n, 1)
-    groups: list[list[Cop]] = [[] for _ in range(n + 1)]
-    for blocks in _set_partitions(n):
-        first, rest = blocks[0], blocks[1:]
-        group = groups[len(blocks)]
-        for arrangement in itertools.permutations(rest):
-            group.append((first,) + arrangement)
-    for group in groups:
-        group.sort()
-    return itertools.chain.from_iterable(groups)
+    return _cop_listing(tuple(range(1, n + 1)), form)
 
 
 # ---------------------------------------------------------------------------

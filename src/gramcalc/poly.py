@@ -309,6 +309,10 @@ class Polynomial:
 
     def __pow__(self, exponent: int) -> "Polynomial":
         e = _exact(exponent, "polynomial exponent", 0)
+        if len(self._terms) == 1 and e:
+            # One term: its coefficient to the e, every exponent times e.
+            ((mono, coeff),) = self._terms.items()
+            return Polynomial._raw({tuple((l, k * e) for l, k in mono): coeff**e})
         result = Polynomial.one()
         base = self
         while e:

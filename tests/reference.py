@@ -9,8 +9,10 @@ in that order.  ``print_order`` computes that order with its own sort key,
 not from the packed keys that ``poly`` sorts by, so the order tests do not
 compare the code with itself.
 
-The canonical cop order and the ``cops`` text lines have references too:
-one key-sorted list, and every block rendered afresh on every line.
+The canonical cop order and the ``cops`` listing have references too:
+the set partitions by recursion, every arrangement of the blocks after
+the first, one key-sorted list, every block rendered afresh on every text
+line, and ``json.dumps`` for the JSON form.
 
 The list statistics have references read straight off their definitions,
 and the perfect matchings one by tuple-slicing recursion.  The statistic
@@ -19,12 +21,14 @@ score every permutation, and every cop's opener list, one by one.
 """
 
 import itertools
+import json
 import math
 from collections import Counter
+from typing import Iterator
 
 from gramcalc.errors import UnknownLetter
 from gramcalc.grammar import Grammar
-from gramcalc.oracles import Cop, Stat, _set_partitions, scan
+from gramcalc.oracles import Cop, Stat, scan
 from gramcalc.poly import Monomial, Polynomial
 
 
@@ -132,10 +136,33 @@ def assert_same_terms(actual: Polynomial, expected: Polynomial) -> None:
     assert list(actual.terms().items()) == print_order(expected)
 
 
+def set_partitions(n: int) -> Iterator[Cop]:
+    """Partitions of [n] as canonical block tuples, blocks ordered by minimum.
+
+    Yielded one at a time: element i joins each open block in turn, then
+    opens a block of its own.
+    """
+    blocks: list[list[int]] = []
+
+    def rec(i: int) -> Iterator[Cop]:
+        if i > n:
+            yield tuple(map(tuple, blocks))
+            return
+        for b in blocks:
+            b.append(i)
+            yield from rec(i + 1)
+            b.pop()
+        blocks.append([i])
+        yield from rec(i + 1)
+        blocks.pop()
+
+    return rec(1)
+
+
 def reference_cops(n: int) -> list[Cop]:
     """Cops of [n] sorted by one key, (block count, block tuples)."""
     cops = []
-    for blocks in _set_partitions(n):
+    for blocks in set_partitions(n):
         first, rest = blocks[0], blocks[1:]
         for arrangement in itertools.permutations(rest):
             cops.append((first,) + arrangement)
@@ -146,6 +173,21 @@ def reference_cops(n: int) -> list[Cop]:
 def reference_cop_line(cop: Cop) -> str:
     """One ``cops`` text line, each block rendered where it stands."""
     return "".join("(" + ",".join(str(e) for e in block) + ")" for block in cop)
+
+
+def reference_listing(cops: list[Cop], form: str) -> str:
+    """What ``enumerate_cops`` writes for cops in the "text" or "json" form.
+
+    Text is the lines joined by newlines.  JSON is the part of
+    ``json.dumps(indent=2)`` of ``{"cops": cops}`` between the array's
+    brackets, cops and blocks written as lists.
+    """
+    if form == "text":
+        return "\n".join(map(reference_cop_line, cops))
+    text = json.dumps({"cops": [[list(block) for block in cop] for cop in cops]}, indent=2)
+    head, tail = '{\n  "cops": [\n', "\n  ]\n}"
+    assert text.startswith(head) and text.endswith(tail)
+    return text[len(head) : -len(tail)]
 
 
 def reference_perm_counts(n: int, fn) -> Counter:
@@ -161,7 +203,7 @@ def reference_tally(stat: Stat, head: tuple[int, ...], values: tuple[int, ...]) 
 def reference_census(n: int, fn) -> dict[tuple[int, int], int]:
     """Cops of [n] by (blocks, fn of the opener list), one cop at a time."""
     counts: dict[tuple[int, int], int] = {}
-    for blocks in _set_partitions(n):
+    for blocks in set_partitions(n):
         k = len(blocks)
         # The openers of every cop on these blocks: 1, then the other
         # block minima in each of their orders.

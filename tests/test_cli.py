@@ -12,7 +12,7 @@ import gramcalc
 from gramcalc import cli, oracles, triangles
 from gramcalc.cli import main
 
-from reference import reference_cop_line, reference_cops
+from reference import reference_cop_line, reference_cops, reference_listing
 
 
 def run_cli(capsys, *argv):
@@ -374,41 +374,38 @@ def test_cops_text_matches_reference_lines(capsys):
         assert out == expected, n
 
 
-# Above the cop cap, so the cops are built by hand.  Blocks whose digits
-# run together the same way, such as (1,2,3) and (1,23) or (1,2) and
-# (12,), must each keep their own text.
-MULTI_DIGIT_COPS = [
-    ((1, 2, 3), (10, 11, 12)),
-    ((1, 23), (2, 3), (10, 11, 12)),
-    ((1, 2), (3, 10), (11,), (12,)),
-    ((1, 11), (2, 3, 10), (12,)),
-    ((1, 2, 3), (12,), (10, 11)),
-    ((1, 2), (3, 10, 11, 12)),
-    ((1, 12), (2, 3, 10, 11)),
-]
+# Multi-digit entries, listed through the listing's ground-tuple helper,
+# since [n] with n >= 10 is above the cop cap.  Blocks whose digits run
+# together the same way, such as (1,2,3) and (1,23) or (1,2) and (12),
+# must each keep their own text.
+MULTI_DIGIT_GROUND = (1, 2, 3, 12, 23)
 
 
-def test_cops_text_renders_multi_digit_blocks(capsys, monkeypatch):
-    monkeypatch.setattr(oracles, "enumerate_cops", lambda n, caps: iter(MULTI_DIGIT_COPS))
-    code, out, _ = run_cli(capsys, "cops", "--n", "12")
-    assert code == 0
-    assert out == "".join(reference_cop_line(cop) + "\n" for cop in MULTI_DIGIT_COPS)
-    assert out.splitlines()[1] == "(1,23)(2,3)(10,11,12)"
+def multi_digit_reference(form):
+    relabel = dict(enumerate(MULTI_DIGIT_GROUND, 1))
+    cops = [tuple(tuple(map(relabel.get, b)) for b in cop) for cop in reference_cops(5)]
+    return reference_listing(cops, form)
+
+
+def test_cops_text_renders_multi_digit_blocks():
+    out = oracles._cop_listing(MULTI_DIGIT_GROUND, oracles.COPS_TEXT)
+    assert out == multi_digit_reference("text")
+    lines = out.split("\n")
+    assert "(1,23)(2,3)(12)" in lines and "(1,2,3)(12,23)" in lines and "(1,2)(3,12,23)" in lines
 
 
 def cops_json_reference(n, cops):
     return cli._json_text({"n": n, "cops": [[list(b) for b in cop] for cop in cops]})
 
 
-def test_cops_json_matches_json_dumps(capsys, monkeypatch):
+def test_cops_json_matches_json_dumps(capsys):
     for n in range(1, 8):
         code, out, _ = run_cli(capsys, "cops", "--n", str(n), "--format", "json")
         assert code == 0
         assert out == cops_json_reference(n, reference_cops(n)), n
-    monkeypatch.setattr(oracles, "enumerate_cops", lambda n, caps: iter(MULTI_DIGIT_COPS))
-    code, out, _ = run_cli(capsys, "cops", "--n", "12", "--format", "json")
-    assert code == 0
-    assert out == cops_json_reference(12, MULTI_DIGIT_COPS)
+    out = oracles._cop_listing(MULTI_DIGIT_GROUND, oracles.COPS_JSON)
+    assert out == multi_digit_reference("json")
+    assert "        1,\n        23\n      ],\n      [\n        2,\n        3\n" in out
 
 
 def test_cops_json(capsys):

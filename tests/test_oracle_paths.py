@@ -5,7 +5,10 @@ store sets in another order or skip the key store without failing a
 count test.  The opener census never lists cops: it counts set
 partitions by their minima and tallies opener orderings, so a census
 that fell back to building cops would be the brute force it replaces
-and would still pass every count test at default caps.
+and would still pass every count test at default caps.  The cop listing
+is built in canonical order by its own recursion, with no sort and no
+arrangement of blocks: a listing that sorted afterwards would keep its
+bytes and pass every order test while doing the work twice.
 """
 
 import ast
@@ -13,7 +16,9 @@ import ast
 from gramcalc import oracles
 from source_tree import name, tree, walk
 
-LISTINGS = {"_set_partitions", "enumerate_cops", "permutations"}
+# The cop listing's functions, and the enumerator of arrangements.
+COP_LISTING = {"enumerate_cops", "_cop_listing", "_blocks"}
+LISTINGS = COP_LISTING | {"permutations"}
 
 
 def _names() -> dict[str, set[str]]:
@@ -50,3 +55,9 @@ def test_census_never_lists_cops():
     assert {"_minima_walk", "_tally"} <= reached
     for function in reached:
         assert not names[function] & LISTINGS, function
+
+
+def test_cop_listing_neither_sorts_nor_arranges():
+    names = _names()
+    for function in COP_LISTING:
+        assert not names[function] & {"sort", "sorted", "permutations"}, function

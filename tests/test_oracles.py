@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import pathlib
+import re
 import sys
 from collections import Counter
 
@@ -16,6 +17,8 @@ from gramcalc.cli import main
 from gramcalc.config import Caps
 from gramcalc.errors import BoundExceeded, EmptyList
 from gramcalc.oracles import (
+    COPS_JSON,
+    COPS_TEXT,
     cop_stat_table,
     des_b,
     descents,
@@ -41,10 +44,12 @@ from reference import (
     reference_descents,
     reference_las,
     reference_left_peaks,
+    reference_listing,
     reference_matchings,
     reference_perm_counts,
     reference_right_valleys,
     reference_tally,
+    set_partitions,
 )
 from source_tree import tree, walk
 
@@ -95,7 +100,7 @@ def test_cop_stat_table_matches_cop_tally(stat):
     fn = {fast.__name__: reference for fast, reference in STAT_REFERENCES}[stat]
     for n in range(1, 9):
         tally = {}
-        for cop in enumerate_cops(n):
+        for cop in reference_cops(n):
             key = (len(cop), fn(openers(cop)))
             tally[key] = tally.get(key, 0) + 1
         assert cop_stat_table(n, stat) == tally
@@ -118,9 +123,7 @@ def test_tally_matches_reference_perm_counts(name):
 
 def test_minima_walk_matches_set_partitions():
     for n in range(1, 10):
-        by_minima = Counter(
-            tuple(block[0] for block in blocks) for blocks in oracles._set_partitions(n)
-        )
+        by_minima = Counter(tuple(block[0] for block in blocks) for blocks in set_partitions(n))
         assert dict(oracles._minima_walk(n)) == by_minima, n
 
 
@@ -305,23 +308,27 @@ def test_enumerate_matchings():
 
 
 def test_enumerate_cops_golden_order():
-    assert list(enumerate_cops(3)) == [
-        ((1, 2, 3),),
-        ((1,), (2, 3)),
-        ((1, 2), (3,)),
-        ((1, 3), (2,)),
-        ((1,), (2,), (3,)),
-        ((1,), (3,), (2,)),
-    ]
+    assert enumerate_cops(3) == "(1,2,3)\n(1)(2,3)\n(1,2)(3)\n(1,3)(2)\n(1)(2)(3)\n(1)(3)(2)"
+    assert enumerate_cops(2, Caps(), COPS_JSON) == (
+        "    [\n      [\n        1,\n        2\n      ]\n    ],\n"
+        "    [\n      [\n        1\n      ],\n      [\n        2\n      ]\n    ]"
+    )
 
 
-def test_enumerate_cops_matches_reference_order():
+@pytest.mark.parametrize("form", ["text", "json"])
+def test_enumerate_cops_matches_reference_order(form):
+    pieces = {"text": COPS_TEXT, "json": COPS_JSON}[form]
     for n in range(1, 9):
-        assert list(enumerate_cops(n)) == reference_cops(n), n
+        assert enumerate_cops(n, Caps(), pieces) == reference_listing(reference_cops(n), form), n
+
+
+def parse_cop_line(line):
+    """The block tuples of one text line of the listing, such as "(1,3)(2)"."""
+    return tuple(tuple(map(int, block.split(","))) for block in line[1:-1].split(")("))
 
 
 def test_cop_canonical_form():
-    for cop in enumerate_cops(5):
+    for cop in map(parse_cop_line, enumerate_cops(5).split("\n")):
         assert cop[0][0] == 1
         for block in cop:
             assert list(block) == sorted(block)
@@ -332,12 +339,25 @@ def test_cop_canonical_form():
 def test_cop_census():
     # k-block count is stirling2(n, k) * (k-1)!
     for n in range(1, 9):
-        by_blocks = {}
-        for cop in enumerate_cops(n):
-            by_blocks[len(cop)] = by_blocks.get(len(cop), 0) + 1
+        by_blocks = Counter(map(len, reference_cops(n)))
         for k in range(1, n + 1):
             assert by_blocks.get(k, 0) == stirling2(n, k) * math.factorial(k - 1)
-    assert len(list(enumerate_cops(8))) == 94586
+    assert len(enumerate_cops(8).split("\n")) == 94586
+
+
+def test_cop_listing_of_nine_has_every_cop_once():
+    # (k-1)! S(9, k) cops have k blocks, S from its own recurrence.  The
+    # lines of each block count are read as one run, one run at a time, so
+    # only the largest run (332,640 lines) is held as separate strings.
+    stirling = {(0, 0): 1}
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            stirling[n, k] = k * stirling.get((n - 1, k), 0) + stirling.get((n - 1, k - 1), 0)
+    text = enumerate_cops(9, Caps(cops=9))
+    lines = (match.group() for match in re.finditer(".+", text))
+    runs = [(k, len(set(run))) for k, run in itertools.groupby(lines, lambda line: line.count("("))]
+    assert runs == [(k, math.factorial(k - 1) * stirling[9, k]) for k in range(1, 10)]
+    assert sum(count for _, count in runs) == text.count("\n") + 1 == 1091670
 
 
 def test_stat_names():
@@ -368,7 +388,7 @@ def test_tables_return_the_callers_own_dict():
         first.clear()
         first[99] = 1
         assert call() == expected
-    assert list(enumerate_cops(6)) == list(enumerate_cops(6)) == reference_cops(6)
+    assert enumerate_cops(6) == enumerate_cops(6) == reference_listing(reference_cops(6), "text")
 
 
 def test_cop_stat_table_unknown():

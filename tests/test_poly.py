@@ -271,6 +271,31 @@ def test_power_zero_makes_no_product(monkeypatch):
     assert calls == []
 
 
+@given(
+    st.dictionaries(st.sampled_from("wxyz"), st.integers(0, 6)),
+    st.integers(-5, 5).filter(bool),
+    st.integers(0, 12),
+)
+def test_single_term_power_matches_repeated_products(exps, coeff, e):
+    # No letters is the constant term; a negative coefficient flips sign
+    # with the exponent's parity.
+    p = Polynomial.from_terms([(exps, coeff)])
+    expected = Polynomial.one()
+    for _ in range(e):
+        expected = expected * p
+    assert_same_terms(p**e, expected)
+
+
+@pytest.mark.parametrize("base", [x, -3 * x * y**2, Polynomial.constant(-2)], ids=str)
+def test_single_term_power_makes_no_product(monkeypatch, base):
+    expected = Polynomial.one()
+    for _ in range(13):
+        expected = expected * base
+    calls = _count_products(monkeypatch)
+    assert base**13 == expected
+    assert calls == []
+
+
 def test_four_letter_power():
     w, z = Polynomial.letter("w"), Polynomial.letter("z")
     p = (x + y + z + w) ** 40
