@@ -19,8 +19,12 @@ key delta, a rule coefficient and a weight word with one bit per letter
 whose rule reaches that delta with that coefficient; a step reads each
 term's multiplier for an entry as one field of key * weights, a sum of
 exponents of distinct letters that the degree bound keeps inside one
-slot.  The unknown-letter check runs at every depth, 0 included, and
-every level lists its terms in print order, as every polynomial does.
+slot.  The first entry of a step moves every term to a distinct key, so
+it builds the level in one pass with no lookups; the others add to it,
+and the zeros left by a zero multiplier or by cancelling terms are
+removed once per level.  The unknown-letter check runs at every depth,
+0 included, and every level lists its terms in print order, as every
+polynomial does.
 """
 
 from __future__ import annotations
@@ -156,7 +160,9 @@ class _Packing(poly._Packing):
     and mask.  Rule coefficients stay out of the weight word, where they
     would need slots that grow with them; a step multiplies each
     multiplier by its entry's c instead, so a delta that letters reach
-    with k distinct coefficients costs k passes over the terms.
+    with k distinct coefficients costs k passes over the terms.  A level
+    may hold a zero coefficient only inside ``step``, which removes them
+    all before it returns, so no level ever stores one.
     """
 
     __slots__ = ("_top", "_entries")
@@ -181,21 +187,29 @@ class _Packing(poly._Packing):
         self._entries = [(delta, weights, c) for (delta, c), weights in folded.items()]
 
     def step(self, terms: dict[int, int]) -> dict[int, int]:
-        """One derivative: each entry adds coeff * multiplier * c at key + delta."""
+        """One derivative: each entry adds coeff * multiplier * c at key + delta.
+
+        An entry moves every key by the same delta, so the first entry's
+        targets are distinct and it fills the level in one comprehension;
+        the later entries add to it, skipping a zero multiplier.  Zeros,
+        from a zero multiplier of the first entry or from terms that
+        cancel, are removed once, at the end of the step.
+        """
+        if not self._entries:
+            return {}
         top, mask = self._top, self._mask
-        out: dict[int, int] = {}
-        get = out.get
         items = terms.items()
-        for delta, weights, c in self._entries:
+        (delta, weights, c), *rest = self._entries
+        out = {key + delta: coeff * ((key * weights >> top & mask) * c) for key, coeff in items}
+        get = out.get
+        for delta, weights, c in rest:
             for key, coeff in items:
                 m = key * weights >> top & mask
                 if m:
                     k = key + delta
-                    v = get(k, 0) + coeff * (m * c)
-                    if v:
-                        out[k] = v
-                    elif k in out:
-                        del out[k]
+                    out[k] = get(k, 0) + coeff * (m * c)
+        if 0 in out.values():
+            out = {k: v for k, v in out.items() if v}
         return out
 
 

@@ -31,17 +31,20 @@ The distributions are counted by the transfer-matrix method (Stanley,
 Enumerative Combinatorics I, section 4.7).  For each statistic and head
 list, one memo maps a set of values placed, as a mask in which bit x
 stands for the value x itself, to the number of its orderings that reach
-each (scan state, total so far).  The orderings of a set are those of
-the set without x followed by x, for each x in it, so every ordering is
-still scored by the statistic's own step, and orderings that reach the
-same key are counted together.  An ordering of a set is a prefix of an
-ordering of each of its supersets, so ``_tally`` requests share the
-memo: every minima set of every census shares one walk, and so do the
-rows 0..n of a permutation distribution.  The memo is keyed on the
+each (scan state, total so far), a key that the memo numbers once.  The
+orderings of a set are those of the set without x followed by x, for
+each x in it, so every ordering is still scored by the statistic's own
+step, and orderings that reach the same key are counted together.  The
+step from a key on a value x is computed the first time some set needs
+it and kept in the memo's move table, a list of key numbers per value;
+every later set reads the move there.  An ordering of a set is a prefix
+of an ordering of each of its supersets, so ``_tally`` requests share
+the memo: every minima set of every census shares one walk, and so do
+the rows 0..n of a permutation distribution.  The memo is keyed on the
 values, never on how many there are.  Its walk over the subsets of N
-values takes N 2^(N-1) steps times the (state, total) pairs a set can
-reach, once per statistic and head, where brute force takes n n! steps
-for each request.
+values takes N 2^(N-1) table reads times the keys a set can reach, and
+at most one step per key and value, once per statistic and head, where
+brute force takes n n! steps for each request.
 
 A cyclically ordered partition (cop) of [n] is kept in canonical form: a
 tuple of blocks, each block increasing, the block containing 1 first.
@@ -290,17 +293,20 @@ def stat_names() -> tuple[str, ...]:
 @lru_cache(maxsize=None)
 def _subset_memo(
     stat: Stat, head: tuple[int, ...]
-) -> tuple[dict[int, dict[tuple[object, int], int]], dict]:
-    """The shared memo of stat after head, and its store of distinct keys.
+) -> tuple[dict[int, dict[int, int]], list[tuple[object, int]], dict, dict[int, list]]:
+    """The shared memo of stat after head, its numbered keys and its moves.
 
     The memo maps the set of values placed, a mask in which bit x stands
-    for the value x, to the number of their orderings that reach each
-    (scan state, total so far).  It starts with the empty set and grows
-    as ``_tally`` adds sets.  The second dict stores each distinct
-    (state, total) key once, so every set that reaches a key shares one
-    object instead of holding a fresh tuple of its own.
+    for the value x, to the number of their orderings that reach each key
+    (scan state, total so far), by key number.  The list holds the keys
+    in number order and the dict gives each key its number; the empty
+    set reaches key 0, the scan of head.  The move table maps a value x
+    to a list that holds, at each key number, the number of the key that
+    stat's step reaches from it by reading x, or None until some set
+    needs that move.  All four grow as ``_tally`` adds sets.
     """
-    return {0: {_run(stat, head): 1}}, {}
+    first = _run(stat, head)
+    return {0: {0: 1}}, [first], {first: 0}, {}
 
 
 @lru_cache(maxsize=None)
@@ -320,35 +326,46 @@ def _tally(
     they are counted smallest first, so no recursion grows with the size
     of the set.  The orderings of a set end in each of its values x,
     after an ordering of the set without x, and every one of them is
-    scored by stat's own step.
+    scored by stat's own step: the first time a key number meets x, the
+    step computes the move and the move table keeps it, so each (key,
+    x) move is computed once however many sets make it.
     """
     mask = 0
     for x in values:
         if x < 1 or mask >> x & 1:
             raise ValueError(f"tally values must be distinct positive ints, got {values!r}")
         mask |= 1 << x
-    memo, keys = _subset_memo(stat, head)
+    memo, keys, numbers, moves = _subset_memo(stat, head)
     missing, used = [], mask
     while used:
         if used not in memo:
             missing.append(used)
         used = (used - 1) & mask
-    step = stat.step
     for used in sorted(missing, key=int.bit_count):
-        counts: dict[tuple[object, int], int] = {}
+        counts: dict[int, int] = {}
         rest = used
         while rest:
             bit = rest & -rest
             rest ^= bit
             x = bit.bit_length() - 1
-            for (state, total), count in memo[used ^ bit].items():
-                new, add = step(state, x)
-                key = (new, total + add)
-                key = keys.setdefault(key, key)
-                counts[key] = counts.get(key, 0) + count
+            # Every key read below is numbered already, so one extension
+            # gives x's row a place for each of them.
+            move = moves.setdefault(x, [])
+            move += [None] * (len(keys) - len(move))
+            for k, count in memo[used ^ bit].items():
+                j = move[k]
+                if j is None:
+                    state, total = keys[k]
+                    new, add = stat.step(state, x)
+                    key = (new, total + add)
+                    j = move[k] = numbers.setdefault(key, len(keys))
+                    if j == len(keys):
+                        keys.append(key)
+                counts[j] = counts.get(j, 0) + count
         memo[used] = counts
     by_value: dict[int, int] = {}
-    for (state, total), count in memo[mask].items():
+    for k, count in memo[mask].items():
+        state, total = keys[k]
         value = total + stat.final(state)
         by_value[value] = by_value.get(value, 0) + count
     return tuple(sorted(by_value.items()))

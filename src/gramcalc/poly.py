@@ -121,13 +121,14 @@ class _Packing:
     ``unpack`` lists terms in print order by sorting their keys.
     """
 
-    __slots__ = ("_shifts", "_mask")
+    __slots__ = ("_shifts", "_mask", "_pairs")
 
     def __init__(self, letters: Iterable[str], degree: int):
         width = max(1, degree).bit_length()
         letters = sorted(letters)
         self._shifts = {l: (len(letters) - 1 - i) * width for i, l in enumerate(letters)}
         self._mask = (1 << width) - 1
+        self._pairs: dict[int, tuple[str, int]] = {}
 
     def pack_mono(self, mono: Monomial) -> int:
         return sum(exp << self._shifts[letter] for letter, exp in mono)
@@ -136,15 +137,22 @@ class _Packing:
         return {self.pack_mono(mono): coeff for mono, coeff in p._terms.items()}
 
     def unpack(self, terms: dict[int, int]) -> "Polynomial":
-        slots, mask = self._shifts.items(), self._mask
-        return Polynomial._raw(
-            {
-                tuple(
-                    (letter, exp) for letter, shift in slots if (exp := (key >> shift) & mask)
-                ): terms[key]
-                for key in sorted(terms)
-            }
-        )
+        # A slot's nonzero field, key & (mask << shift), names one (letter,
+        # exponent) pair; _pairs makes each pair once per packing, and the
+        # monomials that hold it share it.
+        pairs, mask = self._pairs, self._mask
+        slots = [(mask << shift, shift, letter) for letter, shift in self._shifts.items()]
+        out: dict[Monomial, int] = {}
+        for key in sorted(terms):
+            mono = []
+            for field, shift, letter in slots:
+                if f := key & field:
+                    pair = pairs.get(f)
+                    if pair is None:
+                        pair = pairs[f] = (letter, f >> shift)
+                    mono.append(pair)
+            out[tuple(mono)] = terms[key]
+        return Polynomial._raw(out)
 
 
 class Polynomial:

@@ -250,9 +250,10 @@ _T5_ODD_TRANSPORT = {(0, 0): (2, 2, 2), (0, -1): (1, 2, 0), (-1, 0): (1, 0, 2)}
 
 def _transport(table: dict, prev: Counter, i: int, j: int) -> int:
     """The value a transport table gives cell (i, j) from the previous level."""
-    return sum(
-        (c + ci * i + cj * j) * prev[i + di, j + dj] for (di, dj), (c, ci, cj) in table.items()
-    )
+    total = 0
+    for (di, dj), (c, ci, cj) in table.items():
+        total += (c + ci * i + cj * j) * prev[i + di, j + dj]
+    return total
 
 
 def suite_t1(

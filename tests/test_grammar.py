@@ -200,12 +200,22 @@ def _grammar_and_start(draw):
     return grammar, start
 
 
+# Rule terms x (of x) and -y (of y) share key delta 0 with opposite signs,
+# as 2*x and -3*y do in _MIXED, so each delta-0 entry skips the terms
+# without its letter, and a key that several entries reach can sum to zero.
+_FOLD = "x -> x + x*y; y -> -y + x*y"
+_MIXED = "x -> 2*x + x*y; y -> -3*y + x*y"
+
+
 # Beyond the strategy's reach: Grammar({}) has no letters, so top is 0;
 # a rule of 0 and a constant rule give entries whose terms lose a letter.
+# In _FOLD the first entry, x's delta 0, meets the x-free term y with a
+# zero multiplier, and x*y sums to zero at delta 0.
 @given(_grammar_and_start(), st.integers(min_value=0, max_value=4))
 @example((Grammar({}), parse_polynomial("4")), 3)
 @example((parse_grammar("const a; x -> 0"), parse_polynomial("3*a*x^2 + a - x")), 3)
 @example((parse_grammar("x -> 5"), parse_polynomial("x^3 + 2*x - 7")), 3)
+@example((parse_grammar(_FOLD), parse_polynomial("x*y + y")), 3)
 def test_packed_kernel_matches_reference(case, n):
     grammar, p = case
     try:
@@ -216,6 +226,11 @@ def test_packed_kernel_matches_reference(case, n):
                 call(p, n)
             assert str(caught.value) == str(exc)
         return
+    packing = _Packing(grammar, p, n)
+    terms = packing.pack(p)
+    for _ in range(n):
+        terms = packing.step(terms)
+        assert 0 not in terms.values()
     levels = grammar.derive_levels(p, n)
     assert len(levels) == n + 1
     assert levels[0] is p
@@ -295,21 +310,14 @@ def test_cancelled_term_comes_back_in_print_order():
     assert_same_terms(g.derive_n(p, 1), reference_derive(g, p))
 
 
-# Rule terms x (of x) and -y (of y) share key delta 0 with opposite signs,
-# as 2*x and -3*y do in _MIXED, so each delta-0 entry skips the terms
-# without its letter, and a key that several entries reach can sum to zero.
-_FOLD = "x -> x + x*y; y -> -y + x*y"
-_MIXED = "x -> 2*x + x*y; y -> -3*y + x*y"
-
-
 def test_folded_deltas_skip_a_zero_multiplier():
     # x*y reaches delta 0 with +1 from x and -1 from y, and the two cancel.
     g = parse_grammar(_FOLD)
     assert list(g.derive(x * y).terms()) == [(("x", 1), ("y", 2)), (("x", 2), ("y", 1))]
 
 
-# From each start, some step of both grammars deletes a key that sums to
-# zero and then reaches it again from a later entry.
+# From each start, some step of both grammars sums a key to zero and then
+# adds to it again from a later entry, before the step purges its zeros.
 @pytest.mark.parametrize("src", [_FOLD, _MIXED], ids=["unit", "mixed"])
 @pytest.mark.parametrize("start", ["x", "x*y + x - y", "x - x*y^2"])
 def test_folded_deltas_cancel_like_the_reference(src, start):
