@@ -17,7 +17,6 @@ _EXPORTS = {
         "DuplicateRule",
         "EmptyList",
         "GramcalcError",
-        "InternalMismatch",
         "ParseError",
         "PatternViolation",
         "UnknownLetter",

@@ -7,17 +7,20 @@ statistic distributions), verify (run the identity suites).  Each is a
 makes one subparser per entry, with the handler's docstring as its help,
 and adds the shared --format and --out to each.
 
-A handler returns its whole output text and its exit code: ``_lines``,
-``_csv`` and ``_json_text`` form that text, except for ``cops``, whose
-listing ``oracles.enumerate_cops`` writes with the ``COPS_TEXT`` or
-``COPS_JSON`` pieces, and to which the handler adds only the last newline
-or the JSON object around it.  ``main`` writes the text to stdout or,
-with --out, to a file.  A handler refuses bad input by
-raising a ``GramcalcError`` or ``ValueError`` whose message is the error
-text; ``main`` prints it as the one "error: ..." line on stderr, and
-turns Python's int-to-str limit error into the PYTHONINTMAXSTRDIGITS=0
-hint.  The size flags stay strings until ``_at_least`` reads them with
-``poly._read_int``, so every bad value takes that same path.
+A handler returns an iterable of text pieces and its exit code.
+``_lines``, ``_csv`` and ``_json_text`` make one piece; ``derive`` text
+is two, the polynomial and its newline, so neither is copied; ``cops``
+chains the pieces of ``oracles.enumerate_cops``, one per prefix block,
+with the last newline or the JSON object around them.  ``main`` writes
+them with ``writelines`` to stdout or, with --out, to a file.  Every
+check (caps, flags, parsing, printing a value) runs before the handler
+returns, so a refusal writes no byte and creates no --out file.  A
+handler refuses bad input by raising a ``GramcalcError`` or
+``ValueError`` whose message is the error text; ``main`` prints it as
+the one "error: ..." line on stderr, and turns Python's int-to-str limit
+error into the PYTHONINTMAXSTRDIGITS=0 hint.  The size flags stay
+strings until ``_at_least`` reads them with ``poly._read_int``, so every
+bad value takes that same path.
 
 Start-up imports only what ``derive`` needs.  ``oracles``, ``triangles``
 and ``verifier`` are imported in the handlers that run them, and the
@@ -36,6 +39,8 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
+from typing import Iterable
 
 from . import config
 from .dsl import builtin_grammar, builtin_names, parse_grammar, parse_polynomial
@@ -53,15 +58,15 @@ _TRIANGLE_NAMES = ("stirling2", "eulerian", "type_b_eulerian", "matching", "whit
 _ORACLE_TABLES = ("left_peak", "las")
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _json_text(obj) -> tuple[str]:
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n",)
 
 
-def _lines(lines) -> str:
-    return "\n".join(lines) + "\n"
+def _lines(lines) -> tuple[str]:
+    return ("\n".join(lines) + "\n",)
 
 
-def _csv(header: str, rows) -> str:
+def _csv(header: str, rows) -> tuple[str]:
     """The header line, then each row's cells joined by commas."""
     return _lines([header, *(",".join(map(str, row)) for row in rows)])
 
@@ -83,7 +88,7 @@ def _grammar_from_source(src: str) -> Grammar:
     )
 
 
-def _cmd_derive(args, caps: config.Caps) -> tuple[str, int]:
+def _cmd_derive(args, caps: config.Caps) -> tuple[Iterable[str], int]:
     """expand an iterated derivative"""
     grammar = (
         builtin_grammar(args.builtin)
@@ -103,7 +108,7 @@ def _cmd_derive(args, caps: config.Caps) -> tuple[str, int]:
             exps = dict(mono)
             rows.append((n, *(exps.get(l, 0) for l in letters), coeff))
         return _csv(header + ",value", rows), 0
-    return str(p) + "\n", 0
+    return (str(p), "\n"), 0
 
 
 def _dense_row(counts: dict[int, int]) -> tuple[int, list[int]]:
@@ -112,7 +117,7 @@ def _dense_row(counts: dict[int, int]) -> tuple[int, list[int]]:
     return k_start, [counts.get(k, 0) for k in range(k_start, max(counts) + 1)]
 
 
-def _cmd_triangle(args, caps: config.Caps) -> tuple[str, int]:
+def _cmd_triangle(args, caps: config.Caps) -> tuple[Iterable[str], int]:
     """emit a count triangle"""
     from . import triangles
 
@@ -139,7 +144,7 @@ def _cmd_triangle(args, caps: config.Caps) -> tuple[str, int]:
     return _lines(" ".join([f"{n}:", *map(str, row)]) for n, row in enumerate(table.rows())), 0
 
 
-def _cmd_cops(args, caps: config.Caps) -> tuple[str, int]:
+def _cmd_cops(args, caps: config.Caps) -> tuple[Iterable[str], int]:
     """list cyclically ordered partitions"""
     from . import oracles
 
@@ -148,11 +153,11 @@ def _cmd_cops(args, caps: config.Caps) -> tuple[str, int]:
         # The bytes _json_text writes for {"cops": [[list(b) for b in cop]
         # for cop in cops], "n": n}, without building those lists.
         body = oracles.enumerate_cops(n, caps, oracles.COPS_JSON)
-        return f'{{\n  "cops": [\n{body}\n  ],\n  "n": {n}\n}}\n', 0
-    return oracles.enumerate_cops(n, caps, oracles.COPS_TEXT) + "\n", 0
+        return chain(('{\n  "cops": [\n',), body, (f'\n  ],\n  "n": {n}\n}}\n',)), 0
+    return chain(oracles.enumerate_cops(n, caps, oracles.COPS_TEXT), ("\n",)), 0
 
 
-def _cmd_stats(args, caps: config.Caps) -> tuple[str, int]:
+def _cmd_stats(args, caps: config.Caps) -> tuple[Iterable[str], int]:
     """opener statistic distribution over partitions"""
     from . import oracles
 
@@ -172,7 +177,7 @@ def _cmd_stats(args, caps: config.Caps) -> tuple[str, int]:
     return _lines(f"blocks={k} {args.stat}={s}: {c}" for (k, s), c in items), 0
 
 
-def _cmd_verify(args, caps: config.Caps) -> tuple[str, int]:
+def _cmd_verify(args, caps: config.Caps) -> tuple[Iterable[str], int]:
     """run identity suites"""
     from . import verifier
 
@@ -253,12 +258,12 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         caps = config.load_caps(args.config, os.environ)
-        text, code = _DISPATCH[args.command](args, caps)
+        pieces, code = _DISPATCH[args.command](args, caps)
         if args.out is None:
-            sys.stdout.write(text)
+            sys.stdout.writelines(pieces)
         else:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         return code
     except (GramcalcError, ValueError, OSError) as exc:
         message = str(exc)

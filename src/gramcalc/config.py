@@ -45,9 +45,9 @@ class Caps(_CapFields):
         the subset-walk tallies ``left_peak_counts`` and ``las_counts``,
         which enumerate nothing.
     cops: largest n of [n] for the ``enumerate_cops`` listing, whose text
-        grows as the number of cops (1,091,670 lines for [9]), and the
-        ``cop_stat_table`` census of cyclically ordered partitions, which
-        lists none of them.
+        grows as the number of cops (1,091,670 lines for [9]) but comes
+        out in pieces, one per first block, and the ``cop_stat_table``
+        census of cyclically ordered partitions, which lists none of them.
     signed: largest n for ``enumerate_signed``, signed permutations of [n].
     matchings: largest n for ``enumerate_matchings``, perfect matchings of [2n].
     derive: largest depth of the CLI's ``derive`` subcommand.

@@ -68,12 +68,5 @@ class EmptyList(GramcalcError):
     """A statistic that needs at least one entry was applied to an empty list."""
 
 
-class InternalMismatch(GramcalcError):
-    """Two independent computation paths for the same value disagree.
-
-    This always signals an implementation bug, never bad input.
-    """
-
-
 class UnknownTriangle(GramcalcError):
     """A triangle name not recognized by the table builder."""

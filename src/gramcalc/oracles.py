@@ -57,9 +57,10 @@ values; it never reduces M to its size, which would make the census the
 Stirling-times product that it is checked against.  Only
 ``enumerate_cops`` lists the cops themselves, because its canonical
 order is part of the CLI output, and it lists them as text, never as
-tuples: its recursion yields them in canonical order with no sort, and
-each run of cops that share a tail is written once and given each of its
-heads by one string replace.
+tuples: its recursion yields them in canonical order with no sort, each
+run of cops that share a tail is written once and given each of its
+heads by one string replace, and the text comes out in pieces, one per
+first block, so no caller needs the whole listing at once.
 """
 
 from __future__ import annotations
@@ -233,48 +234,74 @@ def _blocks(rest: tuple[int, ...], most: int) -> Iterator[tuple[tuple[int, ...],
                 yield (x, *block), rest[:i] + others
 
 
-def _cop_listing(ground: tuple[int, ...], form: tuple[str, ...]) -> str:
-    """The cops of the increasing tuple ground in canonical order, as one text.
+def _cop_listing(ground: tuple[int, ...], form: tuple[str, ...]) -> Iterator[str]:
+    """The cops of the increasing tuple ground in canonical order, in pieces.
 
     ``parts(rest, j)`` is the text of every ordered partition of rest into
     j blocks in lexicographic order, each line after a NUL marker that no
     output contains: each block B of rest in tuple order, followed by the
     ordered partitions of what B leaves into j - 1 blocks.  Putting B's
-    text in front of all those lines is one ``str.replace`` of the marker,
-    and each (rest, j) and each distinct block is rendered once per call.
+    text in front of all those lines is one ``str.replace`` of the marker.
     A cop with k blocks is its first block, which holds the least element,
-    then an ordered partition of the rest into k - 1 blocks.
+    then an ordered partition of the rest into k - 1 blocks.  Each such
+    first block gives one piece, yielded as soon as it is made; the pieces
+    joined are the listing.
+
+    Each distinct block is rendered once, and so is each (rest, j), but
+    the memo keeps a text only while a later call can reuse it.  The text
+    of (rest, j) is asked for once for each ordered partition of the
+    missing elements M (ground less rest) into blocks whose first holds
+    ground[0], at block count k = j + its number of blocks:
+
+    * |M| = 1, M = {ground[0]}: once, so the text is never kept.  These
+      are the largest texts.
+    * |M| = 2, M = {ground[0], a}: twice, first as the first block (k =
+      j + 1), then as (ground[0]) and (a) at k = j + 2, the last time.
+      The text is kept until that second call takes it out of the memo.
+    * |M| >= 3: six times or more, spread over several block counts.
+      The text is kept to the end: rest has at most len(ground) - 3
+      entries, and the peak comes with the |M| = 2 texts, so dropping
+      these after their last call would not lower it.
     """
     block_open, entry_sep, block_close, cop_open, block_sep, cop_close, cop_sep = form
     text = lru_cache(maxsize=None)(
         lambda block: block_open + entry_sep.join(map(str, block)) + block_close
     )
+    memo: dict[tuple[tuple[int, ...], int], str] = {}
 
-    @lru_cache(maxsize=None)
     def parts(rest: tuple[int, ...], j: int) -> str:
         if j == 1:
             return "\0" + block_sep + text(rest) + cop_close
-        return "".join(
-            parts(others, j - 1).replace("\0", "\0" + block_sep + text(block))
-            for block, others in _blocks(rest, len(rest) - j + 1)
-        )
+        missing = len(ground) - len(rest)
+        found = memo.pop((rest, j), None) if missing == 2 else memo.get((rest, j))
+        if found is None:
+            found = "".join(
+                parts(others, j - 1).replace("\0", "\0" + block_sep + text(block))
+                for block, others in _blocks(rest, len(rest) - j + 1)
+            )
+            if missing > 1:
+                memo[rest, j] = found
+        return found
 
-    chunks = [cop_open + text(ground) + cop_close]
+    yield cop_open + text(ground) + cop_close
     for k in range(2, len(ground) + 1):
         for first, others in _blocks(ground, len(ground) - k + 1):
             if first[0] != ground[0]:
                 break
-            chunks.append(parts(others, k - 1).replace("\0", cop_sep + cop_open + text(first)))
-    parts.cache_clear()
-    return "".join(chunks)
+            yield parts(others, k - 1).replace("\0", cop_sep + cop_open + text(first))
 
 
-def enumerate_cops(n: int, caps: Caps = Caps(), form: tuple[str, ...] = COPS_TEXT) -> str:
-    """The cyclically ordered partitions of [n] in canonical form, as one text.
+def enumerate_cops(
+    n: int, caps: Caps = Caps(), form: tuple[str, ...] = COPS_TEXT
+) -> Iterator[str]:
+    """The cyclically ordered partitions of [n] in canonical form, as text pieces.
 
     Order: by block count, then lexicographically on the block tuples.
     Each cop is written with form's pieces, ``COPS_TEXT`` or ``COPS_JSON``,
     and the cops are joined by its separator, with nothing after the last.
+    The cap is checked when this is called, before any piece is made; the
+    pieces are yielded one prefix block at a time, and ``"".join`` of them
+    is the whole listing.
     """
     caps.check("cops", n, 1)
     return _cop_listing(tuple(range(1, n + 1)), form)

@@ -14,6 +14,9 @@ the set partitions by recursion, every arrangement of the blocks after
 the first, one key-sorted list, every block rendered afresh on every text
 line, and ``json.dumps`` for the JSON form.
 
+The Whitney numbers have the explicit binomial-Stirling sum, with the
+Stirling numbers by inclusion-exclusion, so no row recurrence is used.
+
 The list statistics have references read straight off their definitions,
 and the perfect matchings one by tuple-slicing recursion.  The statistic
 distributions are counted by a prefix-state tally.  Their references
@@ -24,6 +27,7 @@ import itertools
 import json
 import math
 from collections import Counter
+from functools import lru_cache
 from typing import Iterator
 
 from gramcalc.errors import UnknownLetter
@@ -188,6 +192,20 @@ def reference_listing(cops: list[Cop], form: str) -> str:
     head, tail = '{\n  "cops": [\n', "\n  ]\n}"
     assert text.startswith(head) and text.endswith(tail)
     return text[len(head) : -len(tail)]
+
+
+@lru_cache(maxsize=None)
+def reference_stirling2(n: int, k: int) -> int:
+    """S(n, k) by inclusion-exclusion: surjections of [n] onto k blocks, over k!."""
+    total = sum((-1) ** (k - j) * math.comb(k, j) * j**n for j in range(k + 1))
+    return total // math.factorial(k)
+
+
+def reference_whitney(m: int, n: int, k: int) -> int:
+    """W_m(n, k) as the sum over i of C(n, i) m^(i-k) S(i, k), 0 outside 0 <= k <= n."""
+    if not 0 <= k <= n:
+        return 0
+    return sum(math.comb(n, i) * m ** (i - k) * reference_stirling2(i, k) for i in range(k, n + 1))
 
 
 def reference_perm_counts(n: int, fn) -> Counter:

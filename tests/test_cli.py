@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -388,14 +389,15 @@ def multi_digit_reference(form):
 
 
 def test_cops_text_renders_multi_digit_blocks():
-    out = oracles._cop_listing(MULTI_DIGIT_GROUND, oracles.COPS_TEXT)
+    out = "".join(oracles._cop_listing(MULTI_DIGIT_GROUND, oracles.COPS_TEXT))
     assert out == multi_digit_reference("text")
     lines = out.split("\n")
     assert "(1,23)(2,3)(12)" in lines and "(1,2,3)(12,23)" in lines and "(1,2)(3,12,23)" in lines
 
 
 def cops_json_reference(n, cops):
-    return cli._json_text({"n": n, "cops": [[list(b) for b in cop] for cop in cops]})
+    obj = {"n": n, "cops": [[list(b) for b in cop] for cop in cops]}
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def test_cops_json_matches_json_dumps(capsys):
@@ -403,7 +405,7 @@ def test_cops_json_matches_json_dumps(capsys):
         code, out, _ = run_cli(capsys, "cops", "--n", str(n), "--format", "json")
         assert code == 0
         assert out == cops_json_reference(n, reference_cops(n)), n
-    out = oracles._cop_listing(MULTI_DIGIT_GROUND, oracles.COPS_JSON)
+    out = "".join(oracles._cop_listing(MULTI_DIGIT_GROUND, oracles.COPS_JSON))
     assert out == multi_digit_reference("json")
     assert "        1,\n        23\n      ],\n      [\n        2,\n        3\n" in out
 
@@ -548,19 +550,63 @@ def test_byte_determinism(capsys):
     assert out1 == out2
 
 
-def test_out_file_matches_stdout(capsys, tmp_path):
-    path = tmp_path / "result.csv"
-    code, out, _ = run_cli(
-        capsys,
-        "derive", "--builtin", "g2", "--n", "3", "--format", "csv",
-        "--out", str(path),
-    )
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("derive", "--builtin", "g2", "--n", "3", "--format", "csv"),
+        ("cops", "--n", "6"),
+        ("cops", "--n", "6", "--format", "json"),
+    ],
+    ids=["derive-csv", "cops-text", "cops-json"],
+)
+def test_out_file_matches_stdout(capsys, tmp_path, argv):
+    path = tmp_path / "result.out"
+    code, out, _ = run_cli(capsys, *argv, "--out", str(path))
     assert code == 0
     assert out == ""
-    code, expected, _ = run_cli(
-        capsys, "derive", "--builtin", "g2", "--n", "3", "--format", "csv"
-    )
-    assert path.read_text() == expected
+    code, expected, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert path.read_text(encoding="utf-8") == expected
+
+
+def test_refused_listing_creates_no_out_file(capsys, tmp_path):
+    path = tmp_path / "cops.txt"
+    code, out, err = run_cli(capsys, "cops", "--n", "9", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert "exceeds the configured cap" in err
+    assert not path.exists()
+
+
+class Sink:
+    """A text stream that counts what is written to it and keeps none of it."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+    def writelines(self, pieces):
+        for piece in pieces:
+            self.write(piece)
+
+
+@pytest.mark.parametrize(
+    "fmt, size", [("text", 2_153_797), ("json", 18_191_989)], ids=["text", "json"]
+)
+def test_cops_listing_peak_stays_below_its_own_size(monkeypatch, fmt, size):
+    # The listing is written as it is made, so at no point does the
+    # process hold the whole text, let alone copies of it.
+    sink = Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["cops", "--n", "8", "--format", fmt])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, sink.size) == (0, size)
+    assert peak < size, peak
 
 
 def test_environment_beats_config_file(capsys, tmp_path, monkeypatch):

@@ -307,9 +307,14 @@ def test_enumerate_matchings():
         assert all(a < b for a, b in matching)
 
 
+def listing(*args):
+    """The whole text of ``enumerate_cops(*args)``: its pieces joined."""
+    return "".join(enumerate_cops(*args))
+
+
 def test_enumerate_cops_golden_order():
-    assert enumerate_cops(3) == "(1,2,3)\n(1)(2,3)\n(1,2)(3)\n(1,3)(2)\n(1)(2)(3)\n(1)(3)(2)"
-    assert enumerate_cops(2, Caps(), COPS_JSON) == (
+    assert listing(3) == "(1,2,3)\n(1)(2,3)\n(1,2)(3)\n(1,3)(2)\n(1)(2)(3)\n(1)(3)(2)"
+    assert listing(2, Caps(), COPS_JSON) == (
         "    [\n      [\n        1,\n        2\n      ]\n    ],\n"
         "    [\n      [\n        1\n      ],\n      [\n        2\n      ]\n    ]"
     )
@@ -319,7 +324,7 @@ def test_enumerate_cops_golden_order():
 def test_enumerate_cops_matches_reference_order(form):
     pieces = {"text": COPS_TEXT, "json": COPS_JSON}[form]
     for n in range(1, 9):
-        assert enumerate_cops(n, Caps(), pieces) == reference_listing(reference_cops(n), form), n
+        assert listing(n, Caps(), pieces) == reference_listing(reference_cops(n), form), n
 
 
 def parse_cop_line(line):
@@ -328,7 +333,7 @@ def parse_cop_line(line):
 
 
 def test_cop_canonical_form():
-    for cop in map(parse_cop_line, enumerate_cops(5).split("\n")):
+    for cop in map(parse_cop_line, listing(5).split("\n")):
         assert cop[0][0] == 1
         for block in cop:
             assert list(block) == sorted(block)
@@ -342,7 +347,7 @@ def test_cop_census():
         by_blocks = Counter(map(len, reference_cops(n)))
         for k in range(1, n + 1):
             assert by_blocks.get(k, 0) == stirling2(n, k) * math.factorial(k - 1)
-    assert len(enumerate_cops(8).split("\n")) == 94586
+    assert len(listing(8).split("\n")) == 94586
 
 
 def test_cop_listing_of_nine_has_every_cop_once():
@@ -353,7 +358,7 @@ def test_cop_listing_of_nine_has_every_cop_once():
     for n in range(1, 10):
         for k in range(1, n + 1):
             stirling[n, k] = k * stirling.get((n - 1, k), 0) + stirling.get((n - 1, k - 1), 0)
-    text = enumerate_cops(9, Caps(cops=9))
+    text = listing(9, Caps(cops=9))
     lines = (match.group() for match in re.finditer(".+", text))
     runs = [(k, len(set(run))) for k, run in itertools.groupby(lines, lambda line: line.count("("))]
     assert runs == [(k, math.factorial(k - 1) * stirling[9, k]) for k in range(1, 10)]
@@ -388,7 +393,14 @@ def test_tables_return_the_callers_own_dict():
         first.clear()
         first[99] = 1
         assert call() == expected
-    assert enumerate_cops(6) == enumerate_cops(6) == reference_listing(reference_cops(6), "text")
+    assert listing(6) == listing(6) == reference_listing(reference_cops(6), "text")
+
+
+def test_enumerate_cops_refuses_when_called():
+    # The cap is checked before the generator is returned, so the refusal
+    # needs no iteration and comes before any piece is made.
+    with pytest.raises(BoundExceeded):
+        enumerate_cops(9)
 
 
 def test_cop_stat_table_unknown():

@@ -13,7 +13,9 @@ its output since then shows up as a failing case:
   shared one parser table and one output step;
 - ``cops``: commit 0a9f3e0, which sorted the whole list on one key and
   rendered every block on every line, and ``cops --n 8 --format json``
-  at commit bfd049b, which ran ``json.dumps`` on the whole list;
+  at commit bfd049b, which ran ``json.dumps`` on the whole list; the
+  refusals of ``cops --n 9`` at default caps were pinned when the listing
+  began to stream, with the bytes of the last commit that built it whole;
 - ``stats``: commit e979065, whose census read the full sorted list of
   cyclically ordered partitions;
 - ``triangle``: commit 3450708, whose tables kept a sparse dict of
@@ -68,6 +70,8 @@ CASES = (
     + [("cops", "--n", str(n), "--format", fmt) for fmt in ("text", "json") for n in range(1, 9)]
     # cops offers no csv, so argparse refuses it with a usage error.
     + [("cops", "--n", "2", "--format", "csv")]
+    # Above the default cap: refused before the first byte of the listing.
+    + [("cops", "--n", "9", "--format", fmt) for fmt in ("text", "json")]
     + [
         ("stats", "--n", str(n), "--stat", stat, "--format", fmt)
         for stat in ("descents", "right_valleys", "las")

@@ -19,6 +19,8 @@ from gramcalc.triangles import (
     whitney,
 )
 
+from reference import reference_whitney
+
 
 def row(name, n):
     return build_table(name, n).row(n)
@@ -210,11 +212,9 @@ def test_make_table_rows():
     assert t.row(-1) == t.row(4) == []
 
 
-def test_whitney_table_checks_every_cell(monkeypatch):
-    calls = []
-    real = triangles.whitney
-    monkeypatch.setattr(
-        triangles, "whitney", lambda m, n, k: calls.append((m, n, k)) or real(m, n, k)
-    )
-    build_table("whitney:3", 2)
-    assert calls == [(3, 0, 0), (3, 1, 0), (3, 1, 1), (3, 2, 0), (3, 2, 1), (3, 2, 2)]
+def test_whitney_matches_the_binomial_stirling_sum():
+    # k runs two past each end of the row, where both sides read 0.
+    for m in range(1, 6):
+        for n in range(61):
+            for k in range(-2, n + 3):
+                assert whitney(m, n, k) == reference_whitney(m, n, k), (m, n, k)
