@@ -8,14 +8,14 @@ makes one subparser per entry, with the handler's docstring as its help,
 and adds the shared --format and --out to each.
 
 A handler returns an iterable of text pieces and its exit code.
-``_lines``, ``_csv`` and ``_json_text`` make one piece; ``derive`` text
-is two, the polynomial and its newline, so neither is copied; ``cops``
-chains the pieces of ``oracles.enumerate_cops``, one per prefix block,
-with the last newline or the JSON object around them.  ``main`` writes
-them with ``writelines`` to stdout or, with --out, to a file.  Every
-check (caps, flags, parsing, printing a value) runs before the handler
-returns, so a refusal writes no byte and creates no --out file.  A
-handler refuses bad input by raising a ``GramcalcError`` or
+``_lines``, ``_csv`` and ``_json_text`` make one piece.  ``derive`` text
+chains ``Polynomial.pieces``, one per run of terms with the same first
+letter and exponent, and ``cops`` ``oracles.enumerate_cops``, one per
+prefix block, with the last newline or the JSON object around them.
+``main`` writes them with ``writelines`` to stdout or, with --out, to a
+file.  Every check (caps, flags, parsing, printing a value) runs before
+the handler returns, so a refusal writes no byte and creates no --out
+file.  A handler refuses bad input by raising a ``GramcalcError`` or
 ``ValueError`` whose message is the error text; ``main`` prints it as
 the one "error: ..." line on stderr, and turns Python's int-to-str limit
 error into the PYTHONINTMAXSTRDIGITS=0 hint.  The size flags stay
@@ -39,7 +39,7 @@ import argparse
 import json
 import os
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable
 
 from . import config
@@ -98,17 +98,24 @@ def _cmd_derive(args, caps: config.Caps) -> tuple[Iterable[str], int]:
     n = _at_least(args, "n", 0)
     caps.check("derive", n)
     p = grammar.derive_n(parse_polynomial(args.start), n)
+    terms = p.terms().items()
+    # A number prints if and only if the largest of its kind does, so both
+    # are tried before any piece is written; main words a coefficient's error.
+    try:
+        str(max((e for mono, _ in terms for _, e in mono), default=0))
+    except ValueError:
+        raise ValueError(
+            "an exponent is too long to print; PYTHONINTMAXSTRDIGITS=0 lifts the limit"
+        ) from None
+    str(max((abs(coeff) for _, coeff in terms), default=0))
     if args.format == "json":
         return _json_text(p.to_json_obj()), 0
     if args.format == "csv":
         letters = list(grammar.letters)
         header = "n,i,j" if letters == ["x", "y"] else "n," + ",".join(letters)
-        rows = []
-        for mono, coeff in p.sorted_terms():
-            exps = dict(mono)
-            rows.append((n, *(exps.get(l, 0) for l in letters), coeff))
+        rows = ((n, *map(dict(mono).get, letters, repeat(0)), coeff) for mono, coeff in terms)
         return _csv(header + ",value", rows), 0
-    return (str(p), "\n"), 0
+    return chain(p.pieces(), ("\n",)), 0
 
 
 def _dense_row(counts: dict[int, int]) -> tuple[int, list[int]]:
@@ -164,14 +171,8 @@ def _cmd_stats(args, caps: config.Caps) -> tuple[Iterable[str], int]:
     n = _at_least(args, "n", 1)
     items = oracles.cop_stat_table(n, args.stat, caps).items()
     if args.format == "json":
-        payload = {
-            "n": n,
-            "stat": args.stat,
-            "counts": [
-                {"blocks": k, "value": s, "count": c} for (k, s), c in items
-            ],
-        }
-        return _json_text(payload), 0
+        counts = [{"blocks": k, "value": s, "count": c} for (k, s), c in items]
+        return _json_text({"n": n, "stat": args.stat, "counts": counts}), 0
     if args.format == "csv":
         return _csv("blocks,value,count", ((k, s, c) for (k, s), c in items)), 0
     return _lines(f"blocks={k} {args.stat}={s}: {c}" for (k, s), c in items), 0

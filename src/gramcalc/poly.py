@@ -11,7 +11,9 @@ Printed terms follow one deterministic order: sort letters by name, read
 each monomial as an exponent vector over those letters, and list terms in
 ascending lexicographic order of that vector.  ``str(p)`` writes explicit
 ``*`` between factors and round-trips through the rule DSL, while
-``p.compact()`` juxtaposes letters (``3xy^2``) for display.
+``p.compact()`` juxtaposes letters (``3xy^2``).  Both join ``p.pieces()``,
+one piece per run of terms with the same first (letter, exponent) pair,
+so a long polynomial can be written without being held as one string.
 
 Products run on packed keys (``_Packing``): each letter's exponent sits
 in a fixed bit slot of one int, so multiplying two monomials is one
@@ -26,6 +28,7 @@ same class.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Iterable, Iterator, Mapping
 
 Monomial = tuple[tuple[str, int], ...]
@@ -100,11 +103,7 @@ def _term_text(coeff: int, m: Monomial, explicit_mul: bool) -> str:
     if not m:
         return str(coeff)
     body = mono_text(m, explicit_mul)
-    if coeff == 1:
-        return body
-    if explicit_mul:
-        return f"{coeff}*{body}"
-    return f"{coeff}{body}"
+    return body if coeff == 1 else f"{coeff}{'*' if explicit_mul else ''}{body}"
 
 
 class _Packing:
@@ -331,29 +330,29 @@ class Polynomial:
                 base = base * base
         return result
 
-    def _format(self, explicit_mul: bool) -> str:
-        parts: list[str] = []
-        for idx, (mono, coeff) in enumerate(self._terms.items()):
-            body = _term_text(abs(coeff), mono, explicit_mul)
-            if idx == 0:
-                parts.append(body if coeff > 0 else "-" + body)
-            else:
-                parts.append((" + " if coeff > 0 else " - ") + body)
-        return "".join(parts) or "0"
+    def pieces(self, explicit_mul: bool = True) -> Iterator[str]:
+        """The text of ``str(p)``, or of ``p.compact()`` without explicit_mul,
+        one piece per run of terms that share their first (letter, exponent) pair."""
+        signs = ("-", "")  # by coeff > 0; the first term has no spaces around its sign
+        for _, run in groupby(self._terms.items(), lambda term: term[0][:1]):
+            text = []
+            for mono, coeff in run:
+                text.append(signs[coeff > 0] + _term_text(abs(coeff), mono, explicit_mul))
+                signs = (" - ", " + ")
+            yield "".join(text)
+        if not self._terms:
+            yield "0"
 
     def __str__(self) -> str:
-        return self._format(explicit_mul=True)
+        return "".join(self.pieces())
 
     def compact(self) -> str:
         """Display form with juxtaposed letters, e.g. ``x + 3xy + xy^2``."""
-        return self._format(explicit_mul=False)
+        return "".join(self.pieces(explicit_mul=False))
 
     def __repr__(self) -> str:
         return f"Polynomial({str(self)!r})"
 
     def to_json_obj(self) -> list[dict]:
         """JSON-ready list of terms; coefficients as decimal strings."""
-        out = []
-        for mono, coeff in self._terms.items():
-            out.append({"exponents": {l: e for l, e in mono}, "coeff": str(coeff)})
-        return out
+        return [{"exponents": dict(mono), "coeff": str(c)} for mono, c in self._terms.items()]

@@ -7,7 +7,8 @@ differential tests compare the fast path's exact term list with the
 reference's terms in print order, since every polynomial lists its terms
 in that order.  ``print_order`` computes that order with its own sort key,
 not from the packed keys that ``poly`` sorts by, so the order tests do not
-compare the code with itself.
+compare the code with itself.  ``reference_text`` writes each term afresh
+in that order, for the tests of the text pieces.
 
 The canonical cop order and the ``cops`` listing have references too:
 the set partitions by recursion, every arrangement of the blocks after
@@ -131,6 +132,22 @@ def print_order(p: Polynomial) -> list[tuple[Monomial, int]]:
         return tuple(exps.get(a, 0) for a in axes)
 
     return sorted(p.terms().items(), key=key)
+
+
+def reference_text(p: Polynomial, explicit_mul: bool = True) -> str:
+    """p as ``str(p)`` writes it (``p.compact()`` without explicit_mul), term by term."""
+    sep = "*" if explicit_mul else ""
+    out = ""
+    for mono, coeff in print_order(p):
+        factors = [l if e == 1 else f"{l}^{e}" for l, e in mono]
+        if abs(coeff) != 1 or not mono:
+            factors.insert(0, str(abs(coeff)))
+        if out:
+            out += " + " if coeff > 0 else " - "
+        elif coeff < 0:
+            out = "-"
+        out += sep.join(factors)
+    return out or "0"
 
 
 def assert_same_terms(actual: Polynomial, expected: Polynomial) -> None:

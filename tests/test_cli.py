@@ -12,6 +12,7 @@ import pytest
 import gramcalc
 from gramcalc import cli, oracles, triangles
 from gramcalc.cli import main
+from gramcalc.dsl import builtin_grammar, builtin_names, parse_polynomial
 
 from reference import reference_cop_line, reference_cops, reference_listing
 
@@ -104,6 +105,28 @@ def digit_limit():
 TOO_LONG_TO_PRINT = (
     "error: a coefficient is too long to print; PYTHONINTMAXSTRDIGITS=0 lifts the limit\n"
 )
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("what", ["a coefficient", "an exponent"])
+def test_number_past_the_digit_limit_in_a_later_piece_writes_nothing(
+    capsys, tmp_path, digit_limit, what, fmt, to_file
+):
+    nines = "9" * digit_limit
+    big = f"2^{4 * digit_limit}*x" if what == "a coefficient" else f"(x^{nines})^{nines}"
+    start = f"y + {big}"
+    # y prints first, in a piece of its own, so the too-long number is in the second.
+    assert [mono[:1] for mono, _ in parse_polynomial(start).sorted_terms()] == [
+        (("y", 1),),
+        (("x", 1 if what == "a coefficient" else int(nines) ** 2),),
+    ]
+    path = tmp_path / "derive.out"
+    argv = ["derive", "--builtin", "g1", "--n", "0", "--start", start, "--format", fmt]
+    code, out, err = run_cli(capsys, *argv, *(["--out", str(path)] if to_file else []))
+    assert (code, out) == (2, "")
+    assert err == f"error: {what} is too long to print; PYTHONINTMAXSTRDIGITS=0 lifts the limit\n"
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -581,10 +604,12 @@ class Sink:
     """A text stream that counts what is written to it and keeps none of it."""
 
     def __init__(self):
-        self.size = 0
+        self.size = self.writes = self.largest = 0
 
     def write(self, text):
         self.size += len(text)
+        self.writes += 1
+        self.largest = max(self.largest, len(text))
 
     def writelines(self, pieces):
         for piece in pieces:
@@ -607,6 +632,37 @@ def test_cops_listing_peak_stays_below_its_own_size(monkeypatch, fmt, size):
         tracemalloc.stop()
     assert (code, sink.size) == (0, size)
     assert peak < size, peak
+
+
+def test_derive_text_peak_is_the_derivation(monkeypatch):
+    # The level is written a run of terms at a time, so printing it adds
+    # little to the peak of computing it, and no write holds much of it.
+    tracemalloc.start()
+    try:
+        builtin_grammar("g6").derive_n(parse_polynomial("x"), 100)
+        alone = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sink = Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["derive", "--builtin", "g6", "--n", "100"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 1.3 * alone, (peak, alone)
+    assert sink.writes > 50
+    assert sink.largest <= 0.05 * sink.size, (sink.largest, sink.size)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_derive_text_is_the_level_then_a_newline(capsys, name):
+    grammar = builtin_grammar(name)
+    for n in range(11):
+        code, out, _ = run_cli(capsys, "derive", "--builtin", name, "--n", str(n))
+        assert (code, out) == (0, str(grammar.derive_n(parse_polynomial("x"), n)) + "\n")
 
 
 def test_environment_beats_config_file(capsys, tmp_path, monkeypatch):

@@ -3,12 +3,19 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gramcalc.dsl import parse_polynomial
 from gramcalc.poly import CONST_MONO, Polynomial, mono_degree, mono_from_exps
 
-from reference import assert_same_terms, mono_mul, print_order, reference_mul, reference_pow
+from reference import (
+    assert_same_terms,
+    mono_mul,
+    print_order,
+    reference_mul,
+    reference_pow,
+    reference_text,
+)
 
 x = Polynomial.letter("x")
 y = Polynomial.letter("y")
@@ -184,6 +191,23 @@ def _polys(draw, letters="wxyz"):
         st.integers(-3, 3),
     )
     return Polynomial.from_terms(draw(st.lists(term, max_size=5)))
+
+
+@example(Polynomial.zero())
+@example(Polynomial.constant(-7))
+@example(parse_polynomial("-3*x*y + 2 - y^2"))
+@example(parse_polynomial("-x^3 + 4*x - 1"))
+@example(parse_polynomial("y - x + x*y + x^2 - 5*x^2*y"))
+@given(_polys())
+def test_pieces_are_the_text(p):
+    pieces = list(p.pieces())
+    assert "".join(pieces) == str(p) == reference_text(p)
+    assert "".join(p.pieces(explicit_mul=False)) == p.compact() == reference_text(p, False)
+    # One piece per run of terms with the same first (letter, exponent) pair.
+    firsts = [mono[:1] for mono, _ in p.sorted_terms()]
+    runs = sum(1 for i, first in enumerate(firsts) if i == 0 or first != firsts[i - 1])
+    assert len(pieces) == max(runs, 1)
+    assert all(pieces)
 
 
 @given(_polys(), _polys(), _polys("ab"))
