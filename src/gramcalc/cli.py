@@ -19,13 +19,16 @@ file.  A handler refuses bad input by raising a ``GramcalcError`` or
 ``ValueError`` whose message is the error text; ``main`` prints it as
 the one "error: ..." line on stderr, and turns Python's int-to-str limit
 error into the PYTHONINTMAXSTRDIGITS=0 hint.  The size flags stay
-strings until ``_at_least`` reads them with ``poly._read_int``, so every
-bad value takes that same path.
+strings until ``_at_least`` reads them with ``errors._read_int``, so
+every bad value takes that same path.
 
-Start-up imports only what ``derive`` needs.  ``oracles``, ``triangles``
-and ``verifier`` are imported in the handlers that run them, and the
-parser's choices from those modules are spelled here, so ``derive``
-never loads them and ``cops`` never loads the verifier.
+Start-up imports only ``config`` and ``errors``.  ``dsl`` (with
+``grammar`` and ``poly``), ``oracles``, ``triangles`` and ``verifier``
+are imported in the handlers that run them, and the parser's choices
+from those modules are spelled here.  So ``cops`` and ``stats`` load
+only ``oracles``, ``triangle`` loads ``triangles`` (and ``oracles`` for
+its oracle tables), and only ``derive`` and ``verify`` load the
+polynomial layer.
 
 Exit status: 0 on success, 1 when a verification suite fails, 2 on
 usage, parse, and bound errors, 3 on an internal error (any other
@@ -43,14 +46,12 @@ from itertools import chain, repeat
 from typing import Iterable
 
 from . import config
-from .dsl import builtin_grammar, builtin_names, parse_grammar, parse_polynomial
-from .errors import GramcalcError, UnknownTriangle
-from .grammar import Grammar
-from .poly import _read_int
+from .errors import GramcalcError, UnknownTriangle, _read_int
 
 _FORMATS = ("text", "csv", "json")
-# Copies of verifier.SUITE_NAMES, oracles.stat_names() and
-# triangles.triangle_names(), which tests/test_imports.py keeps equal.
+# Copies of dsl.builtin_names(), verifier.SUITE_NAMES, oracles.stat_names()
+# and triangles.triangle_names(), which tests/test_imports.py keeps equal.
+_BUILTIN_NAMES = ("g1", "g2", "g3", "g4", "g5", "gB", "g6")
 _SUITE_NAMES = ("T1", "T2", "T3", "T4", "T5", "T6", "golden")
 _STAT_NAMES = ("descents", "right_valleys", "las")
 _TRIANGLE_NAMES = ("stirling2", "eulerian", "type_b_eulerian", "matching", "whitney:<m>")
@@ -76,8 +77,10 @@ def _at_least(args, flag: str, least: int) -> int:
     return _read_int(getattr(args, flag), f"--{flag}", least)
 
 
-def _grammar_from_source(src: str) -> Grammar:
-    """Parse a grammar from inline DSL text or from a file path."""
+def _grammar_from_source(src: str):
+    """Parse a ``Grammar`` from inline DSL text or from a file path."""
+    from .dsl import parse_grammar
+
     if os.path.exists(src):
         with open(src, encoding="utf-8-sig") as fh:
             return parse_grammar(fh.read())
@@ -90,6 +93,8 @@ def _grammar_from_source(src: str) -> Grammar:
 
 def _cmd_derive(args, caps: config.Caps) -> tuple[Iterable[str], int]:
     """expand an iterated derivative"""
+    from .dsl import builtin_grammar, parse_polynomial
+
     grammar = (
         builtin_grammar(args.builtin)
         if args.builtin
@@ -229,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = {name: sub.add_parser(name, help=cmd.__doc__) for name, cmd in _DISPATCH.items()}
     src = p["derive"].add_mutually_exclusive_group(required=True)
     src.add_argument("--grammar", metavar="SRC", help="rule DSL text, or a path to a file of it")
-    src.add_argument("--builtin", choices=builtin_names(), help="named builtin grammar")
+    src.add_argument("--builtin", choices=_BUILTIN_NAMES, help="named builtin grammar")
     p["derive"].add_argument("--start", default="x", help="starting polynomial (default: x)")
     p["derive"].add_argument("--n", required=True, help="derivative depth")
     names = _TRIANGLE_NAMES + _ORACLE_TABLES

@@ -20,8 +20,7 @@ from __future__ import annotations
 import os
 from typing import NamedTuple
 
-from .errors import BoundExceeded, GramcalcError
-from .poly import _exact, _read_int
+from .errors import BoundExceeded, GramcalcError, _exact, _read_int
 
 ENV_PREFIX = "GRAMCALC_CAP_"
 

@@ -30,9 +30,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import DuplicateRule, ParseError
+from .errors import DuplicateRule, ParseError, _read_int
 from .grammar import Grammar
-from .poly import Polynomial, _read_int
+from .poly import Polynomial
 
 
 class Token(NamedTuple):

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the exact-int gate.
+
+``_exact`` is the one gate for exact sizes, depths, caps and exponents,
+and ``_read_int`` the one reader of integers from text.  They live in
+this leaf module, which every command loads, so a command that checks a
+size need not load the polynomial layer.
+"""
 
 from __future__ import annotations
 
@@ -70,3 +76,38 @@ class EmptyList(GramcalcError):
 
 class UnknownTriangle(GramcalcError):
     """A triangle name not recognized by the table builder."""
+
+
+def _exact(value: object, what: str, least: int | None = None) -> int:
+    """value itself when it is an int of at least ``least`` (no bound if None).
+
+    The one gate for exact sizes, depths, caps and exponents: floats,
+    bools and every other non-int, and ints below ``least``, raise
+    ValueError.
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an int, got {value!r}")
+    if least is not None and value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{what} must be {bound}, got {value}")
+    return value
+
+
+def _read_int(text: str, what: str, least: int = 0) -> int:
+    """The int written in text, checked by ``_exact`` against least.
+
+    The one reader of integers from text: rule literals, caps, Whitney
+    orders and the CLI size flags.  Only ASCII digits are read, so a sign,
+    an underscore or another script's digits raise ValueError, as does a
+    digit string past the interpreter's int-to-str limit.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{what} needs a nonnegative integer, got {text!r}")
+    try:
+        value = int(text)
+    except ValueError:  # longer than the interpreter's int-to-str limit
+        raise ValueError(
+            f"{what} of {len(text)} digits is too long to read;"
+            " PYTHONINTMAXSTRDIGITS=0 lifts the limit"
+        ) from None
+    return _exact(value, what, least)

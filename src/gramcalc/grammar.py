@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from . import poly
-from .errors import DuplicateRule, PatternViolation, UnknownLetter
+from .errors import DuplicateRule, PatternViolation, UnknownLetter, _exact
 from .poly import Monomial, Polynomial, mono_degree, mono_text
 
 
@@ -113,7 +113,7 @@ class Grammar:
 
     def derive_n(self, p: Polynomial, n: int) -> Polynomial:
         """n-fold derivative, keeping only the final level."""
-        packing = _Packing(self, p, poly._exact(n, "derivative depth", 0))
+        packing = _Packing(self, p, _exact(n, "derivative depth", 0))
         if not n:
             return p
         terms = packing.pack(p)
@@ -127,7 +127,7 @@ class Grammar:
         A letter of p with no rule and no const declaration raises
         UnknownLetter at every depth, 0 included.
         """
-        packing = _Packing(self, p, poly._exact(nmax, "derivative depth", 0))
+        packing = _Packing(self, p, _exact(nmax, "derivative depth", 0))
         levels = [p]
         terms = packing.pack(p)
         for _ in range(nmax):
@@ -253,7 +253,7 @@ class IndexMap:
                     f"index map row of {letter!r} must be (base, ci, cj), got {row!r}"
                 ) from None
             self._spec[letter] = tuple(
-                poly._exact(v, f"index map entry of {letter!r}") for v in (base, ci, cj)
+                _exact(v, f"index map entry of {letter!r}") for v in (base, ci, cj)
             )
         letters = list(self._spec)
         solver = None

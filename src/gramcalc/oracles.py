@@ -71,8 +71,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .config import Caps
-from .errors import EmptyList
-from .poly import _exact
+from .errors import EmptyList, _exact
 
 Cop = tuple[tuple[int, ...], ...]
 Matching = tuple[tuple[int, int], ...]

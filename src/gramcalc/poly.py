@@ -31,44 +31,11 @@ from __future__ import annotations
 from itertools import groupby
 from typing import Iterable, Iterator, Mapping
 
+from .errors import _exact
+
 Monomial = tuple[tuple[str, int], ...]
 
 CONST_MONO: Monomial = ()
-
-
-def _exact(value: object, what: str, least: int | None = None) -> int:
-    """value itself when it is an int of at least ``least`` (no bound if None).
-
-    The one gate for exact sizes, depths, caps and exponents: floats,
-    bools and every other non-int, and ints below ``least``, raise
-    ValueError.
-    """
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{what} must be an int, got {value!r}")
-    if least is not None and value < least:
-        bound = "nonnegative" if least == 0 else f"at least {least}"
-        raise ValueError(f"{what} must be {bound}, got {value}")
-    return value
-
-
-def _read_int(text: str, what: str, least: int = 0) -> int:
-    """The int written in text, checked by ``_exact`` against least.
-
-    The one reader of integers from text: rule literals, caps, Whitney
-    orders and the CLI size flags.  Only ASCII digits are read, so a sign,
-    an underscore or another script's digits raise ValueError, as does a
-    digit string past the interpreter's int-to-str limit.
-    """
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"{what} needs a nonnegative integer, got {text!r}")
-    try:
-        value = int(text)
-    except ValueError:  # longer than the interpreter's int-to-str limit
-        raise ValueError(
-            f"{what} of {len(text)} digits is too long to read;"
-            " PYTHONINTMAXSTRDIGITS=0 lifts the limit"
-        ) from None
-    return _exact(value, what, least)
 
 
 def mono_from_exps(exps: Mapping[str, int]) -> Monomial:

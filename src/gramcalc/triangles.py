@@ -28,8 +28,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import UnknownTriangle
-from .poly import _exact, _read_int
+from .errors import UnknownTriangle, _exact, _read_int
 
 
 def binomial(n: int, k: int) -> int:

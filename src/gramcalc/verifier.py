@@ -40,9 +40,9 @@ from typing import NamedTuple
 from . import oracles
 from .config import Caps
 from .dsl import builtin_grammar, parse_polynomial
-from .errors import BoundExceeded, PatternViolation
+from .errors import BoundExceeded, PatternViolation, _exact
 from .grammar import Grammar, IndexMap, extract_coeffs
-from .poly import Polynomial, _exact, mono_degree
+from .poly import Polynomial, mono_degree
 from .triangles import (
     binomial,
     eulerian,

@@ -14,7 +14,9 @@ from gramcalc.errors import GramcalcError, ParseError, UnknownTriangle
 from source_tree import name, tree, walk
 
 # The one function that calls int(): it first checks its text is ASCII digits.
-CHECKED_DIGIT_READERS = {("poly", "_read_int")}
+CHECKED_DIGIT_READERS = {("errors", "_read_int")}
+# The gate for exact integers and the reader of integers from text.
+GATE = ("_exact", "_read_int")
 
 
 def int_calls(path: pathlib.Path) -> list[tuple[str, str, int]]:
@@ -28,11 +30,29 @@ def int_calls(path: pathlib.Path) -> list[tuple[str, str, int]]:
 
 def test_int_is_called_only_on_checked_digits():
     # Any other int() would turn a float, a bool or a string into an int
-    # behind the back of poly._exact, the one gate for exact integers.
+    # behind the back of errors._exact, the one gate for exact integers.
     package = pathlib.Path(gramcalc.__file__).parent
     calls = [call for path in sorted(package.glob("*.py")) for call in int_calls(path)]
     assert [call for call in calls if call[:2] not in CHECKED_DIGIT_READERS] == []
     assert {call[:2] for call in calls} == CHECKED_DIGIT_READERS
+
+
+def test_the_gate_is_defined_once_and_imported_from_errors():
+    # A copy of the gate left in another module, or a caller still reaching
+    # it as poly._exact, would make a second gate that could drift.
+    package = pathlib.Path(gramcalc.__file__).parent
+    defined, elsewhere = [], []
+    for path in sorted(package.glob("*.py")):
+        for node, _, _ in walk(tree(path)):
+            if isinstance(node, ast.FunctionDef) and node.name in GATE:
+                defined.append((path.stem, node.name))
+            elif isinstance(node, ast.Attribute) and node.attr in GATE:
+                elsewhere.append((path.stem, name(node.value), node.lineno))
+            elif isinstance(node, ast.ImportFrom) and node.module != "errors":
+                imported = [a.name for a in node.names if a.name in GATE]
+                elsewhere += [(path.stem, node.module, node.lineno)] if imported else []
+    assert sorted(defined) == [("errors", "_exact"), ("errors", "_read_int")]
+    assert elsewhere == []
 
 
 def test_no_cli_flag_reads_an_int_itself():

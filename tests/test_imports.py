@@ -1,9 +1,12 @@
 """What each entry point loads: the package's lazy exports and the CLI's start-up.
 
 Every CLI call is a fresh interpreter, so a module imported at start-up
-is compiled on every run.  ``gramcalc.cli`` imports ``oracles``,
-``triangles`` and ``verifier`` only in the handlers that run them, and
-the package loads each export from its home module on first use.
+is compiled on every run when no cached bytecode is written.
+``gramcalc.cli`` imports only ``config`` and ``errors``, which holds the
+exact-int gate; ``dsl`` (with ``grammar`` and ``poly``), ``oracles``,
+``triangles`` and ``verifier`` load only in the handlers that run them,
+so ``cops``, ``stats`` and ``triangle`` never load the polynomial layer.
+The package loads each export from its home module on first use.
 """
 
 import importlib
@@ -16,10 +19,11 @@ from pathlib import Path
 import pytest
 
 import gramcalc
-from gramcalc import cli, oracles, triangles, verifier
+from gramcalc import cli, dsl, oracles, triangles, verifier
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 HEAVY = {"gramcalc.verifier", "gramcalc.oracles", "gramcalc.triangles"}
+POLY = {"gramcalc.dsl", "gramcalc.grammar", "gramcalc.poly"}
 
 
 def loaded_after(code: str) -> set[str]:
@@ -36,14 +40,23 @@ def loaded_after(code: str) -> set[str]:
     return set(json.loads(done.stdout.splitlines()[-1]))
 
 
+def cli_run(*argv: str) -> str:
+    """Code that runs the CLI on argv."""
+    return f"from gramcalc.cli import main; main({list(argv)!r})"
+
+
 @pytest.mark.parametrize(
     "code, unwanted",
     [
-        ("import gramcalc.cli", {"dataclasses", "inspect", *HEAVY}),
-        ("from gramcalc.cli import main; main(['derive', '--builtin', 'g1', '--n', '3'])", HEAVY),
-        ("from gramcalc.cli import main; main(['cops', '--n', '3'])", HEAVY - {"gramcalc.oracles"}),
+        ("import gramcalc.cli", {"dataclasses", "inspect", *HEAVY, *POLY}),
+        (cli_run("derive", "--builtin", "g1", "--n", "3"), HEAVY),
+        (cli_run("cops", "--n", "3"), HEAVY - {"gramcalc.oracles"} | POLY),
+        (cli_run("stats", "--n", "3", "--stat", "las"), HEAVY - {"gramcalc.oracles"} | POLY),
+        (cli_run("triangle", "stirling2", "--nmax", "3"), HEAVY - {"gramcalc.triangles"} | POLY),
+        # The oracle tables take their rows from oracles.
+        (cli_run("triangle", "las", "--nmax", "3"), {"gramcalc.verifier"} | POLY),
     ],
-    ids=["import", "derive", "cops"],
+    ids=["import", "derive", "cops", "stats", "triangle", "triangle-las"],
 )
 def test_start_up_loads_only_what_the_command_runs(code, unwanted):
     assert loaded_after(code) & unwanted == set()
@@ -64,6 +77,7 @@ def test_unknown_export_is_an_attribute_error():
 
 
 def test_cli_choices_match_their_modules():
+    assert cli._BUILTIN_NAMES == dsl.builtin_names()
     assert cli._SUITE_NAMES == verifier.SUITE_NAMES
     assert cli._STAT_NAMES == oracles.stat_names()
     assert cli._TRIANGLE_NAMES == triangles.triangle_names()

@@ -19,7 +19,11 @@ its output since then shows up as a failing case:
 - ``stats``: commit e979065, whose census read the full sorted list of
   cyclically ordered partitions;
 - ``triangle``: commit 3450708, whose tables kept a sparse dict of
-  nonzero entries plus per-row bounds.
+  nonzero entries plus per-row bounds;
+- ``derive`` of an inline ``--grammar`` in every format, and the usage
+  error for an unknown ``--builtin``, which lists the choices in order:
+  commit 7ab5e51, whose ``cli`` imported the rule parser at start-up and
+  read the choices from ``dsl.builtin_names()``.
 
 The ``cops``, ``stats`` and ``triangle`` digests were first taken of
 stdout alone, with exit 0 asserted, and were carried over with exit 0
@@ -65,6 +69,12 @@ CASES = (
         for suite, sources in MUTANTS.items()
         for src in sources
         for fmt in ("text", "json")
+    ]
+    # argparse's usage error, which lists the --builtin choices in order.
+    + [("derive", "--builtin", "nope", "--n", "1", "--format", "text")]
+    + [
+        ("derive", "--grammar", "x -> x + x*y; y -> y + x*y", "--n", "3", "--format", fmt)
+        for fmt in ("text", "csv", "json")
     ]
     + [("verify", "all", "--format", fmt) for fmt in ("text", "json")]
     + [("cops", "--n", str(n), "--format", fmt) for fmt in ("text", "json") for n in range(1, 9)]
