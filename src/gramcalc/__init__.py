@@ -22,7 +22,8 @@ _EXPORTS = {
         "UnknownLetter",
         "UnknownTriangle",
     ),
-    "grammar": ("Grammar", "IndexMap", "extract_coeffs"),
+    "grammar": ("Grammar",),
+    "indexmap": ("IndexMap", "extract_coeffs"),
     "poly": ("Polynomial",),
     "triangles": (
         "TriangleTable",

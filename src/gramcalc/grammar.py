@@ -7,33 +7,51 @@ polynomial.  Letters without a rule must be declared constant explicitly
 and derive to zero; any other unruled letter is an error, never silently
 a constant.
 
-This module also provides affine index maps for reading a two-parameter
-coefficient array out of an expansion whose monomials follow a fixed
-exponent pattern, such as ``x^(2i+1) y^(2j)``.
+Derive runs on the packed keys of ``poly._Packing``, which ``Polynomial``
+multiplication shares; this module adds what is specific to derive: the
+unknown-letter check, the degree bound for a depth, the row layout, the
+rule terms folded into entries, and the step.
 
-Derive runs on the packed-key layout of ``poly._Packing``, which
-``Polynomial`` multiplication shares; this module adds only what is
-specific to derive: the unknown-letter check, the degree bound for a
-depth, the rule terms folded into entries and the step.  An entry is a
-key delta, a rule coefficient and a weight word with one bit per letter
-whose rule reaches that delta with that coefficient; a step reads each
-term's multiplier for an entry as one field of key * weights, a sum of
-exponents of distinct letters that the degree bound keeps inside one
-slot.  The first entry of a step moves every term to a distinct key, so
-it builds the level in one pass with no lookups; the others add to it,
-and the zeros left by a zero multiplier or by cancelling terms are
-removed once per level.  The unknown-letter check runs at every depth,
-0 included, and every level lists its terms in print order, as every
-polynomial does.
+A level is stored as runs along diagonals.  M and L are the two lowest
+slots, and a diagonal steps by S = g*(unit_M - unit_L): g more of M, g
+less of L.  The stride g is the gcd of the moves in M of the rule terms
+that can apply, those of the letters reachable from the start, so no
+step changes a term's M exponent mod g, and a diagonal holds the cells
+of one such class r.  A level maps
+the key of each run's first cell to the coefficients of consecutive
+cells of one diagonal, cell t at key first + t*S.  A diagonal's row key
+is its cell with M exponent r, the rest of M's exponent moved into L's
+slot, which the degree bound already fits.  Where M never moves, or the
+grammar has one letter, the diagonals run along L alone, S = g*unit_L.
+
+The rule terms fold into one entry per delta, the change a rule term
+makes to the exponents, with the rule coefficient of each letter whose
+rule makes that change.  An entry sends a whole run into one target
+diagonal with one index shift, and its multiplier along the run is an
+arithmetic progression: alpha, the sum of coefficient times exponent over
+its letters at the run's first cell, and step beta = g*(c_M - c_L).  A
+run's contribution is one ``map(mul, values, count(alpha, beta))`` and
+adding it to its target is one slice assignment of ``map(add, ...)``.  So
+the work of a step is cells x entries multiplies and adds, done in C, the
+quantity a cap on a step's work would bound, plus a fixed amount of
+Python per (run, entry) pair, which dominates when runs are short.  Each
+step gathers whole diagonals and stores them as runs split at zeros, so
+no level stores a zero; on the builtin grammars, whose levels fill
+simplices with no gaps, that is one run per diagonal.  The unknown-letter
+check runs at every depth, 0 included, and every level lists its terms in
+print order, as every polynomial does.
 """
 
 from __future__ import annotations
 
+from itertools import count, groupby, repeat
+from math import gcd
+from operator import add, mul
 from typing import Iterable, Mapping
 
 from . import poly
-from .errors import DuplicateRule, PatternViolation, UnknownLetter, _exact
-from .poly import Monomial, Polynomial, mono_degree, mono_text
+from .errors import DuplicateRule, UnknownLetter, _exact
+from .poly import Polynomial, mono_degree
 
 
 class Grammar:
@@ -116,10 +134,10 @@ class Grammar:
         packing = _Packing(self, p, _exact(n, "derivative depth", 0))
         if not n:
             return p
-        terms = packing.pack(p)
+        runs = packing.runs(p)
         for _ in range(n):
-            terms = packing.step(terms)
-        return packing.unpack(terms)
+            runs = packing.step(runs)
+        return packing.polynomial(runs)
 
     def derive_levels(self, p: Polynomial, nmax: int) -> list[Polynomial]:
         """All levels 0..nmax of the iterated derivative; level 0 is p itself.
@@ -129,43 +147,34 @@ class Grammar:
         """
         packing = _Packing(self, p, _exact(nmax, "derivative depth", 0))
         levels = [p]
-        terms = packing.pack(p)
+        runs = packing.runs(p)
         for _ in range(nmax):
-            terms = packing.step(terms)
-            levels.append(packing.unpack(terms))
+            runs = packing.step(runs)
+            levels.append(packing.polynomial(runs))
         return levels
 
 
 class _Packing(poly._Packing):
-    """Packed keys for deriving p up to depth n with a grammar's rules.
+    """Packed keys and diagonal runs for deriving p up to depth n.
 
     The slots are the grammar's letters, and the degree bound is proven: a
     step raises a term's total degree by at most the largest rule-term
     degree minus one, so no term of levels 0..n has total degree above
     ``p.degree() + n * max(0, that degree - 1)``.
 
-    The rule terms of all ruled letters are folded into entries by key
-    delta and rule coefficient: a rule term ``c*m`` of letter L moves a
-    term from key to key + delta, where delta is the key of m minus L's
-    unit key, and adds coeff * e_L * c there.  An entry keeps that delta,
-    the coefficient c, and a weight word ``sum(1 << (top - shift_L))``
-    over the letters L whose rule reaches the delta with c, where top is
-    the highest slot shift (0 with no letters).  ``key * weights`` adds
-    one copy of the key per letter L, moved up by top - shift_L; distinct
-    letters move distinct slots onto each field, so every field sums the
-    exponents of distinct letters and holds at most the term's total
-    degree, which the degree bound fits in one slot.  No field carries
-    into the next, and the field at top is exactly the multiplier, the
-    sum of e_L over the entry's letters, read with one multiply, shift
-    and mask.  Rule coefficients stay out of the weight word, where they
-    would need slots that grow with them; a step multiplies each
-    multiplier by its entry's c instead, so a delta that letters reach
-    with k distinct coefficients costs k passes over the terms.  A level
-    may hold a zero coefficient only inside ``step``, which removes them
-    all before it returns, so no level ever stores one.
+    ``_slot`` is M's shift, ``_stride`` g and ``_pitch`` S, the key
+    distance between neighbouring cells.  An entry is (row delta, index
+    shift, ``[(slot shift, rule coefficient)]``, beta): a run whose first
+    cell has index i on its diagonal (M exponent r + i*g, r < g) adds to the
+    diagonal at its row key plus the row delta, from index i plus the index
+    shift.  Where a cell's multiplier is nonzero, some letter of the entry
+    has a positive exponent, so its target is a term's key; a zero
+    multiplier may point anywhere, even before index 0.  So a step skips a
+    run whose multipliers are all zero, and the zeros that other such
+    cells add are dropped by the split.
     """
 
-    __slots__ = ("_top", "_entries")
+    __slots__ = ("_entries", "_slot", "_stride", "_pitch")
 
     def __init__(self, grammar: Grammar, p: Polynomial, n: int):
         rules = grammar._rules
@@ -176,164 +185,111 @@ class _Packing(poly._Packing):
             (mono_degree(m) - 1 for rhs in rules.values() for m in rhs._terms),
             default=0,
         )
-        super().__init__(grammar.letters, p.degree() + n * max(0, growth))
-        top = self._top = max(self._shifts.values(), default=0)
-        folded: dict[tuple[int, int], int] = {}
+        letters = grammar.letters
+        super().__init__(letters, p.degree() + n * max(0, growth))
+        shifts = self._shifts
+        # Only the rules of letters that can occur from p ever apply, and an
+        # unused rule's moves would only shrink the stride: from x, g3's
+        # w -> w + w*x would make it 1 where no step changes x's parity.
+        reached, todo = set(), {l for l in p.letters() if l in rules}
+        while todo:
+            reached |= todo
+            todo = {l for r in todo for m in rules[r]._terms for l, _ in m if l in rules} - reached
+        # Entries by delta, the change a rule term makes to the exponents,
+        # with the rule coefficient of each letter whose rule makes it.  The
+        # packed delta alone is not a key, since an entry needs its move in
+        # M: with one-bit slots, x -> y and y -> 1 both move a key by
+        # unit_y - unit_x = -unit_y, but move x by -1 and 0.
+        folded: dict[frozenset, tuple[dict[str, int], dict[str, int]]] = {}
         for letter, rhs in rules.items():
-            shift = self._shifts[letter]
-            for m, c in rhs._terms.items():
-                entry = (self.pack_mono(m) - (1 << shift), c)
-                folded[entry] = folded.get(entry, 0) + (1 << (top - shift))
-        self._entries = [(delta, weights, c) for (delta, c), weights in folded.items()]
+            if letter not in reached:
+                continue
+            for mono, c in rhs._terms.items():
+                moves = dict(mono)
+                moves[letter] = moves.get(letter, 0) - 1
+                if not moves[letter]:
+                    del moves[letter]
+                folded.setdefault(frozenset(moves.items()), (moves, {}))[1][letter] = c
 
-    def step(self, terms: dict[int, int]) -> dict[int, int]:
-        """One derivative: each entry adds coeff * multiplier * c at key + delta.
+        def stride(m: str | None) -> int:
+            return gcd(*(moves.get(m, 0) for moves, _ in folded.values()))
 
-        An entry moves every key by the same delta, so the first entry's
-        targets are distinct and it fills the level in one comprehension;
-        the later entries add to it, skipping a zero multiplier.  Zeros,
-        from a zero multiplier of the first entry or from terms that
-        cancel, are removed once, at the end of the step.
-        """
-        if not self._entries:
-            return {}
-        top, mask = self._top, self._mask
-        items = terms.items()
-        (delta, weights, c), *rest = self._entries
-        out = {key + delta: coeff * ((key * weights >> top & mask) * c) for key, coeff in items}
-        get = out.get
-        for delta, weights, c in rest:
-            for key, coeff in items:
-                m = key * weights >> top & mask
-                if m:
-                    k = key + delta
-                    out[k] = get(k, 0) + coeff * (m * c)
-        if 0 in out.values():
-            out = {k: v for k, v in out.items() if v}
-        return out
-
-
-def _affine_text(base: int, ci: int, cj: int) -> str:
-    out = ""
-    for coef, sym in ((ci, "i"), (cj, "j")):
-        if coef == 0:
-            continue
-        mag = sym if abs(coef) == 1 else f"{abs(coef)}{sym}"
-        if not out:
-            out = mag if coef > 0 else "-" + mag
-        else:
-            out += ("+" if coef > 0 else "-") + mag
-    if not out:
-        return str(base)
-    if base:
-        out += ("+" if base > 0 else "-") + str(abs(base))
-    return out
-
-
-class IndexMap:
-    """Affine correspondence between monomial exponents and (i, j) indices.
-
-    Each mapped letter's exponent must equal ``base + ci*i + cj*j`` for
-    nonnegative integers i and j, and no other letter may occur.  Some
-    pair of letters must have linearly independent (ci, cj) rows so the
-    indices are pinned uniquely; otherwise construction fails.  Every
-    row must be three ints ``(base, ci, cj)``, no bools; anything else
-    raises ValueError.
-    """
-
-    __slots__ = ("_spec", "_solver")
-
-    def __init__(self, spec: Mapping[str, tuple[int, int, int]]):
-        self._spec = {}
-        for letter, row in sorted(spec.items()):
-            try:
-                base, ci, cj = row
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"index map row of {letter!r} must be (base, ci, cj), got {row!r}"
-                ) from None
-            self._spec[letter] = tuple(
-                _exact(v, f"index map entry of {letter!r}") for v in (base, ci, cj)
+        m = partner = None
+        if len(letters) > 1 and stride(letters[-2]):
+            m, partner = letters[-2:]
+        elif letters:
+            m = letters[-1]
+        g = self._stride = stride(m) or 1
+        unit = {letter: 1 << shift for letter, shift in shifts.items()}
+        pitch = self._pitch = g * (unit.get(m, 0) - unit.get(partner, 0))
+        self._slot = shifts.get(m, 0)
+        self._entries = [
+            (
+                sum(e << shifts[l] for l, e in moves.items()) - moves.get(m, 0) // g * pitch,
+                moves.get(m, 0) // g,
+                [(shifts[l], c) for l, c in coeffs.items()],
+                g * (coeffs.get(m, 0) - coeffs.get(partner, 0)),
             )
-        letters = list(self._spec)
-        solver = None
-        for a in range(len(letters)):
-            for b in range(a + 1, len(letters)):
-                _, ia, ja = self._spec[letters[a]]
-                _, ib, jb = self._spec[letters[b]]
-                if ia * jb - ja * ib != 0:
-                    solver = (letters[a], letters[b])
-                    break
-            if solver:
-                break
-        if solver is None:
-            raise ValueError("index map does not determine (i, j) uniquely")
-        self._solver = solver
+            for moves, coeffs in folded.values()
+        ]
 
-    @classmethod
-    def identity(
-        cls,
-        i_letter: str = "x",
-        j_letter: str = "y",
-        fixed: Mapping[str, int] | None = None,
-    ) -> "IndexMap":
-        """Map reading i and j straight off two letters' exponents.
+    def runs(self, p: Polynomial) -> dict[int, list[int]]:
+        """Level 0: each term of p as a run of one cell."""
+        return {key: [coeff] for key, coeff in self.pack(p).items()}
 
-        ``fixed`` adds letters whose exponent must equal a constant, such
-        as a prefactor letter required at exponent 1.
+    def polynomial(self, runs: dict[int, list[int]]) -> Polynomial:
+        """The polynomial whose terms are the cells of runs."""
+        pitch = self._pitch
+        terms: dict[int, int] = {}
+        for key, values in runs.items():
+            terms.update(zip(range(key, key + len(values) * pitch, pitch), values))
+        return self.unpack(terms)
+
+    def step(self, runs: dict[int, list[int]]) -> dict[int, list[int]]:
+        """One derivative: every entry adds each run's contribution to its target.
+
+        Targets are whole diagonals, ``{row key: [first index, values]}``,
+        grown with zeros at either end as contributions arrive; the level
+        returned splits each at its zeros.
         """
-        spec: dict[str, tuple[int, int, int]] = {
-            i_letter: (0, 1, 0),
-            j_letter: (0, 0, 1),
-        }
-        for letter, exp in (fixed or {}).items():
-            spec[letter] = (exp, 0, 0)
-        return cls(spec)
-
-    def describe(self) -> str:
-        return ", ".join(
-            f"{letter}={_affine_text(*row)}" for letter, row in self._spec.items()
-        )
-
-    def __repr__(self) -> str:
-        return f"IndexMap({self.describe()})"
-
-    def indices(self, mono: Monomial) -> tuple[int, int]:
-        """Array indices (i, j) of a monomial, or PatternViolation."""
-        exps = dict(mono)
-        for letter in exps:
-            if letter not in self._spec:
-                self._fail(mono, f"unexpected letter {letter!r}")
-        la, lb = self._solver
-        ba, ia, ja = self._spec[la]
-        bb, ib, jb = self._spec[lb]
-        ra = exps.get(la, 0) - ba
-        rb = exps.get(lb, 0) - bb
-        det = ia * jb - ja * ib
-        inum = ra * jb - rb * ja
-        jnum = ia * rb - ib * ra
-        if inum % det or jnum % det:
-            self._fail(mono, "exponents do not land on integer indices")
-        i, j = inum // det, jnum // det
-        if i < 0 or j < 0:
-            self._fail(mono, f"indices ({i}, {j}) are out of range")
-        for letter, (base, ci, cj) in self._spec.items():
-            if exps.get(letter, 0) != base + ci * i + cj * j:
-                self._fail(mono, f"exponent of {letter!r} breaks the pattern")
-        return i, j
-
-    def _fail(self, mono: Monomial, reason: str):
-        raise PatternViolation(mono_text(mono), self.describe(), reason)
-
-
-def extract_coeffs(p: Polynomial, index_map: IndexMap) -> dict[tuple[int, int], int]:
-    """Read a sparse (i, j) coefficient array out of an expansion.
-
-    Every monomial of p must fit the index map's exponent pattern;
-    violations raise instead of being dropped, naming the first offending
-    monomial in print order.  No zero entries are stored.
-    """
-    out: dict[tuple[int, int], int] = {}
-    for mono, coeff in p.terms().items():
-        out[index_map.indices(mono)] = coeff
-    return out
+        entries = self._entries
+        if not entries:
+            return {}
+        slot, mask, g, pitch = self._slot, self._mask, self._stride, self._pitch
+        rows: dict[int, list] = {}
+        get = rows.get
+        for key, values in runs.items():
+            i = (key >> slot & mask) // g
+            row = key - i * pitch
+            for delta, k, coeffs, beta in entries:
+                alpha = 0
+                for shift, c in coeffs:
+                    alpha += c * (key >> shift & mask)
+                if not (alpha or beta):
+                    continue
+                a = i + k
+                contrib = map(mul, values, count(alpha, beta))
+                target = get(row + delta)
+                if target is None:
+                    rows[row + delta] = [a, list(contrib)]
+                    continue
+                first, cells = target
+                if a < first:
+                    cells[:0] = repeat(0, first - a)
+                    target[0] = first = a
+                lo = a - first
+                hi = lo + len(values)
+                if hi > len(cells):
+                    cells += repeat(0, hi - len(cells))
+                cells[lo:hi] = map(add, cells[lo:hi], contrib)
+        out: dict[int, list[int]] = {}
+        for row, (first, cells) in rows.items():
+            if all(cells):
+                out[row + first * pitch] = cells
+                continue
+            for nonzero, run in groupby(cells, bool):
+                run = list(run)
+                if nonzero:
+                    out[row + first * pitch] = run
+                first += len(run)
+        return out

@@ -41,7 +41,8 @@ from . import oracles
 from .config import Caps
 from .dsl import builtin_grammar, parse_polynomial
 from .errors import BoundExceeded, PatternViolation, _exact
-from .grammar import Grammar, IndexMap, extract_coeffs
+from .grammar import Grammar
+from .indexmap import IndexMap, extract_coeffs
 from .poly import Polynomial, mono_degree
 from .triangles import (
     binomial,

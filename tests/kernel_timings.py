@@ -1,0 +1,83 @@
+"""In-process timings of the derive kernel, for before/after tables.
+
+Usage: python3 tests/kernel_timings.py [--repeat R] [--only SUBSTRING]
+
+Standard library only; pytest does not collect this file.  Run it from any
+directory: it imports gramcalc from the ``src`` beside this file, so the
+same script run from two checkouts compares their kernels.  Each case is
+timed as ``Grammar.derive_n(start, depth)`` with ``time.perf_counter``,
+and the median of R runs is printed in milliseconds with the number of
+terms in the last level.
+
+The cases are every builtin grammar from every start that the verify
+suites or the ``derive_deep`` benchmark use, at depth 100 and at depth 8
+(the size of a verify derivation), and a few grammars whose levels are
+not dense simplices: one term per diagonal, letters that vanish,
+a single letter, four letters in a cycle, a constant letter, and rule
+coefficients other than 1.  The tests import ``SEEDS`` from here.
+"""
+
+from __future__ import annotations
+
+import argparse
+import pathlib
+import statistics
+import sys
+import time
+
+# The starts derived from each builtin: the verify suites' seeds (T1..T6
+# and golden) and the derive_deep benchmark's start letters.
+SEEDS = {
+    "g1": ("x", "y"),
+    "g2": ("x",),
+    "g3": ("w",),
+    "g4": ("x",),
+    "g5": ("x", "x*y"),
+    "gB": ("x", "x*y"),
+    "g6": ("x", "y", "z"),
+}
+
+# (grammar text, start, depth) of the non-builtin cases.
+OTHERS = (
+    ("x -> x^4*y; y -> x*y^3", "x", 100),
+    ("x -> 1 + y; y -> x", "x", 100),
+    ("x -> x^10", "x", 100),
+    ("a -> a + a*b; b -> b + b*c; c -> c + c*d; d -> d + d*a", "a", 30),
+    ("const c; x -> c*x + x*y; y -> c*y + x*y", "x", 100),
+    ("x -> 2*x + x*y; y -> -3*y + x*y", "x", 100),
+)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeat", type=int, default=9)
+    parser.add_argument("--only", default="", help="time only cases whose label has this text")
+    args = parser.parse_args()
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+    from gramcalc.dsl import builtin_grammar, parse_grammar, parse_polynomial
+
+    cases = [
+        (f"{name} from {seed}", builtin_grammar(name), seed, depth)
+        for depth in (100, 8)
+        for name, seeds in SEEDS.items()
+        for seed in seeds
+    ]
+    cases += [(src, parse_grammar(src), seed, depth) for src, seed, depth in OTHERS]
+    print(f"Python {sys.version.split()[0]}, median of {args.repeat} runs")
+    print(f"{'case':<58} {'depth':>5} {'terms':>6} {'ms':>9}")
+    for label, grammar, start, depth in cases:
+        if args.only not in label:
+            continue
+        p = parse_polynomial(start)
+        times = []
+        for _ in range(args.repeat):
+            t0 = time.perf_counter()
+            level = grammar.derive_n(p, depth)
+            times.append(time.perf_counter() - t0)
+        ms = statistics.median(times) * 1000
+        print(f"{label:<58} {depth:>5} {len(level):>6} {ms:>9.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,9 +5,12 @@ int keys.  Their references merge sorted (letter, exponent) tuples
 instead, and list terms in the order they are first reached; the
 differential tests compare the fast path's exact term list with the
 reference's terms in print order, since every polynomial lists its terms
-in that order.  ``print_order`` computes that order with its own sort key,
-not from the packed keys that ``poly`` sorts by, so the order tests do not
-compare the code with itself.  ``reference_text`` writes each term afresh
+in that order.  The derive kernel also keeps the step that its diagonal
+runs replaced, ``ScatterPacking``: one dict update per term and entry over
+the same packed keys, fast enough to check levels 20 to 40 deep, where
+the tuple reference is too slow.  ``print_order`` computes that order
+with its own sort key, not from the packed keys that ``poly`` sorts by, so
+the order tests do not compare the code with itself.  ``reference_text`` writes each term afresh
 in that order, for the tests of the text pieces.
 
 The canonical cop order and the ``cops`` listing have references too:
@@ -31,10 +34,11 @@ from collections import Counter
 from functools import lru_cache
 from typing import Iterator
 
+from gramcalc import poly
 from gramcalc.errors import UnknownLetter
 from gramcalc.grammar import Grammar
 from gramcalc.oracles import Cop, Stat, scan
-from gramcalc.poly import Monomial, Polynomial
+from gramcalc.poly import Monomial, Polynomial, mono_degree
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -120,6 +124,77 @@ def reference_levels(grammar: Grammar, p: Polynomial, nmax: int) -> list[Polynom
     levels = [p]
     for _ in range(nmax):
         levels.append(reference_derive(grammar, levels[-1]))
+    return levels
+
+
+class ScatterPacking(poly._Packing):
+    """Packed keys for deriving p up to depth n, one term at a time.
+
+    The degree bound is the kernel's.  The rule terms fold into entries by
+    key delta and rule coefficient: a rule term ``c*m`` of letter L moves a
+    term from key to key + delta, delta the key of m minus L's unit key,
+    and adds coeff * e_L * c there.  An entry keeps that delta, c, and a
+    weight word ``sum(1 << (top - shift_L))`` over the letters L whose rule
+    reaches the delta with c, top the highest slot shift.  The field at top
+    of key * weights is the sum of e_L over the entry's letters: distinct
+    letters move distinct slots onto it, and the degree bound keeps that
+    sum inside one slot.
+    """
+
+    __slots__ = ("_top", "_entries")
+
+    def __init__(self, grammar: Grammar, p: Polynomial, n: int):
+        rules = grammar.rules
+        for letter in p.letters():
+            if letter not in grammar.letters:
+                raise UnknownLetter(letter, "cannot derive")
+        growth = max(
+            (mono_degree(m) - 1 for rhs in rules.values() for m in rhs.terms()), default=0
+        )
+        super().__init__(grammar.letters, p.degree() + n * max(0, growth))
+        top = self._top = max(self._shifts.values(), default=0)
+        folded: dict[tuple[int, int], int] = {}
+        for letter, rhs in rules.items():
+            shift = self._shifts[letter]
+            for m, c in rhs.terms().items():
+                entry = (self.pack_mono(m) - (1 << shift), c)
+                folded[entry] = folded.get(entry, 0) + (1 << (top - shift))
+        self._entries = [(delta, weights, c) for (delta, c), weights in folded.items()]
+
+    def step(self, terms: dict[int, int]) -> dict[int, int]:
+        """One derivative: each entry adds coeff * multiplier * c at key + delta.
+
+        An entry moves every key by the same delta, so the first entry's
+        targets are distinct and it fills the level in one comprehension;
+        the later entries add to it, skipping a zero multiplier.  Zeros are
+        removed once, at the end of the step.
+        """
+        if not self._entries:
+            return {}
+        top, mask = self._top, self._mask
+        items = terms.items()
+        (delta, weights, c), *rest = self._entries
+        out = {key + delta: coeff * ((key * weights >> top & mask) * c) for key, coeff in items}
+        get = out.get
+        for delta, weights, c in rest:
+            for key, coeff in items:
+                m = key * weights >> top & mask
+                if m:
+                    k = key + delta
+                    out[k] = get(k, 0) + coeff * (m * c)
+        if 0 in out.values():
+            out = {k: v for k, v in out.items() if v}
+        return out
+
+
+def scatter_levels(grammar: Grammar, p: Polynomial, nmax: int, most: int) -> list[Polynomial]:
+    """Levels 0..nmax by ``ScatterPacking``, or up to the first of more than most terms."""
+    packing = ScatterPacking(grammar, p, nmax)
+    levels = [p]
+    terms = packing.pack(p)
+    while len(levels) <= nmax and len(levels[-1]) <= most:
+        terms = packing.step(terms)
+        levels.append(packing.unpack(terms))
     return levels
 
 

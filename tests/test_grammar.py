@@ -7,11 +7,19 @@ from hypothesis import example, given, settings, strategies as st
 
 from gramcalc.dsl import builtin_grammar, builtin_names, parse_grammar, parse_polynomial
 from gramcalc.errors import DuplicateRule, PatternViolation, UnknownLetter
-from gramcalc.grammar import Grammar, IndexMap, _Packing, extract_coeffs
+from gramcalc.grammar import Grammar, _Packing
+from gramcalc.indexmap import IndexMap, extract_coeffs
 from gramcalc.poly import Polynomial, mono_text
 from gramcalc.triangles import eulerian, stirling2
 
-from reference import assert_same_terms, print_order, reference_derive, reference_levels
+from kernel_timings import SEEDS
+from reference import (
+    assert_same_terms,
+    print_order,
+    reference_derive,
+    reference_levels,
+    scatter_levels,
+)
 
 x = Polynomial.letter("x")
 y = Polynomial.letter("y")
@@ -207,15 +215,21 @@ _FOLD = "x -> x + x*y; y -> -y + x*y"
 _MIXED = "x -> 2*x + x*y; y -> -3*y + x*y"
 
 
-# Beyond the strategy's reach: Grammar({}) has no letters, so top is 0;
+# Beyond the strategy's reach: Grammar({}) has no letters and no entries;
 # a rule of 0 and a constant rule give entries whose terms lose a letter.
 # In _FOLD the first entry, x's delta 0, meets the x-free term y with a
-# zero multiplier, and x*y sums to zero at delta 0.
+# zero multiplier, and x*y sums to zero at delta 0.  x -> 1 moves the term
+# y to below index 0 of its target diagonal, with multiplier 0.  From
+# a + x + y at depth 1 the slots are one bit wide, and x -> y and y -> 1
+# move a key by the same packed delta, though they move x by -1 and 0:
+# folded together, y's 1 would land on another row than a's 1.
 @given(_grammar_and_start(), st.integers(min_value=0, max_value=4))
 @example((Grammar({}), parse_polynomial("4")), 3)
 @example((parse_grammar("const a; x -> 0"), parse_polynomial("3*a*x^2 + a - x")), 3)
 @example((parse_grammar("x -> 5"), parse_polynomial("x^3 + 2*x - 7")), 3)
 @example((parse_grammar(_FOLD), parse_polynomial("x*y + y")), 3)
+@example((parse_grammar("x -> 1 + y; y -> x"), x + y), 3)
+@example((parse_grammar("a -> 1; x -> y; y -> 1"), parse_polynomial("a + x + y")), 1)
 def test_packed_kernel_matches_reference(case, n):
     grammar, p = case
     try:
@@ -227,10 +241,12 @@ def test_packed_kernel_matches_reference(case, n):
             assert str(caught.value) == str(exc)
         return
     packing = _Packing(grammar, p, n)
-    terms = packing.pack(p)
-    for _ in range(n):
-        terms = packing.step(terms)
-        assert 0 not in terms.values()
+    runs = packing.runs(p)
+    for want in expected[1:]:
+        runs = packing.step(runs)
+        cells = [c for values in runs.values() for c in values]
+        assert 0 not in cells and all(runs.values())
+        assert len(cells) == len(want)
     levels = grammar.derive_levels(p, n)
     assert len(levels) == n + 1
     assert levels[0] is p
@@ -263,38 +279,56 @@ def test_exponent_reaches_the_width_bound(src, start, n, bound):
     assert_same_terms(g.derive_n(p, n), expected[-1])
 
 
-# Each folded entry reads its multiplier, the sum of its letters'
-# exponents, as the top field of key * weights.  From a at depth 6 the
-# degree bound 1 + 6 * (2 - 1) = 7 fills the 3-bit slots, and deepest
-# terms such as a*c^6 put that bound in the {a, c} field.  With c = 2 a
-# coefficient in the weight word would overflow the slot.
+def _row_key(packing: _Packing, mono) -> int:
+    """The row key of a cell, built from its monomial: M's exponent above its
+    class mod the stride moved into L's slot, for the two lowest letters."""
+    *_, m, low = sorted(packing._shifts)
+    exps = dict(mono)
+    residue = exps.get(m, 0) % packing._stride
+    exps[m], exps[low] = residue, exps.get(low, 0) + exps.get(m, 0) - residue
+    return packing.pack_mono(tuple((l, e) for l, e in exps.items() if e))
+
+
+# A row key moves M's exponent (here b's) into L's slot (c's), so that
+# field holds e_b + e_c, the one field the layout adds to the exponents.
+# From c at depth 6 the degree bound 1 + 6 * (2 - 1) = 7 fills the 3-bit
+# slots, and deepest a-free terms such as b^3*c^4 put that bound in c's
+# field of their row key.  Rule coefficients go into each run's multipliers,
+# never into a slot, so c = 2 needs no wider slot.
 @pytest.mark.parametrize("c", [1, 2])
 def test_entry_field_sum_reaches_the_degree_bound(c):
     g = parse_grammar(
         f"a -> {c}*a*b + {c}*a*c; b -> {c}*b*a + {c}*b*c; c -> {c}*c*a + {c}*c*b"
     )
-    a = Polynomial.letter("a")
-    expected = reference_levels(g, a, 6)
-    for actual, want in zip(g.derive_levels(a, 6)[1:], expected[1:]):
+    start = Polynomial.letter("c")
+    expected = reference_levels(g, start, 6)
+    for actual, want in zip(g.derive_levels(start, 6)[1:], expected[1:]):
         assert_same_terms(actual, want)
-    packing = _Packing(g, a, 6)
-    top, mask, shifts = packing._top, packing._mask, packing._shifts
+    packing = _Packing(g, start, 6)
+    mask, pitch = packing._mask, packing._pitch
     assert mask == 7
-    reached = 0
-    for _, weights, _ in packing._entries:
-        letters = [l for l, s in shifts.items() if weights >> (top - s) & 1]
-        assert len(letters) == 2
-        for mono in expected[-1].terms():
-            field = packing.pack_mono(mono) * weights >> top & mask
-            assert field == sum(e for l, e in mono if l in letters)
-            reached = max(reached, field)
-    assert reached == mask
+    assert pitch == packing.pack_mono((("b", 1),)) - packing.pack_mono((("c", 1),))
+    rows = {_row_key(packing, mono): mono for mono in expected[-1].terms()}
+    assert max(row >> packing._shifts["c"] & mask for row in rows) == mask
+    runs = packing.runs(start)
+    for _ in range(6):
+        runs = packing.step(runs)
+    for key, values in runs.items():
+        first = packing.unpack({key: 1}).sorted_terms()[0][0]
+        row = _row_key(packing, first)
+        cells = packing.polynomial({key: values}).terms()
+        assert [_row_key(packing, mono) for mono in cells] == [row] * len(values)
+    assert len(runs) == len(rows)
 
 
 def test_rule_coefficients_leave_the_slot_width_alone():
     small = parse_grammar("x -> x*y; y -> y")
     large = Grammar({"x": 10**40 * x * y, "y": -7 * y})
-    assert _Packing(small, x, 6)._mask == _Packing(large, x, 6)._mask
+    packings = [_Packing(g, x, 6) for g in (small, large)]
+    for attr in ("_mask", "_pitch", "_stride"):
+        assert getattr(packings[0], attr) == getattr(packings[1], attr)
+    # Same row deltas and index shifts: coefficients only scale multipliers.
+    assert [e[:2] for e in packings[0]._entries] == [e[:2] for e in packings[1]._entries]
     for g in (small, large):
         expected = reference_levels(g, x, 6)
         for actual, want in zip(g.derive_levels(x, 6)[1:], expected[1:]):
@@ -388,3 +422,82 @@ def test_extract_names_the_first_bad_monomial_in_print_order():
 def test_builtins_match_reference_at_depth_30(name):
     g = builtin_grammar(name)
     assert_same_terms(g.derive_n(x, 30), reference_levels(g, x, 30)[-1])
+
+
+_CYCLE = "a -> a + a*b; b -> b + b*c; c -> c + c*d; d -> d + d*a"
+
+
+@st.composite
+def _mixed_and_start(draw):
+    return parse_grammar(_MIXED), draw(_terms_over(["x", "y"], st.integers(0, 3)))
+
+
+# The examples leave the builtins' dense simplices: one term per diagonal,
+# letters that vanish and come back, one letter with gaps between its
+# exponents, four letters whose diagonals hold a few cells each, and a
+# constant letter.  A level of more than 500 terms ends the comparison.
+@settings(deadline=None)
+@given(st.one_of(_grammar_and_start(), _mixed_and_start()), st.integers(20, 40))
+@example((parse_grammar("x -> x^4*y; y -> x*y^3"), x), 40)
+@example((parse_grammar("x -> 1 + y; y -> x"), x + y), 40)
+@example((parse_grammar("x -> x^10"), x + x**3), 30)
+@example((parse_grammar(_CYCLE), parse_polynomial("a + b*d")), 20)
+@example((parse_grammar("const c; x -> c*x + x*y; y -> -c*y + x*y"), x + y), 40)
+def test_runs_match_the_scatter_reference(case, n):
+    grammar, p = case
+    try:
+        expected = scatter_levels(grammar, p, n, most=500)
+    except UnknownLetter as exc:
+        with pytest.raises(UnknownLetter) as caught:
+            grammar.derive_levels(p, n)
+        assert str(caught.value) == str(exc)
+        return
+    levels = grammar.derive_levels(p, len(expected) - 1)
+    for actual, want in zip(levels[1:], expected[1:]):
+        assert list(actual.terms().items()) == list(want.terms().items())
+
+
+def _diagonals(level: Polynomial, letters, g: int) -> set:
+    """Each term's diagonal: its other exponents, the sum of the two lowest
+    letters' exponents, and the class of the second lowest's mod g."""
+    *rest, m, low = letters
+    out = set()
+    for mono in level.terms():
+        exps = dict(mono)
+        e_m, e_low = exps.get(m, 0), exps.get(low, 0)
+        out.add((tuple(exps.get(l, 0) for l in rest), e_m + e_low, e_m % g))
+    return out
+
+
+# Every builtin level from these starts fills simplices, so the stride
+# leaves no gap on a diagonal: the step stores each term once and each
+# diagonal as one run.  With the stride lost (g = 1 where it is 2), or
+# diagonals cut short, the runs outnumber the diagonals.
+@pytest.mark.parametrize(
+    "name, seed",
+    [(name, seed) for name, seeds in SEEDS.items() for seed in seeds]
+    # A start mixing classes mod the stride keeps them on separate
+    # diagonals, and w's rule, which x never reaches, leaves g3's stride 2.
+    + [("g5", "x + x^2"), ("g2", "1 + x"), ("g3", "x")],
+)
+def test_builtin_levels_are_dense_runs(name, seed):
+    g = builtin_grammar(name)
+    p = parse_polynomial(seed)
+    levels = g.derive_levels(p, 30)
+    packing = _Packing(g, p, 30)
+    runs = packing.runs(p)
+    for level in levels[1:]:
+        runs = packing.step(runs)
+        assert sum(map(len, runs.values())) == len(level)
+        assert len(runs) == len(_diagonals(level, g.letters, packing._stride))
+
+
+# x never moves in the Stirling grammar, so its diagonals run along y alone:
+# each level x*(y + ... + y^n) is one run.
+def test_runs_follow_the_lowest_letter_when_the_other_never_moves():
+    g = parse_grammar("x -> x*y; y -> y")
+    packing = _Packing(g, x, 10)
+    runs = packing.runs(x)
+    for _ in range(10):
+        runs = packing.step(runs)
+        assert len(runs) == 1

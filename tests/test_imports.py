@@ -5,7 +5,8 @@ is compiled on every run when no cached bytecode is written.
 ``gramcalc.cli`` imports only ``config`` and ``errors``, which holds the
 exact-int gate; ``dsl`` (with ``grammar`` and ``poly``), ``oracles``,
 ``triangles`` and ``verifier`` load only in the handlers that run them,
-so ``cops``, ``stats`` and ``triangle`` never load the polynomial layer.
+so ``cops``, ``stats`` and ``triangle`` never load the polynomial layer,
+and only ``verifier`` loads the index maps, which ``derive`` never reads.
 The package loads each export from its home module on first use.
 """
 
@@ -22,7 +23,7 @@ import gramcalc
 from gramcalc import cli, dsl, oracles, triangles, verifier
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-HEAVY = {"gramcalc.verifier", "gramcalc.oracles", "gramcalc.triangles"}
+HEAVY = {"gramcalc.verifier", "gramcalc.oracles", "gramcalc.triangles", "gramcalc.indexmap"}
 POLY = {"gramcalc.dsl", "gramcalc.grammar", "gramcalc.poly"}
 
 
