@@ -28,12 +28,15 @@ Suite names follow the short labels used by the command line tool: T1
 through T6 for the six grammar studies, plus "golden" for byte-exact
 snapshots of small expansions.  All seven take (nmax, grammar, caps),
 sit in one ``_SUITES`` table and derive through the run object; golden
-refuses a grammar override.
+refuses a grammar override.  What each suite derives is data, in one
+``_SEEDS`` table beside ``_SUITES``: the builtin grammar, the default
+nmax, and for each seed its start, index map, transport table and golden
+snapshot texts.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import product
 from typing import NamedTuple
 
@@ -53,9 +56,6 @@ from .triangles import (
     type_b_eulerian,
     whitney,
 )
-
-_DEFAULT_NMAX = {"T1": 8, "T2": 8, "T3": 8, "T4": 8, "T5": 7, "T6": 7, "golden": 3}
-
 
 class Failure(NamedTuple):
     """One identity cell whose two sides disagreed."""
@@ -114,24 +114,18 @@ class CheckReport:
 
 
 class _Suite:
-    """One suite run: its depth, grammar and report, and the loops all suites share.
+    """One suite run: its depth, grammar, seeds and report, and the loops all suites share.
 
-    ``grammar`` overrides the builtin grammar named ``builtin``; the
-    override is noted, with ``scope`` appended to the note.  Every census
+    The suite's row of ``_SEEDS`` gives its builtin grammar, default
+    depth and seeds.  ``grammar`` overrides the builtin; the override is
+    noted, with the row's ``scope`` appended to the note.  Every census
     comes from ``cop_tables`` and every permutation tally from
     ``oracle_product``; the oracles' own cap checks decide where both stop.
     """
 
-    def __init__(
-        self,
-        name: str,
-        nmax: int | None,
-        caps: Caps,
-        grammar: Grammar | None = None,
-        builtin: str | None = None,
-        scope: str = "",
-    ):
-        nmax = _DEFAULT_NMAX[name] if nmax is None else _exact(nmax, "nmax", 0)
+    def __init__(self, name: str, nmax: int | None, caps: Caps, grammar: Grammar | None = None):
+        row = _SEEDS[name]
+        nmax = row.nmax if nmax is None else _exact(nmax, "nmax", 0)
         caps.check("verify", nmax)
         self.nmax = nmax
         self.side = nmax + 2
@@ -139,10 +133,11 @@ class _Suite:
         self.report = CheckReport(suite=name, nmax=nmax)
         self.cut = False
         if grammar is not None:
-            self.note(f"grammar override: {grammar.to_dsl()}{scope}")
-        elif builtin is not None:
-            grammar = builtin_grammar(builtin)
+            self.note(f"grammar override: {grammar.to_dsl()}{row.scope}")
+        elif row.builtin is not None:
+            grammar = builtin_grammar(row.builtin)
         self.grammar = grammar
+        self.seeds = row.seeds
 
     def check(self, identity: str, indices: tuple, expected, actual) -> None:
         """Count one check; an expected value of None means a cap skipped it."""
@@ -161,9 +156,10 @@ class _Suite:
         grammar = self.grammar if grammar is None else grammar
         return grammar.derive_levels(parse_polynomial(start), self.nmax)
 
-    def grids(self, start: str, imap: IndexMap, grammar: Grammar | None = None) -> list[Counter]:
-        """Coefficient arrays of levels 0..nmax; absent cells read as 0."""
-        return [Counter(extract_coeffs(p, imap)) for p in self.derive(start, grammar)]
+    def grids(self, grammar: Grammar | None = None) -> list[list[Counter]]:
+        """Each seed's coefficient arrays of levels 0..nmax; absent cells read as 0."""
+        derived = [(seed.imap, self.derive(seed.start, grammar)) for seed in self.seeds]
+        return [[Counter(extract_coeffs(p, imap)) for p in levels] for imap, levels in derived]
 
     def box(self, grid: dict, n: int) -> None:
         stray = sorted(key for key in grid if key[0] > self.side or key[1] > self.side)
@@ -240,7 +236,8 @@ def _cop_count(nn: int) -> int:
 # Transport recurrences: cell (i, j) of level n is the sum, over the shifts
 # (di, dj) of a table, of (c + ci*i + cj*j) times cell (i + di, j + dj) of
 # level n - 1.  These are the paper's recurrences, fixed data that an
-# override grammar never changes, so a mutated grammar fails them.
+# override grammar never changes, so a mutated grammar fails them.  Each
+# sits in its seed's row of ``_SEEDS``, where the suites read it.
 _T1_TRANSPORT = {(0, 0): (0, 1, 1), (0, -1): (0, 1, 0), (-1, 0): (0, 0, 1)}
 _T2_TRANSPORT = {(0, 0): (0, 1, 1), (0, -1): (0, 1, 0), (-2, 1): (1, 0, 1)}
 _T3_TRANSPORT = {(0, 0): (1, 1, 1), (-1, 0): (1, 0, 0), (0, -1): (0, 1, 0), (-2, 1): (1, 0, 1)}
@@ -266,13 +263,13 @@ def suite_t1(
     Eulerian closed form, the census of cyclically ordered partitions by
     opener descents, and the row sum against the partition count.
     """
-    run = _Suite("T1", nmax, caps, grammar, "g1")
-    grids = run.grids("x", IndexMap.identity())
+    run = _Suite("T1", nmax, caps, grammar)
+    (grids,) = run.grids()
     for n in run.levels(grids):
         cur, prev = grids[n], grids[n - 1]
         for i, j in run.cells():
             actual = cur[i, j]
-            expected = _transport(_T1_TRANSPORT, prev, i, j)
+            expected = _transport(run.seeds[0].transport, prev, i, j)
             run.check("transport_recurrence", (n, i, j), expected, actual)
             if i >= 1 and j >= 1:
                 s = stirling2(n + 1, i + j)
@@ -304,8 +301,8 @@ def suite_t2(
     the row sum.  The valley table itself is validated both against its
     product form and against the opener census by right valleys.
     """
-    run = _Suite("T2", nmax, caps, grammar, "g2")
-    grids = run.grids("x", IndexMap.identity())
+    run = _Suite("T2", nmax, caps, grammar)
+    (grids,) = run.grids()
     u = oracles.u_table(run.nmax + 1)
     for n in run.levels(grids):
         cur, prev = grids[n], grids[n - 1]
@@ -313,7 +310,7 @@ def suite_t2(
             actual = cur[i, j]
             if i % 2 == 0:
                 run.check("even_x_power_vanishes", (n, i, j), 0, actual)
-            expected = _transport(_T2_TRANSPORT, prev, i, j)
+            expected = _transport(run.seeds[0].transport, prev, i, j)
             run.check("transport_recurrence", (n, i, j), expected, actual)
             if i % 2 == 1:
                 run.check(
@@ -384,8 +381,8 @@ def suite_t3(
     census of partition openers by longest alternating subsequence, and
     the row sum.
     """
-    run = _Suite("T3", nmax, caps, grammar, "g3")
-    grids = run.grids("w", IndexMap.identity(fixed={"w": 1}))
+    run = _Suite("T3", nmax, caps, grammar)
+    (grids,) = run.grids()
     for n in run.levels(grids):
         cur, prev = grids[n], grids[n - 1]
         run.check("constant_term_one", (n,), 1, cur[0, 0])
@@ -393,7 +390,7 @@ def suite_t3(
             run.check("pure_y_vanishes", (n, 0, j), 0, cur[0, j])
         for i, j in run.cells():
             actual = cur[i, j]
-            expected = _transport(_T3_TRANSPORT, prev, i, j)
+            expected = _transport(run.seeds[0].transport, prev, i, j)
             run.check("transport_recurrence", (n, i, j), expected, actual)
             run.check(
                 "stirling_las_product",
@@ -422,13 +419,13 @@ def suite_t4(
     binomial closed form, and the row sum against the count of ordered
     set partitions with a marked prefix.
     """
-    run = _Suite("T4", nmax, caps, grammar, "g4")
-    grids = run.grids("x", IndexMap.identity())
+    run = _Suite("T4", nmax, caps, grammar)
+    (grids,) = run.grids()
     for n in run.levels(grids):
         cur, prev = grids[n], grids[n - 1]
         for i, j in run.cells():
             actual = cur[i, j]
-            expected = _transport(_T4_TRANSPORT, prev, i, j)
+            expected = _transport(run.seeds[0].transport, prev, i, j)
             run.check("transport_recurrence", (n, i, j), expected, actual)
             s = stirling2(n + 1, i + j)
             run.check(
@@ -446,10 +443,6 @@ def suite_t4(
     return run.report
 
 
-_EVEN_MAP = IndexMap({"x": (1, 2, 0), "y": (0, 0, 2)})
-_ODD_MAP = IndexMap({"x": (1, 2, 0), "y": (1, 0, 2)})
-
-
 def suite_t5(
     nmax: int | None = None, grammar: Grammar | None = None, caps: Caps = Caps()
 ) -> CheckReport:
@@ -462,17 +455,15 @@ def suite_t5(
     The second grammar collapses onto single diagonals given by the
     matching and signed descent triangles, checked over the full box.
     """
-    scope = " (applies to the first grammar; diagonal checks keep the builtin)"
-    run = _Suite("T5", nmax, caps, grammar, "g5", scope)
-    e = run.grids("x", _EVEN_MAP)
-    f = run.grids("x*y", _ODD_MAP)
+    run = _Suite("T5", nmax, caps, grammar)
+    e, f = run.grids()
     e_boundary, f_boundary = [], []
     for n in run.levels(e, f):
         for i, j in run.cells():
             ea, fa = e[n][i, j], f[n][i, j]
-            even = _transport(_T5_EVEN_TRANSPORT, e[n - 1], i, j)
+            even = _transport(run.seeds[0].transport, e[n - 1], i, j)
             run.check("even_transport_recurrence", (n, i, j), even, ea)
-            odd = _transport(_T5_ODD_TRANSPORT, f[n - 1], i, j)
+            odd = _transport(run.seeds[1].transport, f[n - 1], i, j)
             run.check("odd_transport_recurrence", (n, i, j), odd, fa)
             w = whitney(2, n, i + j)
             e_expected = w * matching_count(i + j, j) if w else 0
@@ -493,9 +484,7 @@ def suite_t5(
             " (i=0 or j=0), outside its asserted range"
         )
         run.note(_match_note(cells, text, "; first mismatch at {}: expected {}, got {}"))
-    gb = builtin_grammar("gB")
-    px = run.grids("x", _EVEN_MAP, gb)
-    pxy = run.grids("x*y", _ODD_MAP, gb)
+    px, pxy = run.grids(builtin_grammar("gB"))
     for n in run.levels(px, pxy):
         for i, j in run.cells():
             run.check(
@@ -523,8 +512,8 @@ def suite_t6(
     the box agree with an Eulerian row, and the x-linear slice agrees
     with the next Eulerian row.
     """
-    run = _Suite("T6", nmax, caps, grammar, "g6")
-    levels = run.derive("x")
+    run = _Suite("T6", nmax, caps, grammar)
+    levels = run.derive(run.seeds[0].start)
     for n in range(1, run.nmax + 1):
         p = levels[n]
         degrees = sorted({mono_degree(m) for m in p.terms()})
@@ -546,33 +535,6 @@ def suite_t6(
     return run.report
 
 
-# Expansions of each builtin grammar from one seed, at n = 1, 2, 3.
-_GOLDEN: dict[tuple[str, str], tuple[str, ...]] = {
-    ("g1", "x"): (
-        "x + xy",
-        "x + 3xy + xy^2 + x^2y",
-        "x + 7xy + 6xy^2 + xy^3 + 6x^2y + 4x^2y^2 + x^3y",
-    ),
-    ("g2", "x"): (
-        "x + xy",
-        "x + 3xy + xy^2 + x^3",
-        "x + 7xy + 6xy^2 + xy^3 + 6x^3 + 5x^3y",
-    ),
-    ("g3", "w"): (
-        "w + wx",
-        "w + 3wx + wxy + wx^2",
-        "w + 7wx + 6wxy + wxy^2 + 6wx^2 + 3wx^2y + 2wx^3",
-    ),
-    ("g4", "x"): (
-        "x + xy + x^2",
-        "x + 3xy + 2xy^2 + 3x^2 + 4x^2y + 2x^3",
-        "x + 7xy + 12xy^2 + 6xy^3 + 7x^2 + 24x^2y + 18x^2y^2 + 12x^3 + 18x^3y + 6x^4",
-    ),
-    ("g5", "x"): ("x + xy^2", "x + 4xy^2 + xy^4 + 2x^3y^2"),
-    ("g5", "x*y"): ("2xy + xy^3 + x^3y", "4xy + 6xy^3 + xy^5 + 6x^3y + 6x^3y^3 + x^5y"),
-}
-
-
 def suite_golden(
     nmax: int | None = None, grammar: Grammar | None = None, caps: Caps = Caps()
 ) -> CheckReport:
@@ -580,12 +542,50 @@ def suite_golden(
     if grammar is not None:
         raise ValueError("the golden suite always uses the builtin grammars")
     run = _Suite("golden", nmax, caps)
-    for (name, seed), texts in _GOLDEN.items():
-        levels = run.derive(seed, builtin_grammar(name))
-        for n, expected in enumerate(texts[: run.nmax], start=1):
-            run.check("expansion_text", (name, seed, n), expected, levels[n].compact())
+    golden = [(row.builtin, seed) for row in _SEEDS.values() for seed in row.seeds if seed.golden]
+    for name, seed in golden:
+        levels = run.derive(seed.start, builtin_grammar(name))
+        for n, expected in enumerate(seed.golden[: run.nmax], start=1):
+            run.check("expansion_text", (name, seed.start, n), expected, levels[n].compact())
     return run.report
 
+
+# A seed is a start that a suite derives its builtin from: the index map
+# that reads each level's (i, j) array, the transport table from level n-1
+# to level n, and the texts of levels 1, 2, 3 that golden checks byte for
+# byte.  T6's map depends on the level, so its seed has neither map nor
+# table; golden derives the T1..T5 seeds and has none of its own.
+_Seed = namedtuple("_Seed", "start imap transport golden", defaults=(None, None, ()))
+_Row = namedtuple("_Row", "builtin nmax seeds scope", defaults=("",))
+
+_SEEDS = {
+    "T1": _Row("g1", 8, [_Seed("x", IndexMap.identity(), _T1_TRANSPORT, (
+        "x + xy",
+        "x + 3xy + xy^2 + x^2y",
+        "x + 7xy + 6xy^2 + xy^3 + 6x^2y + 4x^2y^2 + x^3y"))]),
+    "T2": _Row("g2", 8, [_Seed("x", IndexMap.identity(), _T2_TRANSPORT, (
+        "x + xy",
+        "x + 3xy + xy^2 + x^3",
+        "x + 7xy + 6xy^2 + xy^3 + 6x^3 + 5x^3y"))]),
+    "T3": _Row("g3", 8, [_Seed("w", IndexMap.identity(fixed={"w": 1}), _T3_TRANSPORT, (
+        "w + wx",
+        "w + 3wx + wxy + wx^2",
+        "w + 7wx + 6wxy + wxy^2 + 6wx^2 + 3wx^2y + 2wx^3"))]),
+    "T4": _Row("g4", 8, [_Seed("x", IndexMap.identity(), _T4_TRANSPORT, (
+        "x + xy + x^2",
+        "x + 3xy + 2xy^2 + 3x^2 + 4x^2y + 2x^3",
+        "x + 7xy + 12xy^2 + 6xy^3 + 7x^2 + 24x^2y + 18x^2y^2 + 12x^3 + 18x^3y + 6x^4"))]),
+    "T5": _Row("g5", 7, [
+        _Seed("x", IndexMap({"x": (1, 2, 0), "y": (0, 0, 2)}), _T5_EVEN_TRANSPORT, (
+            "x + xy^2",
+            "x + 4xy^2 + xy^4 + 2x^3y^2")),
+        _Seed("x*y", IndexMap({"x": (1, 2, 0), "y": (1, 0, 2)}), _T5_ODD_TRANSPORT, (
+            "2xy + xy^3 + x^3y",
+            "4xy + 6xy^3 + xy^5 + 6x^3y + 6x^3y^3 + x^5y")),
+    ], " (applies to the first grammar; diagonal checks keep the builtin)"),
+    "T6": _Row("g6", 7, [_Seed("x")]),
+    "golden": _Row(None, 3, []),
+}
 
 _SUITES = {
     "T1": suite_t1,

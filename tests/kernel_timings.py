@@ -13,8 +13,10 @@ The cases are every builtin grammar from every start that the verify
 suites or the ``derive_deep`` benchmark use, at depth 100 and at depth 8
 (the size of a verify derivation), and a few grammars whose levels are
 not dense simplices: one term per diagonal, letters that vanish,
-a single letter, four letters in a cycle, a constant letter, and rule
-coefficients other than 1.  The tests import ``SEEDS`` from here.
+a single letter, four letters in a cycle, a constant letter, rule
+coefficients other than 1, and a start whose parts reach different
+rules.  The suites' starts are read from the verifier's seed table, so
+they follow it.  The tests import ``SEEDS`` from here.
 """
 
 from __future__ import annotations
@@ -25,17 +27,32 @@ import statistics
 import sys
 import time
 
-# The starts derived from each builtin: the verify suites' seeds (T1..T6
-# and golden) and the derive_deep benchmark's start letters.
-SEEDS = {
-    "g1": ("x", "y"),
-    "g2": ("x",),
-    "g3": ("w",),
-    "g4": ("x",),
-    "g5": ("x", "x*y"),
-    "gB": ("x", "x*y"),
-    "g6": ("x", "y", "z"),
-}
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from gramcalc.verifier import _SEEDS  # noqa: E402
+
+# The derive_deep benchmark's start letters beyond the suites' seeds.
+DEEP_STARTS = {"g1": ("y",), "g6": ("y", "z")}
+
+
+def _builtin_starts() -> dict[str, tuple[str, ...]]:
+    """The starts derived from each builtin, in the verifier's suite order.
+
+    These are the verify suites' seeds (T1..T6, which golden also derives,
+    and gB from T5's seeds, as T5's diagonal checks do) and the derive_deep
+    start letters.
+    """
+    seeds = {}
+    for suite, row in _SEEDS.items():
+        starts = tuple(seed.start for seed in row.seeds)
+        if row.builtin is not None:
+            seeds[row.builtin] = starts + DEEP_STARTS.get(row.builtin, ())
+        if suite == "T5":
+            seeds["gB"] = starts
+    return seeds
+
+
+SEEDS = _builtin_starts()
 
 # (grammar text, start, depth) of the non-builtin cases.
 OTHERS = (
@@ -45,6 +62,7 @@ OTHERS = (
     ("a -> a + a*b; b -> b + b*c; c -> c + c*d; d -> d + d*a", "a", 30),
     ("const c; x -> c*x + x*y; y -> c*y + x*y", "x", 100),
     ("x -> 2*x + x*y; y -> -3*y + x*y", "x", 100),
+    ("w -> w + w*x; x -> x + x*y; y -> y + x^2", "w*x + y", 60),
 )
 
 
@@ -53,7 +71,6 @@ def main() -> int:
     parser.add_argument("--repeat", type=int, default=9)
     parser.add_argument("--only", default="", help="time only cases whose label has this text")
     args = parser.parse_args()
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
     from gramcalc.dsl import builtin_grammar, parse_grammar, parse_polynomial
 
     cases = [
@@ -62,9 +79,11 @@ def main() -> int:
         for name, seeds in SEEDS.items()
         for seed in seeds
     ]
-    cases += [(src, parse_grammar(src), seed, depth) for src, seed, depth in OTHERS]
+    cases += [
+        (f"{src} from {seed}", parse_grammar(src), seed, depth) for src, seed, depth in OTHERS
+    ]
     print(f"Python {sys.version.split()[0]}, median of {args.repeat} runs")
-    print(f"{'case':<58} {'depth':>5} {'terms':>6} {'ms':>9}")
+    print(f"{'case':<68} {'depth':>5} {'terms':>6} {'ms':>9}")
     for label, grammar, start, depth in cases:
         if args.only not in label:
             continue
@@ -75,7 +94,7 @@ def main() -> int:
             level = grammar.derive_n(p, depth)
             times.append(time.perf_counter() - t0)
         ms = statistics.median(times) * 1000
-        print(f"{label:<58} {depth:>5} {len(level):>6} {ms:>9.3f}")
+        print(f"{label:<68} {depth:>5} {len(level):>6} {ms:>9.3f}")
     return 0
 
 

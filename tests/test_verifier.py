@@ -64,16 +64,19 @@ def test_mutated_grammar_fails_localized():
     assert report.notes[0] == "grammar override: x -> x + 2*x*y; y -> y + x*y"
 
 
+TRANSPORT_TABLES = [
+    ("T1", "_T1_TRANSPORT", "transport_recurrence"),
+    ("T2", "_T2_TRANSPORT", "transport_recurrence"),
+    ("T3", "_T3_TRANSPORT", "transport_recurrence"),
+    ("T4", "_T4_TRANSPORT", "transport_recurrence"),
+    ("T5", "_T5_EVEN_TRANSPORT", "even_transport_recurrence"),
+    ("T5", "_T5_ODD_TRANSPORT", "odd_transport_recurrence"),
+]
+
+
 @pytest.mark.parametrize(
     "suite, table, identity",
-    [
-        ("T1", "_T1_TRANSPORT", "transport_recurrence"),
-        ("T2", "_T2_TRANSPORT", "transport_recurrence"),
-        ("T3", "_T3_TRANSPORT", "transport_recurrence"),
-        ("T4", "_T4_TRANSPORT", "transport_recurrence"),
-        ("T5", "_T5_EVEN_TRANSPORT", "even_transport_recurrence"),
-        ("T5", "_T5_ODD_TRANSPORT", "odd_transport_recurrence"),
-    ],
+    TRANSPORT_TABLES,
     ids=["T1", "T2", "T3", "T4", "T5-even", "T5-odd"],
 )
 def test_transport_tables_are_live(monkeypatch, suite, table, identity):
@@ -83,6 +86,25 @@ def test_transport_tables_are_live(monkeypatch, suite, table, identity):
     monkeypatch.setitem(shifts, (0, 0), (c + 1, ci, cj))
     report = run_suite(suite, nmax=2)
     assert {f.identity for f in report.failures} == {identity}
+
+
+def test_seed_table_matches_the_suites():
+    seeds = verifier._SEEDS
+    assert list(seeds) == list(verifier._SUITES)
+    # Each table sits in the row of the suite that the liveness test above
+    # mutates it under, and in no other row, so that test covers them all.
+    rows = [
+        (suite, seed.transport)
+        for suite, row in seeds.items()
+        for seed in row.seeds
+        if seed.transport is not None
+    ]
+    assert len(rows) == len(TRANSPORT_TABLES)
+    for suite, table, _ in TRANSPORT_TABLES:
+        assert [s for s, t in rows if t is getattr(verifier, table)] == [suite]
+    # Golden runs one check per snapshot text of the T1..T5 seeds.
+    texts = [text for row in seeds.values() for seed in row.seeds for text in seed.golden]
+    assert run_suite("golden").checks_run == len(texts) == 16
 
 
 def test_run_suite_errors():
