@@ -15,7 +15,6 @@ _EXPORTS = {
     "errors": (
         "BoundExceeded",
         "DuplicateRule",
-        "EmptyList",
         "GramcalcError",
         "ParseError",
         "PatternViolation",

@@ -32,8 +32,10 @@ polynomial layer.
 
 Exit status: 0 on success, 1 when a verification suite fails, 2 on
 usage, parse, and bound errors, 3 on an internal error (any other
-exception, reported with its traceback on stderr).  Identical
-invocations produce byte-identical output.
+exception, reported with its traceback on stderr).  A reader that
+closes stdout early, such as ``head``, is not an error: the command
+stops writing, prints nothing on stderr and exits with its own code.
+Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -49,8 +51,9 @@ from . import config
 from .errors import GramcalcError, UnknownTriangle, _read_int
 
 _FORMATS = ("text", "csv", "json")
-# Copies of dsl.builtin_names(), verifier.SUITE_NAMES, oracles.stat_names()
-# and triangles.triangle_names(), which tests/test_imports.py keeps equal.
+# Copies of dsl.builtin_names(), verifier.SUITE_NAMES, the keys of
+# oracles._STATS and triangles.triangle_names(), which tests/test_imports.py
+# keeps equal.
 _BUILTIN_NAMES = ("g1", "g2", "g3", "g4", "g5", "gB", "g6")
 _SUITE_NAMES = ("T1", "T2", "T3", "T4", "T5", "T6", "golden")
 _STAT_NAMES = ("descents", "right_valleys", "las")
@@ -266,7 +269,15 @@ def main(argv=None) -> int:
         caps = config.load_caps(args.config, os.environ)
         pieces, code = _DISPATCH[args.command](args, caps)
         if args.out is None:
-            sys.stdout.writelines(pieces)
+            try:
+                sys.stdout.writelines(pieces)
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # The reader closed the pipe having read what it wanted.  Point
+                # fd 1 at devnull so the interpreter's last flush cannot fail.
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
         else:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.writelines(pieces)

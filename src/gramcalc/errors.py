@@ -70,10 +70,6 @@ class BoundExceeded(GramcalcError):
         super().__init__(f"{kind} size {n} exceeds the configured cap {cap}; {hint}")
 
 
-class EmptyList(GramcalcError):
-    """A statistic that needs at least one entry was applied to an empty list."""
-
-
 class UnknownTriangle(GramcalcError):
     """A triangle name not recognized by the table builder."""
 

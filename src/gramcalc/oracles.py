@@ -1,4 +1,4 @@
-"""Enumeration oracles and the list statistics they count.
+"""Enumeration oracles and the distributions of list statistics they count.
 
 Everything here is read off the definitions of the objects and of the
 statistics, never off the recurrences or closed forms that the verifier
@@ -16,13 +16,15 @@ Statistic conventions on a list w of distinct integers, 1-based:
 * right valley: entry w_i, i in [2, n], with w_{i-1} > w_i < w_{i+1},
   reading w_{n+1} = +infinity; the final entry can be a right valley.
 * las: length of the longest alternating subsequence whose comparisons
-  run descent, ascent, descent, ...; a single entry has las 1, the empty
-  list is an error.
+  run descent, ascent, descent, ...; a single entry has las 1.  No table
+  scores the empty list: ``las_counts`` gives the empty permutation las 0
+  by convention.
 
 Each statistic is written once, as a ``Stat``: an initial state, a step
 that reads one entry and returns the next state and what the entry adds,
-and a final amount read off the last state.  ``scan`` runs it over one
-list.  las is the greedy count of Stanley ("Longest alternating
+and a final amount read off the last state.  The tallies below run it
+over every ordering of a set of values at once; no command scores a
+single list.  las is the greedy count of Stanley ("Longest alternating
 subsequences of permutations", Michigan Math. J. 57, 2008): every strict
 comparison between neighbours that turns the way the subsequence needs
 next adds one entry, so its state is the previous entry and the parity.
@@ -68,12 +70,11 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .config import Caps
-from .errors import EmptyList, _exact
+from .errors import _exact
 
-Cop = tuple[tuple[int, ...], ...]
 Matching = tuple[tuple[int, int], ...]
 
 
@@ -118,46 +119,6 @@ def _run(stat: Stat, w: Iterable[int]) -> tuple[object, int]:
         state, add = step(state, x)
         total += add
     return state, total
-
-
-def scan(stat: Stat, w: Iterable[int]) -> int:
-    """The value of stat on the list w, read left to right in one pass."""
-    state, total = _run(stat, w)
-    return total + stat.final(state)
-
-
-def descents(w: Sequence[int]) -> int:
-    return scan(DESCENTS, w)
-
-
-def left_peaks(w: Sequence[int]) -> int:
-    return scan(LEFT_PEAKS, w)
-
-
-def right_valleys(w: Sequence[int]) -> int:
-    return scan(RIGHT_VALLEYS, w)
-
-
-def las(w: Sequence[int]) -> int:
-    """Longest alternating subsequence length (first comparison a descent)."""
-    if not w:
-        raise EmptyList("las is undefined on an empty list")
-    return scan(LAS, w)
-
-
-def openers(cop: Cop) -> tuple[int, ...]:
-    """Block minima of a canonical cyclically ordered partition, in order."""
-    return tuple(block[0] for block in cop)
-
-
-def des_b(pi: Sequence[int]) -> int:
-    """Type-B descents of a signed permutation, including the 0 sentinel."""
-    return descents((0, *pi))
-
-
-def odd_smaller_count(matching: Matching) -> int:
-    """Pairs of a perfect matching whose smaller entry is odd."""
-    return sum(1 for pair in matching if min(pair) % 2 == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +271,6 @@ def enumerate_cops(
 # Count tables.
 
 _STATS = {"descents": DESCENTS, "right_valleys": RIGHT_VALLEYS, "las": LAS}
-
-
-def stat_names() -> tuple[str, ...]:
-    return tuple(_STATS)
 
 
 @lru_cache(maxsize=None)

@@ -21,10 +21,14 @@ line, and ``json.dumps`` for the JSON form.
 The Whitney numbers have the explicit binomial-Stirling sum, with the
 Stirling numbers by inclusion-exclusion, so no row recurrence is used.
 
-The list statistics have references read straight off their definitions,
-and the perfect matchings one by tuple-slicing recursion.  The statistic
-distributions are counted by a prefix-state tally.  Their references
-score every permutation, and every cop's opener list, one by one.
+The list statistics, and the object statistics that the acceptance
+checks count (a cop's openers, the type-B descents of a signed
+permutation, the odd smaller entries of a matching), have references
+read straight off their definitions, and the perfect matchings one by
+tuple-slicing recursion.  ``gramcalc`` counts each ``Stat`` only over every ordering of
+a set, by a prefix-state tally; ``scan`` runs one over a single list from
+its own fields, and the distribution references score every permutation,
+and every cop's opener list, one by one with it.
 """
 
 import itertools
@@ -37,8 +41,10 @@ from typing import Iterator
 from gramcalc import poly
 from gramcalc.errors import UnknownLetter
 from gramcalc.grammar import Grammar
-from gramcalc.oracles import Cop, Stat, scan
+from gramcalc.oracles import Matching, Stat
 from gramcalc.poly import Monomial, Polynomial, mono_degree
+
+Cop = tuple[tuple[int, ...], ...]
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -300,9 +306,18 @@ def reference_whitney(m: int, n: int, k: int) -> int:
     return sum(math.comb(n, i) * m ** (i - k) * reference_stirling2(i, k) for i in range(k, n + 1))
 
 
-def reference_perm_counts(n: int, fn) -> Counter:
-    """Distribution of fn over the permutations of [n], one at a time."""
-    return Counter(map(fn, itertools.permutations(range(1, n + 1))))
+def scan(stat: Stat, w) -> int:
+    """The value of stat on the list w, read left to right in one pass."""
+    state, total = stat.init, 0
+    for x in w:
+        state, add = stat.step(state, x)
+        total += add
+    return total + stat.final(state)
+
+
+def reference_perm_counts(n: int, stat: Stat) -> Counter:
+    """Distribution of stat over the permutations of [n], one at a time."""
+    return reference_tally(stat, (), tuple(range(1, n + 1)))
 
 
 def reference_tally(stat: Stat, head: tuple[int, ...], values: tuple[int, ...]) -> Counter:
@@ -310,21 +325,36 @@ def reference_tally(stat: Stat, head: tuple[int, ...], values: tuple[int, ...]) 
     return Counter(scan(stat, head + rest) for rest in itertools.permutations(values))
 
 
-def reference_census(n: int, fn) -> dict[tuple[int, int], int]:
-    """Cops of [n] by (blocks, fn of the opener list), one cop at a time."""
+def reference_census(n: int, stat: Stat) -> dict[tuple[int, int], int]:
+    """Cops of [n] by (blocks, stat of the opener list), one cop at a time."""
     counts: dict[tuple[int, int], int] = {}
     for blocks in set_partitions(n):
         k = len(blocks)
         # The openers of every cop on these blocks: 1, then the other
         # block minima in each of their orders.
         for rest in itertools.permutations([block[0] for block in blocks[1:]]):
-            key = (k, fn((1,) + rest))
+            key = (k, scan(stat, (1,) + rest))
             counts[key] = counts.get(key, 0) + 1
     return counts
 
 
 def reference_descents(w):
     return sum(1 for i in range(len(w) - 1) if w[i] > w[i + 1])
+
+
+def reference_des_b(pi):
+    """Type-B descents of a signed permutation: the descents of 0, pi(1), ..., pi(n)."""
+    return reference_descents((0, *pi))
+
+
+def reference_odd_smaller_count(matching: Matching) -> int:
+    """Pairs of a perfect matching whose smaller entry is odd."""
+    return sum(1 for pair in matching if min(pair) % 2 == 1)
+
+
+def openers(cop: Cop) -> tuple[int, ...]:
+    """Block minima of a canonical cop, in block order."""
+    return tuple(block[0] for block in cop)
 
 
 def reference_left_peaks(w):

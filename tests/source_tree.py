@@ -5,14 +5,30 @@ module or file, ``name`` reads the name a node refers to, and ``walk``
 visits every node with its parent and scope.  A guard takes the part of
 the scope it needs: the whole dotted path, its first part (the top-level
 class or function) or its last part (the innermost one).
+
+``code_lines`` counts a file's code lines, the size that the project's
+notes quote.  Run as a script, ``python3 tests/source_tree.py`` prints
+them for each module of ``src/gramcalc`` and ``tests/``, with totals.
 """
 
 from __future__ import annotations
 
 import ast
+import io
 import pathlib
+import tokenize
 from types import ModuleType
 from typing import Iterator
+
+# Tokens that hold no code of their own.
+_NOT_CODE = {
+    tokenize.COMMENT,
+    tokenize.NL,
+    tokenize.NEWLINE,
+    tokenize.INDENT,
+    tokenize.DEDENT,
+    tokenize.ENDMARKER,
+}
 
 
 def tree(source: ModuleType | pathlib.Path) -> ast.Module:
@@ -44,3 +60,35 @@ def walk(root: ast.AST, scope: str = "") -> Iterator[tuple[ast.AST, ast.AST, str
         if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             inner = f"{scope}.{child.name}" if scope else child.name
         yield from walk(child, inner)
+
+
+def code_lines(path: pathlib.Path) -> int:
+    """Lines of the file at path that are not blank, comment or docstring lines.
+
+    A docstring is the string that opens a module, class or function; a
+    line counts when some token other than a comment starts or runs on it.
+    """
+    text = path.read_text(encoding="utf-8")
+    docs = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                if isinstance(first.value.value, str):
+                    docs.update(range(first.lineno, first.end_lineno + 1))
+    code = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in _NOT_CODE:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    return len(code - docs)
+
+
+if __name__ == "__main__":
+    root = pathlib.Path(__file__).resolve().parent.parent
+    for folder in (root / "src" / "gramcalc", root / "tests"):
+        total = 0
+        for path in sorted(folder.glob("*.py")):
+            lines = code_lines(path)
+            total += lines
+            print(f"{lines:6,}  {path.relative_to(root)}")
+        print(f"{total:6,}  {folder.relative_to(root)}/ in all")

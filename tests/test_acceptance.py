@@ -14,15 +14,12 @@ import pytest
 
 from gramcalc.dsl import builtin_grammar, parse_grammar, parse_polynomial
 from gramcalc.oracles import (
-    des_b,
-    descents,
+    LEFT_PEAKS,
+    RIGHT_VALLEYS,
     enumerate_matchings,
     enumerate_permutations,
     enumerate_signed,
     left_peak_counts,
-    left_peaks,
-    odd_smaller_count,
-    right_valleys,
     u_table,
 )
 from gramcalc.poly import Polynomial
@@ -43,6 +40,8 @@ from gramcalc.verifier import (
     suite_t5,
     suite_t6,
 )
+
+from reference import reference_des_b, reference_descents, reference_odd_smaller_count, scan
 
 TRIALS = 1000
 
@@ -146,7 +145,7 @@ def test_c9_distributions_match_triangles(criterion):
         for n in range(1, 9):
             counts = {}
             for perm in enumerate_permutations(n):
-                d = descents(perm)
+                d = reference_descents(perm)
                 counts[d] = counts.get(d, 0) + 1
             for d, c in counts.items():
                 assert c == eulerian(n, d + 1)
@@ -154,7 +153,7 @@ def test_c9_distributions_match_triangles(criterion):
         for n in range(1, 6):
             counts = {}
             for pi in enumerate_signed(n):
-                k = des_b(pi)
+                k = reference_des_b(pi)
                 counts[k] = counts.get(k, 0) + 1
             for k in range(n + 1):
                 assert counts.get(k, 0) == type_b_eulerian(n, k)
@@ -162,7 +161,7 @@ def test_c9_distributions_match_triangles(criterion):
         for n in range(1, 8):
             counts = {}
             for matching in enumerate_matchings(n):
-                k = odd_smaller_count(matching)
+                k = reference_odd_smaller_count(matching)
                 counts[k] = counts.get(k, 0) + 1
             for k in range(n + 1):
                 assert counts.get(k, 0) == matching_count(n, k)
@@ -195,7 +194,7 @@ def test_c10_randomized_properties_and_mutation(criterion):
         for _ in range(TRIALS):
             n = rng.randint(1, 10)
             w = rng.sample(range(1, 50), n)
-            assert left_peaks(w) == right_valleys(w)
+            assert scan(LEFT_PEAKS, w) == scan(RIGHT_VALLEYS, w)
 
         # inserting a new maximum into a min-first list at a noninitial
         # position never lowers the valley count; exactly 2l+1 of the k
@@ -206,11 +205,11 @@ def test_c10_randomized_properties_and_mutation(criterion):
             rest = [v for v in values if v != min(values)]
             rng.shuffle(rest)
             w = [min(values)] + rest
-            l = right_valleys(w)
+            l = scan(RIGHT_VALLEYS, w)
             deltas = []
             for t in range(1, k + 1):
                 w2 = w[:t] + [99] + w[t:]
-                deltas.append(right_valleys(w2) - l)
+                deltas.append(scan(RIGHT_VALLEYS, w2) - l)
             assert set(deltas) <= {0, 1}
             assert deltas.count(0) == 2 * l + 1
             assert deltas.count(1) == k - (2 * l + 1)

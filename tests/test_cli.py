@@ -615,6 +615,9 @@ class Sink:
         for piece in pieces:
             self.write(piece)
 
+    def flush(self):
+        pass
+
 
 @pytest.mark.parametrize(
     "fmt, size", [("text", 2_153_797), ("json", 18_191_989)], ids=["text", "json"]
@@ -744,3 +747,19 @@ def test_python_dash_m_entry_points(module):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "golden: pass (16 checks, 0 failures, nmax=3)\n"
+
+
+@pytest.mark.parametrize("buffering", [[], ["-u"]], ids=["buffered", "unbuffered"])
+def test_reader_closing_the_pipe_early_is_not_an_error(buffering):
+    # The listing (2.15 MB) is far past a pipe's buffer, so the CLI is still
+    # writing when the reader closes its end after the first line.
+    src = os.path.dirname(os.path.dirname(gramcalc.__file__))
+    argv = [sys.executable, *buffering, "-m", "gramcalc", "cops", "--n", "8"]
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src)
+    ) as proc:
+        assert proc.stdout.readline() == b"(1,2,3,4,5,6,7,8)\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0, err
+    assert err == b""
