@@ -26,9 +26,11 @@ Informational match ratios are built by one function over collected
 
 Suite names follow the short labels used by the command line tool: T1
 through T6 for the six grammar studies, plus "golden" for byte-exact
-snapshots of small expansions.  All seven take (nmax, grammar, caps),
-sit in one ``_SUITES`` table and derive through the run object; golden
-refuses a grammar override.  What each suite derives is data, in one
+snapshots of small expansions.  All seven are bodies in one ``_SUITES``
+table: each takes the run object and returns its report.  ``run_suite``
+is the one door to a suite and the one place that builds a run object,
+from (nmax, grammar, caps); golden, whose row names no builtin, refuses
+a grammar override there.  What each suite derives is data, in one
 ``_SEEDS`` table beside ``_SUITES``: the builtin grammar, the default
 nmax, and for each seed its start, index map, transport table and golden
 snapshot texts.
@@ -116,15 +118,20 @@ class CheckReport:
 class _Suite:
     """One suite run: its depth, grammar, seeds and report, and the loops all suites share.
 
-    The suite's row of ``_SEEDS`` gives its builtin grammar, default
-    depth and seeds.  ``grammar`` overrides the builtin; the override is
-    noted, with the row's ``scope`` appended to the note.  Every census
-    comes from ``cop_tables`` and every permutation tally from
-    ``oracle_product``; the oracles' own cap checks decide where both stop.
+    ``run_suite`` alone builds one and hands it to the suite's body.  The
+    suite's row of ``_SEEDS`` gives its builtin grammar, default depth
+    and seeds.  ``grammar`` overrides the builtin; the override is noted,
+    with the row's ``scope`` appended to the note.  A row with no builtin
+    (golden, which derives every builtin) refuses an override before any
+    other argument is checked.  Every census comes from ``cop_tables`` and
+    every permutation tally from ``oracle_product``; the oracles' own cap
+    checks decide where both stop.
     """
 
     def __init__(self, name: str, nmax: int | None, caps: Caps, grammar: Grammar | None = None):
         row = _SEEDS[name]
+        if grammar is not None and row.builtin is None:
+            raise ValueError(f"the {name} suite always uses the builtin grammars")
         nmax = row.nmax if nmax is None else _exact(nmax, "nmax", 0)
         caps.check("verify", nmax)
         self.nmax = nmax
@@ -233,37 +240,21 @@ def _cop_count(nn: int) -> int:
     return sum(factorial(m - 1) * stirling2(nn, m) for m in range(1, nn + 1))
 
 
-# Transport recurrences: cell (i, j) of level n is the sum, over the shifts
-# (di, dj) of a table, of (c + ci*i + cj*j) times cell (i + di, j + dj) of
-# level n - 1.  These are the paper's recurrences, fixed data that an
-# override grammar never changes, so a mutated grammar fails them.  Each
-# sits in its seed's row of ``_SEEDS``, where the suites read it.
-_T1_TRANSPORT = {(0, 0): (0, 1, 1), (0, -1): (0, 1, 0), (-1, 0): (0, 0, 1)}
-_T2_TRANSPORT = {(0, 0): (0, 1, 1), (0, -1): (0, 1, 0), (-2, 1): (1, 0, 1)}
-_T3_TRANSPORT = {(0, 0): (1, 1, 1), (-1, 0): (1, 0, 0), (0, -1): (0, 1, 0), (-2, 1): (1, 0, 1)}
-_T4_TRANSPORT = {(0, 0): (0, 1, 1), (-1, 0): (-1, 1, 1), (0, -1): (-1, 1, 1)}
-_T5_EVEN_TRANSPORT = {(0, 0): (1, 2, 2), (0, -1): (1, 2, 0), (-1, 0): (0, 0, 2)}
-_T5_ODD_TRANSPORT = {(0, 0): (2, 2, 2), (0, -1): (1, 2, 0), (-1, 0): (1, 0, 2)}
-
-
 def _transport(table: dict, prev: Counter, i: int, j: int) -> int:
-    """The value a transport table gives cell (i, j) from the previous level."""
+    """The value a seed's transport table gives cell (i, j) from the previous level."""
     total = 0
     for (di, dj), (c, ci, cj) in table.items():
         total += (c + ci * i + cj * j) * prev[i + di, j + dj]
     return total
 
 
-def suite_t1(
-    nmax: int | None = None, grammar: Grammar | None = None, caps: Caps = Caps()
-) -> CheckReport:
+def suite_t1(run: _Suite) -> CheckReport:
     """Grammar x -> x + x*y, y -> y + x*y, expanded from x.
 
     Checks the coefficient transport recurrence, the Stirling times
     Eulerian closed form, the census of cyclically ordered partitions by
     opener descents, and the row sum against the partition count.
     """
-    run = _Suite("T1", nmax, caps, grammar)
     (grids,) = run.grids()
     for n in run.levels(grids):
         cur, prev = grids[n], grids[n - 1]
@@ -290,9 +281,7 @@ def suite_t1(
     return run.report
 
 
-def suite_t2(
-    nmax: int | None = None, grammar: Grammar | None = None, caps: Caps = Caps()
-) -> CheckReport:
+def suite_t2(run: _Suite) -> CheckReport:
     """Grammar x -> x + x*y, y -> y + x^2, expanded from x.
 
     Only odd powers of x appear.  Checks the transport recurrence, the
@@ -301,7 +290,6 @@ def suite_t2(
     the row sum.  The valley table itself is validated both against its
     product form and against the opener census by right valleys.
     """
-    run = _Suite("T2", nmax, caps, grammar)
     (grids,) = run.grids()
     u = oracles.u_table(run.nmax + 1)
     for n in run.levels(grids):
@@ -370,9 +358,7 @@ def suite_t2(
     return run.report
 
 
-def suite_t3(
-    nmax: int | None = None, grammar: Grammar | None = None, caps: Caps = Caps()
-) -> CheckReport:
+def suite_t3(run: _Suite) -> CheckReport:
     """Grammar w -> w + w*x, x -> x + x*y, y -> y + x^2, expanded from w.
 
     Every term carries a single factor of w; indices are read off the x
@@ -381,7 +367,6 @@ def suite_t3(
     census of partition openers by longest alternating subsequence, and
     the row sum.
     """
-    run = _Suite("T3", nmax, caps, grammar)
     (grids,) = run.grids()
     for n in run.levels(grids):
         cur, prev = grids[n], grids[n - 1]
@@ -410,16 +395,13 @@ def suite_t3(
     return run.report
 
 
-def suite_t4(
-    nmax: int | None = None, grammar: Grammar | None = None, caps: Caps = Caps()
-) -> CheckReport:
+def suite_t4(run: _Suite) -> CheckReport:
     """Grammar x -> x + x^2 + x*y, y -> y + y^2 + x*y, expanded from x.
 
     Checks the transport recurrence, the factorial times Stirling times
     binomial closed form, and the row sum against the count of ordered
     set partitions with a marked prefix.
     """
-    run = _Suite("T4", nmax, caps, grammar)
     (grids,) = run.grids()
     for n in run.levels(grids):
         cur, prev = grids[n], grids[n - 1]
@@ -443,9 +425,7 @@ def suite_t4(
     return run.report
 
 
-def suite_t5(
-    nmax: int | None = None, grammar: Grammar | None = None, caps: Caps = Caps()
-) -> CheckReport:
+def suite_t5(run: _Suite) -> CheckReport:
     """Grammars x -> x + x*y^2, y -> y + x^2*y and x -> x*y^2, y -> x^2*y.
 
     The first is expanded from both x and x*y, with indices read off the
@@ -455,7 +435,6 @@ def suite_t5(
     The second grammar collapses onto single diagonals given by the
     matching and signed descent triangles, checked over the full box.
     """
-    run = _Suite("T5", nmax, caps, grammar)
     e, f = run.grids()
     e_boundary, f_boundary = [], []
     for n in run.levels(e, f):
@@ -502,9 +481,7 @@ def suite_t5(
     return run.report
 
 
-def suite_t6(
-    nmax: int | None = None, grammar: Grammar | None = None, caps: Caps = Caps()
-) -> CheckReport:
+def suite_t6(run: _Suite) -> CheckReport:
     """Grammar x -> x*(y+z), y -> y*(z+x), z -> z*(x+y), expanded from x.
 
     Expansions stay homogeneous of degree n+1, so the z exponent is
@@ -512,7 +489,6 @@ def suite_t6(
     the box agree with an Eulerian row, and the x-linear slice agrees
     with the next Eulerian row.
     """
-    run = _Suite("T6", nmax, caps, grammar)
     levels = run.derive(run.seeds[0].start)
     for n in range(1, run.nmax + 1):
         p = levels[n]
@@ -535,13 +511,8 @@ def suite_t6(
     return run.report
 
 
-def suite_golden(
-    nmax: int | None = None, grammar: Grammar | None = None, caps: Caps = Caps()
-) -> CheckReport:
+def suite_golden(run: _Suite) -> CheckReport:
     """Byte-exact snapshots of small expansions of the builtin grammars."""
-    if grammar is not None:
-        raise ValueError("the golden suite always uses the builtin grammars")
-    run = _Suite("golden", nmax, caps)
     golden = [(row.builtin, seed) for row in _SEEDS.values() for seed in row.seeds if seed.golden]
     for name, seed in golden:
         levels = run.derive(seed.start, builtin_grammar(name))
@@ -553,33 +524,43 @@ def suite_golden(
 # A seed is a start that a suite derives its builtin from: the index map
 # that reads each level's (i, j) array, the transport table from level n-1
 # to level n, and the texts of levels 1, 2, 3 that golden checks byte for
-# byte.  T6's map depends on the level, so its seed has neither map nor
-# table; golden derives the T1..T5 seeds and has none of its own.
+# byte.  In a transport table, cell (i, j) of level n is the sum, over the
+# shifts (di, dj), of (c + ci*i + cj*j) times cell (i + di, j + dj) of
+# level n - 1: the paper's recurrences, fixed data that an override grammar
+# never changes, so a mutated grammar fails them.  T6's map depends on the
+# level, so its seed has neither map nor table; golden derives the T1..T5
+# seeds and has none of its own.
 _Seed = namedtuple("_Seed", "start imap transport golden", defaults=(None, None, ()))
 _Row = namedtuple("_Row", "builtin nmax seeds scope", defaults=("",))
 
 _SEEDS = {
-    "T1": _Row("g1", 8, [_Seed("x", IndexMap.identity(), _T1_TRANSPORT, (
+    "T1": _Row("g1", 8, [_Seed("x", IndexMap.identity(),
+        {(0, 0): (0, 1, 1), (0, -1): (0, 1, 0), (-1, 0): (0, 0, 1)}, (
         "x + xy",
         "x + 3xy + xy^2 + x^2y",
         "x + 7xy + 6xy^2 + xy^3 + 6x^2y + 4x^2y^2 + x^3y"))]),
-    "T2": _Row("g2", 8, [_Seed("x", IndexMap.identity(), _T2_TRANSPORT, (
+    "T2": _Row("g2", 8, [_Seed("x", IndexMap.identity(),
+        {(0, 0): (0, 1, 1), (0, -1): (0, 1, 0), (-2, 1): (1, 0, 1)}, (
         "x + xy",
         "x + 3xy + xy^2 + x^3",
         "x + 7xy + 6xy^2 + xy^3 + 6x^3 + 5x^3y"))]),
-    "T3": _Row("g3", 8, [_Seed("w", IndexMap.identity(fixed={"w": 1}), _T3_TRANSPORT, (
+    "T3": _Row("g3", 8, [_Seed("w", IndexMap.identity(fixed={"w": 1}),
+        {(0, 0): (1, 1, 1), (-1, 0): (1, 0, 0), (0, -1): (0, 1, 0), (-2, 1): (1, 0, 1)}, (
         "w + wx",
         "w + 3wx + wxy + wx^2",
         "w + 7wx + 6wxy + wxy^2 + 6wx^2 + 3wx^2y + 2wx^3"))]),
-    "T4": _Row("g4", 8, [_Seed("x", IndexMap.identity(), _T4_TRANSPORT, (
+    "T4": _Row("g4", 8, [_Seed("x", IndexMap.identity(),
+        {(0, 0): (0, 1, 1), (-1, 0): (-1, 1, 1), (0, -1): (-1, 1, 1)}, (
         "x + xy + x^2",
         "x + 3xy + 2xy^2 + 3x^2 + 4x^2y + 2x^3",
         "x + 7xy + 12xy^2 + 6xy^3 + 7x^2 + 24x^2y + 18x^2y^2 + 12x^3 + 18x^3y + 6x^4"))]),
     "T5": _Row("g5", 7, [
-        _Seed("x", IndexMap({"x": (1, 2, 0), "y": (0, 0, 2)}), _T5_EVEN_TRANSPORT, (
+        _Seed("x", IndexMap({"x": (1, 2, 0), "y": (0, 0, 2)}),
+            {(0, 0): (1, 2, 2), (0, -1): (1, 2, 0), (-1, 0): (0, 0, 2)}, (
             "x + xy^2",
             "x + 4xy^2 + xy^4 + 2x^3y^2")),
-        _Seed("x*y", IndexMap({"x": (1, 2, 0), "y": (1, 0, 2)}), _T5_ODD_TRANSPORT, (
+        _Seed("x*y", IndexMap({"x": (1, 2, 0), "y": (1, 0, 2)}),
+            {(0, 0): (2, 2, 2), (0, -1): (1, 2, 0), (-1, 0): (1, 0, 2)}, (
             "2xy + xy^3 + x^3y",
             "4xy + 6xy^3 + xy^5 + 6x^3y + 6x^3y^3 + x^5y")),
     ], " (applies to the first grammar; diagonal checks keep the builtin)"),
@@ -604,10 +585,10 @@ def run_suite(
     name: str, nmax: int | None = None, grammar: Grammar | None = None, caps: Caps = Caps()
 ) -> CheckReport:
     """Run one suite by name; grammar overrides apply only to T1..T6."""
-    fn = _SUITES.get(name)
-    if fn is None:
+    body = _SUITES.get(name)
+    if body is None:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    return fn(nmax, grammar, caps)
+    return body(_Suite(name, nmax, caps, grammar))
 
 
 def run_all(nmax: int | None = None, caps: Caps = Caps()) -> list[CheckReport]:

@@ -30,16 +30,7 @@ from gramcalc.triangles import (
     stirling2,
     type_b_eulerian,
 )
-from gramcalc.verifier import (
-    run_suite,
-    suite_golden,
-    suite_t1,
-    suite_t2,
-    suite_t3,
-    suite_t4,
-    suite_t5,
-    suite_t6,
-)
+from gramcalc.verifier import run_suite
 
 from reference import reference_des_b, reference_descents, reference_odd_smaller_count, scan
 
@@ -68,7 +59,7 @@ def _assert_suite(report):
 
 def test_c1_expansion_snapshots(criterion):
     with criterion("C1", "small expansion snapshots"):
-        report = suite_golden(3)
+        report = run_suite("golden", 3)
         _assert_suite(report)
         assert report.checks_run == 16
         p = builtin_grammar("g1").derive_n(parse_polynomial("x"), 3)
@@ -80,12 +71,12 @@ def test_c1_expansion_snapshots(criterion):
 
 def test_c2_descent_identities(criterion):
     with criterion("C2", "descent transport, product form, partition census"):
-        _assert_suite(suite_t1(8))
+        _assert_suite(run_suite("T1", 8))
 
 
 def test_c3_valley_identities(criterion):
     with criterion("C3", "valley parity identities and table product"):
-        _assert_suite(suite_t2(8))
+        _assert_suite(run_suite("T2", 8))
         u = u_table(8)
         for (n, k, l), value in u.items():
             assert value == stirling2(n, k) * left_peak_counts(k - 1).get(l, 0)
@@ -97,12 +88,12 @@ def test_c3_valley_identities(criterion):
 
 def test_c4_alternating_length_identities(criterion):
     with criterion("C4", "alternating-length product and census"):
-        _assert_suite(suite_t3(8))
+        _assert_suite(run_suite("T3", 8))
 
 
 def test_c5_prefix_marked_identities(criterion):
     with criterion("C5", "prefix-marked partition product and row sums"):
-        _assert_suite(suite_t4(8))
+        _assert_suite(run_suite("T4", 8))
         doubled = [
             sum(
                 2**k * factorial(k) * stirling2(n + 1, k + 1)
@@ -116,12 +107,12 @@ def test_c5_prefix_marked_identities(criterion):
 
 def test_c6_parity_split_identities(criterion):
     with criterion("C6", "parity-split closed forms and diagonal collapse"):
-        _assert_suite(suite_t5(7))
+        _assert_suite(run_suite("T5", 7))
 
 
 def test_c7_three_letter_slices(criterion):
     with criterion("C7", "three-letter slice identities"):
-        _assert_suite(suite_t6(7))
+        _assert_suite(run_suite("T6", 7))
 
 
 def test_c8_row_sums_agree(criterion):

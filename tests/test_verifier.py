@@ -8,12 +8,7 @@ from gramcalc import oracles, verifier
 from gramcalc.config import Caps
 from gramcalc.dsl import builtin_grammar, parse_grammar
 from gramcalc.errors import BoundExceeded
-from gramcalc.verifier import (
-    SUITE_NAMES,
-    run_all,
-    run_suite,
-    suite_golden,
-)
+from gramcalc.verifier import SUITE_NAMES, run_all, run_suite
 
 
 def test_suite_names():
@@ -36,10 +31,10 @@ def test_run_all_order_and_status():
 
 
 def test_golden_check_counts():
-    assert suite_golden(3).checks_run == 16
-    assert suite_golden(2).checks_run == 12
-    assert suite_golden(0).checks_run == 0
-    assert suite_golden(3).passed
+    assert run_suite("golden", 3).checks_run == 16
+    assert run_suite("golden", 2).checks_run == 12
+    assert run_suite("golden", 0).checks_run == 0
+    assert run_suite("golden", 3).passed
 
 
 def test_summary_format():
@@ -64,24 +59,25 @@ def test_mutated_grammar_fails_localized():
     assert report.notes[0] == "grammar override: x -> x + 2*x*y; y -> y + x*y"
 
 
+# (suite, index of the seed in its _SEEDS row, identity its transport table feeds)
 TRANSPORT_TABLES = [
-    ("T1", "_T1_TRANSPORT", "transport_recurrence"),
-    ("T2", "_T2_TRANSPORT", "transport_recurrence"),
-    ("T3", "_T3_TRANSPORT", "transport_recurrence"),
-    ("T4", "_T4_TRANSPORT", "transport_recurrence"),
-    ("T5", "_T5_EVEN_TRANSPORT", "even_transport_recurrence"),
-    ("T5", "_T5_ODD_TRANSPORT", "odd_transport_recurrence"),
+    ("T1", 0, "transport_recurrence"),
+    ("T2", 0, "transport_recurrence"),
+    ("T3", 0, "transport_recurrence"),
+    ("T4", 0, "transport_recurrence"),
+    ("T5", 0, "even_transport_recurrence"),
+    ("T5", 1, "odd_transport_recurrence"),
 ]
 
 
 @pytest.mark.parametrize(
-    "suite, table, identity",
+    "suite, seed, identity",
     TRANSPORT_TABLES,
     ids=["T1", "T2", "T3", "T4", "T5-even", "T5-odd"],
 )
-def test_transport_tables_are_live(monkeypatch, suite, table, identity):
+def test_transport_tables_are_live(monkeypatch, suite, seed, identity):
     # A suite that kept an inline recurrence beside its table would pass.
-    shifts = getattr(verifier, table)
+    shifts = verifier._SEEDS[suite].seeds[seed].transport
     c, ci, cj = shifts[0, 0]
     monkeypatch.setitem(shifts, (0, 0), (c + 1, ci, cj))
     report = run_suite(suite, nmax=2)
@@ -91,17 +87,14 @@ def test_transport_tables_are_live(monkeypatch, suite, table, identity):
 def test_seed_table_matches_the_suites():
     seeds = verifier._SEEDS
     assert list(seeds) == list(verifier._SUITES)
-    # Each table sits in the row of the suite that the liveness test above
-    # mutates it under, and in no other row, so that test covers them all.
-    rows = [
-        (suite, seed.transport)
+    # The liveness test above mutates every seed that holds a table.
+    tables = [
+        (suite, k)
         for suite, row in seeds.items()
-        for seed in row.seeds
+        for k, seed in enumerate(row.seeds)
         if seed.transport is not None
     ]
-    assert len(rows) == len(TRANSPORT_TABLES)
-    for suite, table, _ in TRANSPORT_TABLES:
-        assert [s for s, t in rows if t is getattr(verifier, table)] == [suite]
+    assert tables == [(suite, k) for suite, k, _ in TRANSPORT_TABLES]
     # Golden runs one check per snapshot text of the T1..T5 seeds.
     texts = [text for row in seeds.values() for seed in row.seeds for text in seed.golden]
     assert run_suite("golden").checks_run == len(texts) == 16

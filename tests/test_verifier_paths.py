@@ -1,18 +1,25 @@
 """The verifier does each job one way, read off its source.
 
-Every suite derives through the run object, ``_Suite``, reaches the
-permutation oracles only through ``_Suite.oracle_product``, and reaches
-the opener census only through the one ``cop_stat_table`` call inside
-``_Suite``.  The verifier reads no cap itself: a ``caps`` value is only
-passed on or asked to ``check``, so each oracle's own cap check decides
-every cut.  A second path beside either door, or a cap rule copied into
-the verifier, would drift from the oracle's check without failing any
-report test at default caps.
+``run_suite`` alone builds the run object, ``_Suite``, and hands it to a
+suite body that takes nothing else, so the depth, grammar and cap rules
+of a run are written once.  Every suite derives through the run object,
+reaches the permutation oracles only through ``_Suite.oracle_product``,
+and reaches the opener census only through the one ``cop_stat_table``
+call inside ``_Suite``.  The verifier reads no cap itself: a ``caps``
+value is only passed on or asked to ``check``, so each oracle's own cap
+check decides every cut.  A second path beside any of these doors, or a
+cap rule copied into the verifier, would drift from the oracle's check
+without failing any report test at default caps.
 """
 
 import ast
+import inspect
+
+import pytest
 
 from gramcalc import verifier
+from gramcalc.dsl import builtin_grammar
+from gramcalc.verifier import run_suite
 from source_tree import name, tree, walk
 
 PERMUTATION_ORACLES = {"left_peak_counts", "las_counts"}
@@ -69,3 +76,19 @@ def test_no_cap_field_is_read():
         if used == "caps" and isinstance(parent, ast.Attribute) and parent.value is node
     }
     assert read and {attr for attr, _ in read} == {"check"}, sorted(read)
+
+
+def test_run_suite_alone_builds_the_run_object():
+    builds = [
+        scope
+        for node, parent, scope in walk(tree(verifier))
+        if isinstance(node, ast.Call) and name(node.func) == "_Suite"
+    ]
+    assert builds == ["run_suite"]
+    for body in verifier._SUITES.values():
+        assert len(inspect.signature(body).parameters) == 1, body.__name__
+
+
+def test_golden_refuses_an_override_before_the_verify_cap():
+    with pytest.raises(ValueError, match="the golden suite always uses the builtin grammars"):
+        run_suite("golden", nmax=11, grammar=builtin_grammar("g1"))
