@@ -194,7 +194,7 @@ class _Suite:
             except BoundExceeded as exc:
                 self.note(
                     f"{what} checks stop at n={n - 1}: enumerating cyclically ordered"
-                    f" partitions of [{self.nmax + 1}] exceeds the {exc.kind} cap"
+                    f" partitions of [{exc.n}] exceeds the {exc.kind} cap"
                 )
                 return
             yield n, table

@@ -120,6 +120,12 @@ def test_census_capping_note_only_when_needed():
     assert deep.passed
     assert deep.checks_run == 2631
     assert any("stop at n=7" in note for note in deep.notes)
+    # The note names the size the census refused, not the run's depth plus one.
+    deeper = run_suite("T1", nmax=10)
+    assert deeper.notes == [
+        "opener-descent census checks stop at n=7: enumerating cyclically ordered"
+        " partitions of [9] exceeds the cops cap"
+    ]
 
 
 def test_raised_cops_cap_reaches_the_census():
@@ -131,13 +137,13 @@ def test_raised_cops_cap_reaches_the_census():
 
 def test_zero_cops_cap_stops_every_census_at_n_0():
     # Each census refuses the first size it asks for, [2] or [1], so no level is checked.
-    cut = ": enumerating cyclically ordered partitions of [3] exceeds the cops cap"
+    cut = ": enumerating cyclically ordered partitions of [{}] exceeds the cops cap"
     t1 = run_suite("T1", 2, caps=Caps(cops=0))
-    assert t1.notes == ["opener-descent census checks stop at n=0" + cut]
+    assert t1.notes == ["opener-descent census checks stop at n=0" + cut.format(2)]
     t2 = run_suite("T2", 2, caps=Caps(cops=0))
     assert t2.notes[:2] == [
-        "opener-valley census checks stop at n=0" + cut,
-        "valley table enumeration checks stop at n=0" + cut,
+        "opener-valley census checks stop at n=0" + cut.format(2),
+        "valley table enumeration checks stop at n=0" + cut.format(1),
     ]
     assert t2.notes[2].startswith("informational:")
     # At nmax 0 the descent census has no level to check, so nothing is cut.
