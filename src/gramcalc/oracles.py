@@ -305,13 +305,15 @@ def _tally(
     supersets, so a request counts only the subsets that no earlier one
     reached, and all requests together count the 2^N subsets of the N
     values they use once, instead of once per request.  One walk over
-    the submasks of the request finds the sets not yet in the memo, and
-    they are counted smallest first, so no recursion grows with the size
-    of the set.  The orderings of a set end in each of its values x,
-    after an ordering of the set without x, and every one of them is
-    scored by stat's own step: the first time a key number meets x, the
-    step computes the move and the move table keeps it, so each (key,
-    x) move is computed once however many sets make it.
+    the submasks of the request finds the sets not yet in the memo, in
+    decreasing order, and they are counted in the reverse order: every
+    subset of a set is a smaller int, so no set is counted before its
+    subsets, and no recursion grows with the size of the set.  The
+    orderings of a set end in each of its values x, after an ordering
+    of the set without x, and every one of them is scored by stat's own
+    step: the first time a key number meets x, the step computes the
+    move and the move table keeps it, so each (key, x) move is computed
+    once however many sets make it.
     """
     mask = 0
     for x in values:
@@ -324,7 +326,7 @@ def _tally(
         if used not in memo:
             missing.append(used)
         used = (used - 1) & mask
-    for used in sorted(missing, key=int.bit_count):
+    for used in reversed(missing):
         counts: dict[int, int] = {}
         rest = used
         while rest:

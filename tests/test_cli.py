@@ -554,6 +554,14 @@ def test_verify_grammar_override_limits(capsys):
     assert code == 2
 
 
+def test_verify_override_outside_the_index_pattern_is_a_usage_error(capsys):
+    # The constant term of the w rule has no w, so the fixed w=1 of T3's map fails.
+    grammar = "w -> 1 + w*x; x -> x + x*y; y -> y + x^2"
+    code, out, err = run_cli(capsys, "verify", "T3", "--grammar", grammar, "--nmax", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: monomial 1 does not match pattern [w=1, x=i, y=j]")
+
+
 def test_verify_rejects_csv(capsys):
     code, _, _ = run_cli(capsys, "verify", "T1", "--format", "csv")
     assert code == 2

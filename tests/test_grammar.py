@@ -53,6 +53,20 @@ def test_duplicate_and_conflicting_declarations():
         Grammar({"x": x}, constants={"x"})
 
 
+def test_letters_must_be_identifiers():
+    with pytest.raises(ValueError, match="ruled letter must be an identifier, got '1x'"):
+        Grammar({"1x": 1})
+    with pytest.raises(ValueError, match="constant letter must be an identifier, got 'a b'"):
+        Grammar({}, constants=["a b"])
+
+
+def test_a_grammar_equals_no_other_type():
+    g = parse_grammar("x -> x")
+    assert g == parse_grammar("x -> x")
+    assert (g == 1) is False
+    assert g != "x -> x"
+
+
 def test_depth_validation():
     g = parse_grammar("x -> x")
     with pytest.raises(ValueError):

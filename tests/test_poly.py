@@ -1,6 +1,7 @@
 """Canonical polynomial arithmetic and rendering."""
 
 import math
+import operator
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -116,6 +117,14 @@ def test_json_round_trip():
 def test_unhashable():
     with pytest.raises(TypeError):
         hash(x + y)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul], ids=["+", "-", "*"])
+def test_arithmetic_with_a_str_is_refused(op):
+    with pytest.raises(TypeError):
+        op(x + y, "x")
+    with pytest.raises(TypeError):
+        op("x", x + y)
 
 
 @pytest.mark.parametrize("bad", [1.5, 1.0, True, "1", None])
