@@ -128,7 +128,7 @@ class _Suite:
     checks decide where both stop.
     """
 
-    def __init__(self, name: str, nmax: int | None, caps: Caps, grammar: Grammar | None = None):
+    def __init__(self, name: str, nmax: int | None, caps: Caps, grammar: Grammar | None):
         row = _SEEDS[name]
         if grammar is not None and row.builtin is None:
             raise ValueError(f"the {name} suite always uses the builtin grammars")
