@@ -190,7 +190,7 @@ def _cmd_verify(args, caps: config.Caps) -> tuple[Iterable[str], int]:
     """run identity suites"""
     from . import verifier
 
-    if args.grammar is not None and args.suite in ("golden", "all"):
+    if args.grammar is not None and args.suite == "all":
         raise GramcalcError("--grammar applies only to suites T1..T6")
     nmax = None if args.nmax is None else _at_least(args, "nmax", 0)
     if args.suite == "all":

@@ -253,8 +253,6 @@ class _Packing(poly._Packing):
         returned splits each at its zeros.
         """
         entries = self._entries
-        if not entries:
-            return {}
         slot, mask, g, pitch = self._slot, self._mask, self._stride, self._pitch
         rows: dict[int, list] = {}
         get = rows.get

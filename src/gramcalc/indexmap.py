@@ -8,6 +8,7 @@ this module.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Mapping
 
 from .errors import PatternViolation, _exact
@@ -56,39 +57,26 @@ class IndexMap:
             self._spec[letter] = tuple(
                 _exact(v, f"index map entry of {letter!r}") for v in (base, ci, cj)
             )
-        letters = list(self._spec)
-        solver = None
-        for a in range(len(letters)):
-            for b in range(a + 1, len(letters)):
-                _, ia, ja = self._spec[letters[a]]
-                _, ib, jb = self._spec[letters[b]]
-                if ia * jb - ja * ib != 0:
-                    solver = (letters[a], letters[b])
-                    break
-            if solver:
+        # The first pair of rows, in letter order, whose (ci, cj) parts are
+        # independent solves for (i, j).
+        for a, b in combinations(self._spec.items(), 2):
+            (_, ia, ja), (_, ib, jb) = a[1], b[1]
+            if ia * jb != ja * ib:
+                self._solver = a, b
                 break
-        if solver is None:
+        else:
             raise ValueError("index map does not determine (i, j) uniquely")
-        self._solver = solver
 
     @classmethod
-    def identity(
-        cls,
-        i_letter: str = "x",
-        j_letter: str = "y",
-        fixed: Mapping[str, int] | None = None,
-    ) -> "IndexMap":
-        """Map reading i and j straight off two letters' exponents.
+    def identity(cls, fixed: Mapping[str, int] | None = None) -> "IndexMap":
+        """Map reading i off x's exponent and j off y's.
 
         ``fixed`` adds letters whose exponent must equal a constant, such
-        as a prefactor letter required at exponent 1.
+        as a prefactor letter required at exponent 1; a fixed x or y
+        replaces its index row.
         """
-        spec: dict[str, tuple[int, int, int]] = {
-            i_letter: (0, 1, 0),
-            j_letter: (0, 0, 1),
-        }
-        for letter, exp in (fixed or {}).items():
-            spec[letter] = (exp, 0, 0)
+        spec = {"x": (0, 1, 0), "y": (0, 0, 1)}
+        spec.update((letter, (exp, 0, 0)) for letter, exp in (fixed or {}).items())
         return cls(spec)
 
     def describe(self) -> str:
@@ -105,9 +93,7 @@ class IndexMap:
         for letter in exps:
             if letter not in self._spec:
                 self._fail(mono, f"unexpected letter {letter!r}")
-        la, lb = self._solver
-        ba, ia, ja = self._spec[la]
-        bb, ib, jb = self._spec[lb]
+        (la, (ba, ia, ja)), (lb, (bb, ib, jb)) = self._solver
         ra = exps.get(la, 0) - ba
         rb = exps.get(lb, 0) - bb
         det = ia * jb - ja * ib

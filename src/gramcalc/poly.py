@@ -18,12 +18,15 @@ so a long polynomial can be written without being held as one string.
 Products run on packed keys (``_Packing``): each letter's exponent sits
 in a fixed bit slot of one int, so multiplying two monomials is one
 integer add.  The alphabetically first letter owns the highest slot, so
-ascending key order is the print order.  Every polynomial lists its terms
-in print order: ``_Packing.unpack`` is the one place terms are sorted,
-and products, ``from_terms`` and sums all finish through it.  A sum of
-many parts, such as a parsed expression, is one ``sum_of`` call, so its
-terms are ordered once.  The derive kernel in ``grammar`` builds on the
-same class.
+ascending key order is the print order.  ``_Packing.product`` is the one
+pairwise multiply: ``*`` packs both sides, calls it and unpacks, and
+``**`` packs its base once, squares and multiplies packed terms, and
+unpacks once at the end.  Every polynomial lists its terms in print
+order: ``_Packing.unpack`` is the one place terms are sorted, and
+products, ``from_terms`` and sums all finish through it.  A sum of many
+parts, such as a parsed expression, is one ``sum_of`` call, so its terms
+are ordered once.  The derive kernel in ``grammar`` builds on the same
+class.
 """
 
 from __future__ import annotations
@@ -102,6 +105,22 @@ class _Packing:
     def pack(self, p: "Polynomial") -> dict[int, int]:
         return {self.pack_mono(mono): coeff for mono, coeff in p._terms.items()}
 
+    @staticmethod
+    def product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+        """Product of two packed term dicts: keys add, coefficients multiply."""
+        right = b.items()
+        out: dict[int, int] = {}
+        get = out.get
+        for ka, ca in a.items():
+            for kb, cb in right:
+                key = ka + kb
+                c = get(key, 0) + ca * cb
+                if c:
+                    out[key] = c
+                elif key in out:
+                    del out[key]
+        return out
+
     def unpack(self, terms: dict[int, int]) -> "Polynomial":
         # A slot's nonzero field, key & (mask << shift), names one (letter,
         # exponent) pair; _pairs makes each pair once per packing, and the
@@ -176,10 +195,7 @@ class Polynomial:
     @classmethod
     def term(cls, coeff: int, **exps: int) -> "Polynomial":
         """Single-term polynomial, e.g. ``Polynomial.term(3, x=1, y=2)``."""
-        mono = mono_from_exps(exps)
-        if not _exact(coeff, "coefficient"):
-            return cls.zero()
-        return cls._raw({mono: coeff})
+        return cls.from_terms(((exps, coeff),))
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[Mapping[str, int], int]]) -> "Polynomial":
@@ -266,36 +282,23 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         packing = _Packing({*self.letters(), *other.letters()}, self.degree() + other.degree())
-        right = packing.pack(other).items()
-        out: dict[int, int] = {}
-        get = out.get
-        for ka, ca in packing.pack(self).items():
-            for kb, cb in right:
-                key = ka + kb
-                c = get(key, 0) + ca * cb
-                if c:
-                    out[key] = c
-                elif key in out:
-                    del out[key]
-        return packing.unpack(out)
+        return packing.unpack(_Packing.product(packing.pack(self), packing.pack(other)))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
+        # Square-and-multiply on one packing: no power up to e has a term of
+        # degree above self.degree() * e, and the terms are ordered once.
         e = _exact(exponent, "polynomial exponent", 0)
-        if len(self._terms) == 1 and e:
-            # One term: its coefficient to the e, every exponent times e.
-            ((mono, coeff),) = self._terms.items()
-            return Polynomial._raw({tuple((l, k * e) for l, k in mono): coeff**e})
-        result = Polynomial.one()
-        base = self
+        packing = _Packing(self.letters(), self.degree() * e)
+        result, base = {0: 1}, packing.pack(self)
         while e:
             if e & 1:
-                result = result * base
+                result = _Packing.product(result, base)
             e >>= 1
             if e:
-                base = base * base
-        return result
+                base = _Packing.product(base, base)
+        return packing.unpack(result)
 
     def pieces(self, explicit_mul: bool = True) -> Iterator[str]:
         """The text of ``str(p)``, or of ``p.compact()`` without explicit_mul,

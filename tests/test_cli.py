@@ -545,13 +545,16 @@ def test_verify_json(capsys):
 
 
 def test_verify_grammar_override_limits(capsys):
-    code, _, err = run_cli(
-        capsys, "verify", "golden", "--grammar", "x -> x"
-    )
+    code, out, err = run_cli(capsys, "verify", "golden", "--grammar", "x -> x")
+    assert (code, out) == (2, "")
+    assert err == "error: the golden suite always uses the builtin grammars\n"
+    # The override is parsed before golden refuses it.
+    code, _, err = run_cli(capsys, "verify", "golden", "--grammar", "x ->")
     assert code == 2
-    assert "T1..T6" in err
+    assert err.startswith("error: line 1, column 5: unexpected end of input")
     code, _, err = run_cli(capsys, "verify", "all", "--grammar", "x -> x")
     assert code == 2
+    assert "T1..T6" in err
 
 
 def test_verify_override_outside_the_index_pattern_is_a_usage_error(capsys):

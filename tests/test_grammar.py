@@ -129,6 +129,9 @@ def test_index_map_affine_rows():
 def test_index_map_needs_independent_rows():
     with pytest.raises(ValueError):
         IndexMap({"x": (0, 1, 1), "y": (0, 2, 2)})
+    # A fixed y replaces y's j row, so nothing reads j.
+    with pytest.raises(ValueError, match="does not determine"):
+        IndexMap.identity(fixed={"y": 0})
 
 
 @pytest.mark.parametrize(
@@ -428,7 +431,7 @@ def test_extract_names_the_first_bad_monomial_in_print_order():
     bad = [m for m, _ in print_order(level) if dict(m).get("z")]
     assert len(bad) > 1
     with pytest.raises(PatternViolation) as caught:
-        extract_coeffs(level, IndexMap.identity("x", "y"))
+        extract_coeffs(level, IndexMap.identity())
     assert caught.value.monomial == mono_text(bad[0])
 
 

@@ -6,6 +6,7 @@ import operator
 import pytest
 from hypothesis import example, given, strategies as st
 
+from gramcalc import poly
 from gramcalc.dsl import parse_polynomial
 from gramcalc.poly import CONST_MONO, Polynomial, mono_degree, mono_from_exps
 
@@ -278,28 +279,40 @@ def test_power_fills_the_slot_width():
     assert_same_terms(p, reference_pow(x + y, 7))
 
 
-def _count_products(monkeypatch) -> list:
+def _count_calls(monkeypatch, name) -> list:
+    """Record each call of ``poly._Packing.<name>`` by its arguments."""
     calls = []
-    mul = Polynomial.__mul__
+    method = getattr(poly._Packing, name)
 
-    def counting(a, b):
-        calls.append(b)
-        return mul(a, b)
+    def counting(*args):
+        calls.append(args)
+        return method(*args)
 
-    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    monkeypatch.setattr(poly._Packing, name, counting)
     return calls
 
 
+@pytest.mark.parametrize("base", [x + 1, x, -3 * x * y**2, Polynomial.constant(-2)], ids=str)
 @pytest.mark.parametrize("e", [1, 2, 3, 5, 8, 13, 16, 40])
-def test_power_stops_squaring_after_the_top_bit(monkeypatch, e):
-    calls = _count_products(monkeypatch)
-    assert (x + 1) ** e == Polynomial.from_terms(({"x": k}, math.comb(e, k)) for k in range(e + 1))
+def test_power_stops_squaring_after_the_top_bit(monkeypatch, base, e):
+    expected = Polynomial.one()
+    for _ in range(e):
+        expected = expected * base
+    calls = _count_calls(monkeypatch, "product")
+    assert base**e == expected
     # One square per bit below the top one, one product per set bit.
     assert len(calls) == e.bit_length() - 1 + bin(e).count("1")
 
 
+def test_power_unpacks_once(monkeypatch):
+    base = x + y + 1
+    calls = _count_calls(monkeypatch, "unpack")
+    assert (base**13).coefficient({"x": 4, "y": 4}) == math.comb(13, 4) * math.comb(9, 4)
+    assert len(calls) == 1
+
+
 def test_power_zero_makes_no_product(monkeypatch):
-    calls = _count_products(monkeypatch)
+    calls = _count_calls(monkeypatch, "product")
     assert (x + y) ** 0 == 1
     assert calls == []
 
@@ -317,16 +330,6 @@ def test_single_term_power_matches_repeated_products(exps, coeff, e):
     for _ in range(e):
         expected = expected * p
     assert_same_terms(p**e, expected)
-
-
-@pytest.mark.parametrize("base", [x, -3 * x * y**2, Polynomial.constant(-2)], ids=str)
-def test_single_term_power_makes_no_product(monkeypatch, base):
-    expected = Polynomial.one()
-    for _ in range(13):
-        expected = expected * base
-    calls = _count_products(monkeypatch)
-    assert base**13 == expected
-    assert calls == []
 
 
 def test_four_letter_power():
