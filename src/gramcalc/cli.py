@@ -22,13 +22,13 @@ error into the PYTHONINTMAXSTRDIGITS=0 hint.  The size flags stay
 strings until ``_at_least`` reads them with ``errors._read_int``, so
 every bad value takes that same path.
 
-Start-up imports only ``config`` and ``errors``.  ``dsl`` (with
-``grammar`` and ``poly``), ``oracles``, ``triangles`` and ``verifier``
-are imported in the handlers that run them, and the parser's choices
-from those modules are spelled here.  So ``cops`` and ``stats`` load
-only ``oracles``, ``triangle`` loads ``triangles`` (and ``oracles`` for
-its oracle tables), and only ``derive`` and ``verify`` load the
-polynomial layer.
+Start-up imports only ``config`` and ``errors``.  ``json`` is imported
+in ``_json_text``, its one user, and ``dsl`` (with ``grammar`` and
+``poly``), ``oracles``, ``triangles`` and ``verifier`` in the handlers
+that run them; the parser's choices from those modules are spelled
+here.  So ``cops`` and ``stats`` load only ``oracles``, ``triangle``
+loads ``triangles`` (and ``oracles`` for its oracle tables), and only
+``derive`` and ``verify`` load the polynomial layer.
 
 Exit status: 0 on success, 1 when a verification suite fails, 2 on
 usage, parse, and bound errors, 3 on an internal error (any other
@@ -41,7 +41,6 @@ Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from itertools import chain, repeat
@@ -63,6 +62,8 @@ _ORACLE_TABLES = ("left_peak", "las")
 
 
 def _json_text(obj) -> tuple[str]:
+    import json  # only JSON output needs it; not loaded at start-up
+
     return (json.dumps(obj, indent=2, sort_keys=True) + "\n",)
 
 

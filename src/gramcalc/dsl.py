@@ -28,6 +28,7 @@ derives its line and column from that offset when it is raised.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple
 
 from .errors import DuplicateRule, ParseError, _read_int
@@ -248,6 +249,10 @@ def builtin_names() -> tuple[str, ...]:
     return tuple(BUILTIN_SOURCES)
 
 
+# Each builtin is parsed once per process: a Grammar has no mutators, so
+# every caller can share the one value.  A refused name raises and is not
+# cached.
+@cache
 def builtin_grammar(name: str) -> Grammar:
     try:
         src = BUILTIN_SOURCES[name]

@@ -56,7 +56,17 @@ class _Rows:
 
     def row(self, n: int) -> tuple[int, ...]:
         """Row n over k = kmin..n."""
-        _exact(n, "row index", 0)
+        return self._row(_exact(n, "row index", 0))
+
+    def at(self, n: int, k: int) -> int:
+        """T(n, k), 0 outside kmin <= k <= n."""
+        n, k = _exact(n, "row index"), _exact(k, "column index")
+        if not self._kmin <= k <= n:
+            return 0
+        return self._row(n)[k - self._kmin]
+
+    def _row(self, n: int) -> tuple[int, ...]:
+        """Row n of a checked n >= 0, building the rows up to it first."""
         rows, kmin, a, b = self._rows, self._kmin, self._a, self._b
         while len(rows) <= n:
             m, prev = len(rows), (0, *rows[-1], 0)
@@ -67,13 +77,6 @@ class _Rows:
                 )
             )
         return rows[n]
-
-    def at(self, n: int, k: int) -> int:
-        """T(n, k), 0 outside kmin <= k <= n."""
-        n, k = _exact(n, "row index"), _exact(k, "column index")
-        if not self._kmin <= k <= n:
-            return 0
-        return self.row(n)[k - self._kmin]
 
 
 _STIRLING = _Rows(0, lambda n, k: k, lambda n, k: 1, (1,))

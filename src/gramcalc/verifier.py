@@ -11,18 +11,22 @@ Every suite is a plain function that writes its identities inline and
 leaves the shared control flow to one run object, ``_Suite``.  The one
 exception is the transport recurrence from level n-1 to level n: each is
 a fixed table of shifts with coefficients affine in (i, j), evaluated by
-``_transport``.  The run object checks the depth against the verify cap,
-picks the builtin or the override grammar and notes an override, derives
-the coefficient grids, loops over levels while checking that each grid
-stays inside the box, and counts checks.  It is also the one door to the
-oracles, and it never reads a cap itself: each oracle checks its own cap,
-and the run object turns the oracle's ``BoundExceeded`` into a cut.  The
-opener censuses run level by level until the census first refuses a size,
-which ends them with a note naming the refusing cap.  A refused
-permutation tally skips its product and only raises one cut flag; each
-suite flushes it with its own note where its product checks end.
-Informational match ratios are built by one function over collected
-(where, expected, actual) cells.
+``_transport`` once per level, which pushes every stored cell of level
+n-1 through the shifts into a dict of the cells they reach; the suite
+then only compares cells.  The run object checks the depth against the
+verify cap, picks the builtin or the override grammar and notes an
+override, derives the coefficient grids, loops over levels while
+checking that each grid stays inside the box, and counts checks.  A
+grid, like a transported level, is a plain dict of the cells it stores,
+so a suite reads every cell with ``.get((i, j), 0)``.  The run object is
+also the one door to the oracles, and it never reads a cap itself: each
+oracle checks its own cap, and the run object turns the oracle's
+``BoundExceeded`` into a cut.  The opener censuses run level by level
+until the census first refuses a size, which ends them with a note
+naming the refusing cap.  A refused permutation tally skips its product
+and only raises one cut flag; each suite flushes it with its own note
+where its product checks end.  Informational match ratios are built by
+one function over collected (where, expected, actual) cells.
 
 Suite names follow the short labels used by the command line tool: T1
 through T6 for the six grammar studies, plus "golden" for byte-exact
@@ -38,7 +42,7 @@ snapshot texts.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from itertools import product
 from typing import NamedTuple
 
@@ -163,16 +167,20 @@ class _Suite:
         grammar = self.grammar if grammar is None else grammar
         return grammar.derive_levels(parse_polynomial(start), self.nmax)
 
-    def grids(self, grammar: Grammar | None = None) -> list[list[Counter]]:
-        """Each seed's coefficient arrays of levels 0..nmax; absent cells read as 0."""
+    def grids(self, grammar: Grammar | None = None) -> list[list[dict]]:
+        """Each seed's coefficient arrays of levels 0..nmax, as ``extract_coeffs`` dicts.
+
+        A dict stores only nonzero cells, so a suite reads a cell with
+        ``.get((i, j), 0)``.
+        """
         derived = [(seed.imap, self.derive(seed.start, grammar)) for seed in self.seeds]
-        return [[Counter(extract_coeffs(p, imap)) for p in levels] for imap, levels in derived]
+        return [[extract_coeffs(p, imap) for p in levels] for imap, levels in derived]
 
     def box(self, grid: dict, n: int) -> None:
         stray = sorted(key for key in grid if key[0] > self.side or key[1] > self.side)
         self.check("indices_within_box", (n,), [], stray)
 
-    def levels(self, *grids: list[Counter]):
+    def levels(self, *grids: list[dict]):
         """Levels 1..nmax, each after checking that every grid stays in the box."""
         for n in range(1, self.nmax + 1):
             for grid in grids:
@@ -209,7 +217,7 @@ class _Suite:
             for i, j in self.cells():
                 cell = key(i, j)
                 if cell is not None:
-                    self.check(identity, (n, i, j), table.get(cell, 0), grids[n][i, j])
+                    self.check(identity, (n, i, j), table.get(cell, 0), grids[n].get((i, j), 0))
 
     def oracle_product(self, s: int, oracle, size: int, key: int) -> int | None:
         """s times oracle(size)[key], or None if the oracle refuses size, flagged as a cut."""
@@ -240,12 +248,19 @@ def _cop_count(nn: int) -> int:
     return sum(factorial(m - 1) * stirling2(nn, m) for m in range(1, nn + 1))
 
 
-def _transport(table: dict, prev: Counter, i: int, j: int) -> int:
-    """The value a seed's transport table gives cell (i, j) from the previous level."""
-    total = 0
+def _transport(table: dict, prev: dict) -> dict:
+    """The cells a seed's transport table gives from the previous level's cells.
+
+    Each stored cell (a, b) of prev, stray cells beyond the box included,
+    sends (c + ci*i + cj*j) times its value to (i, j) = (a - di, b - dj)
+    through each shift (di, dj).  Cells that nothing reaches are absent.
+    """
+    out: dict[tuple[int, int], int] = {}
     for (di, dj), (c, ci, cj) in table.items():
-        total += (c + ci * i + cj * j) * prev[i + di, j + dj]
-    return total
+        for (a, b), v in prev.items():
+            i, j = a - di, b - dj
+            out[i, j] = out.get((i, j), 0) + (c + ci * i + cj * j) * v
+    return out
 
 
 def suite_t1(run: _Suite) -> CheckReport:
@@ -257,11 +272,10 @@ def suite_t1(run: _Suite) -> CheckReport:
     """
     (grids,) = run.grids()
     for n in run.levels(grids):
-        cur, prev = grids[n], grids[n - 1]
+        cur, moved = grids[n], _transport(run.seeds[0].transport, grids[n - 1])
         for i, j in run.cells():
-            actual = cur[i, j]
-            expected = _transport(run.seeds[0].transport, prev, i, j)
-            run.check("transport_recurrence", (n, i, j), expected, actual)
+            actual = cur.get((i, j), 0)
+            run.check("transport_recurrence", (n, i, j), moved.get((i, j), 0), actual)
             if i >= 1 and j >= 1:
                 s = stirling2(n + 1, i + j)
                 run.check(
@@ -293,13 +307,12 @@ def suite_t2(run: _Suite) -> CheckReport:
     (grids,) = run.grids()
     u = oracles.u_table(run.nmax + 1)
     for n in run.levels(grids):
-        cur, prev = grids[n], grids[n - 1]
+        cur, moved = grids[n], _transport(run.seeds[0].transport, grids[n - 1])
         for i, j in run.cells():
-            actual = cur[i, j]
+            actual = cur.get((i, j), 0)
             if i % 2 == 0:
                 run.check("even_x_power_vanishes", (n, i, j), 0, actual)
-            expected = _transport(run.seeds[0].transport, prev, i, j)
-            run.check("transport_recurrence", (n, i, j), expected, actual)
+            run.check("transport_recurrence", (n, i, j), moved.get((i, j), 0), actual)
             if i % 2 == 1:
                 run.check(
                     "stirling_left_peak_product",
@@ -369,14 +382,13 @@ def suite_t3(run: _Suite) -> CheckReport:
     """
     (grids,) = run.grids()
     for n in run.levels(grids):
-        cur, prev = grids[n], grids[n - 1]
-        run.check("constant_term_one", (n,), 1, cur[0, 0])
+        cur, moved = grids[n], _transport(run.seeds[0].transport, grids[n - 1])
+        run.check("constant_term_one", (n,), 1, cur.get((0, 0), 0))
         for j in range(1, run.side + 1):
-            run.check("pure_y_vanishes", (n, 0, j), 0, cur[0, j])
+            run.check("pure_y_vanishes", (n, 0, j), 0, cur.get((0, j), 0))
         for i, j in run.cells():
-            actual = cur[i, j]
-            expected = _transport(run.seeds[0].transport, prev, i, j)
-            run.check("transport_recurrence", (n, i, j), expected, actual)
+            actual = cur.get((i, j), 0)
+            run.check("transport_recurrence", (n, i, j), moved.get((i, j), 0), actual)
             run.check(
                 "stirling_las_product",
                 (n, i, j),
@@ -404,11 +416,10 @@ def suite_t4(run: _Suite) -> CheckReport:
     """
     (grids,) = run.grids()
     for n in run.levels(grids):
-        cur, prev = grids[n], grids[n - 1]
+        cur, moved = grids[n], _transport(run.seeds[0].transport, grids[n - 1])
         for i, j in run.cells():
-            actual = cur[i, j]
-            expected = _transport(run.seeds[0].transport, prev, i, j)
-            run.check("transport_recurrence", (n, i, j), expected, actual)
+            actual = cur.get((i, j), 0)
+            run.check("transport_recurrence", (n, i, j), moved.get((i, j), 0), actual)
             s = stirling2(n + 1, i + j)
             run.check(
                 "factorial_stirling_binomial_product",
@@ -438,12 +449,12 @@ def suite_t5(run: _Suite) -> CheckReport:
     e, f = run.grids()
     e_boundary, f_boundary = [], []
     for n in run.levels(e, f):
+        even = _transport(run.seeds[0].transport, e[n - 1])
+        odd = _transport(run.seeds[1].transport, f[n - 1])
         for i, j in run.cells():
-            ea, fa = e[n][i, j], f[n][i, j]
-            even = _transport(run.seeds[0].transport, e[n - 1], i, j)
-            run.check("even_transport_recurrence", (n, i, j), even, ea)
-            odd = _transport(run.seeds[1].transport, f[n - 1], i, j)
-            run.check("odd_transport_recurrence", (n, i, j), odd, fa)
+            ea, fa = e[n].get((i, j), 0), f[n].get((i, j), 0)
+            run.check("even_transport_recurrence", (n, i, j), even.get((i, j), 0), ea)
+            run.check("odd_transport_recurrence", (n, i, j), odd.get((i, j), 0), fa)
             w = whitney(2, n, i + j)
             e_expected = w * matching_count(i + j, j) if w else 0
             s = stirling2(n + 1, i + j + 1)
@@ -470,13 +481,13 @@ def suite_t5(run: _Suite) -> CheckReport:
                 "matching_diagonal_pattern",
                 (n, i, j),
                 matching_count(n, j) if i + j == n else 0,
-                px[n][i, j],
+                px[n].get((i, j), 0),
             )
             run.check(
                 "signed_diagonal_pattern",
                 (n, i, j),
                 type_b_eulerian(n, j) if i + j == n else 0,
-                pxy[n][i, j],
+                pxy[n].get((i, j), 0),
             )
     return run.report
 
@@ -498,16 +509,17 @@ def suite_t6(run: _Suite) -> CheckReport:
             continue
         imap = IndexMap({"x": (0, 1, 0), "y": (0, 0, 1), "z": (n + 1, -1, -1)})
         try:
-            cur = Counter(extract_coeffs(p, imap))
+            cur = extract_coeffs(p, imap)
         except PatternViolation as exc:
             run.check("index_pattern", (n,), "all monomials fit x^i y^j z^(n+1-i-j)", str(exc))
             continue
         run.box(cur, n)
         for i in range(run.side + 1):
-            run.check("pure_z_slice_eulerian", (n, i), eulerian(n, i), cur[i, 0])
-            run.check("no_z_slice_eulerian", (n, i), eulerian(n, i), cur[i, n + 1 - i])
+            run.check("pure_z_slice_eulerian", (n, i), eulerian(n, i), cur.get((i, 0), 0))
+            no_z = cur.get((i, n + 1 - i), 0)
+            run.check("no_z_slice_eulerian", (n, i), eulerian(n, i), no_z)
         for j in range(run.side + 1):
-            run.check("x_linear_slice_eulerian", (n, j), eulerian(n + 1, j + 1), cur[1, j])
+            run.check("x_linear_slice_eulerian", (n, j), eulerian(n + 1, j + 1), cur.get((1, j), 0))
     return run.report
 
 

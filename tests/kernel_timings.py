@@ -1,13 +1,14 @@
-"""In-process timings of the derive kernel, for before/after tables.
+"""Timings of the derive kernel and the verify suites, for before/after tables.
 
 Usage: python3 tests/kernel_timings.py [--repeat R] [--only SUBSTRING]
 
 Standard library only; pytest does not collect this file.  Run it from any
 directory: it imports gramcalc from the ``src`` beside this file, so the
-same script run from two checkouts compares their kernels.  Each case is
-timed as ``Grammar.derive_n(start, depth)`` with ``time.perf_counter``,
-and the median of R runs is printed in milliseconds with the number of
-terms in the last level.
+same script run from two checkouts compares their kernels.  Each derive
+case is timed in process as ``Grammar.derive_n(start, depth)`` with
+``time.perf_counter``, and the median of R runs is printed in
+milliseconds with the number of terms in the last level.  Only cases
+whose label contains SUBSTRING run.
 
 The cases are every builtin grammar from every start that the verify
 suites or the ``derive_deep`` benchmark use, at depth 100 and at depth 8
@@ -17,17 +18,27 @@ a single letter, four letters in a cycle, a constant letter, rule
 coefficients other than 1, and a start whose parts reach different
 rules.  The suites' starts are read from the verifier's seed table, so
 they follow it.  The tests import ``SEEDS`` from here.
+
+The verify rows, labelled ``verify T1`` .. ``verify golden`` and
+``verify all``, time ``run_suite(name)`` for each suite and ``run_all()``
+at their default depths.  Each of the R runs is a fresh interpreter,
+timed after its imports, since a second run in one process would reuse
+the oracles' memos and the triangles' rows; each row prints the median
+with the suite's default nmax and its number of checks.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import pathlib
 import statistics
+import subprocess
 import sys
 import time
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
 
 from gramcalc.verifier import _SEEDS  # noqa: E402
 
@@ -65,6 +76,30 @@ OTHERS = (
     ("w -> w + w*x; x -> x + x*y; y -> y + x^2", "w*x + y", 60),
 )
 
+# One verify run in a fresh interpreter: prints its seconds, after the
+# imports, and its number of checks.
+VERIFY_RUN = """
+import sys, time
+from gramcalc.verifier import run_all, run_suite
+name = sys.argv[1]
+t0 = time.perf_counter()
+reports = run_all() if name == "all" else [run_suite(name)]
+print(time.perf_counter() - t0, sum(r.checks_run for r in reports))
+"""
+
+
+def verify_run(name: str) -> tuple[float, int]:
+    """(seconds, checks) of one fresh verify run of a suite name or "all"."""
+    done = subprocess.run(
+        [sys.executable, "-c", VERIFY_RUN, name],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    seconds, checks = done.stdout.split()
+    return float(seconds), int(checks)
+
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -95,6 +130,15 @@ def main() -> int:
             times.append(time.perf_counter() - t0)
         ms = statistics.median(times) * 1000
         print(f"{label:<68} {depth:>5} {len(level):>6} {ms:>9.3f}")
+    print(f"{'verify run':<68} {'nmax':>5} {'checks':>6} {'ms':>9}")
+    for name in (*_SEEDS, "all"):
+        label = f"verify {name}"
+        if args.only not in label:
+            continue
+        runs = [verify_run(name) for _ in range(args.repeat)]
+        nmax = _SEEDS[name].nmax if name in _SEEDS else "-"
+        ms = statistics.median(seconds for seconds, _ in runs) * 1000
+        print(f"{label:<68} {nmax:>5} {runs[-1][1]:>6} {ms:>9.3f}")
     return 0
 
 

@@ -21,6 +21,10 @@ line, and ``json.dumps`` for the JSON form.
 The Whitney numbers have the explicit binomial-Stirling sum, with the
 Stirling numbers by inclusion-exclusion, so no row recurrence is used.
 
+The verifier pushes a whole level through a seed's transport table at
+once; ``reference_transport`` is the per-cell form it replaced, which
+sums one cell of the next level over the table's shifts.
+
 The list statistics, and the object statistics that the acceptance
 checks count (a cop's openers, the type-B descents of a signed
 permutation, the odd smaller entries of a matching), have references
@@ -404,3 +408,11 @@ def reference_matchings(n):
                 yield ((first, elems[idx]),) + sub
 
     return gen(tuple(range(1, 2 * n + 1)))
+
+
+def reference_transport(table: dict, prev: dict, i: int, j: int) -> int:
+    """Cell (i, j) of the level a transport table gives from the previous level, prev."""
+    total = 0
+    for (di, dj), (c, ci, cj) in table.items():
+        total += (c + ci * i + cj * j) * prev.get((i + di, j + dj), 0)
+    return total

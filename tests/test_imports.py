@@ -3,10 +3,11 @@
 Every CLI call is a fresh interpreter, so a module imported at start-up
 is compiled on every run when no cached bytecode is written.
 ``gramcalc.cli`` imports only ``config`` and ``errors``, which holds the
-exact-int gate; ``dsl`` (with ``grammar`` and ``poly``), ``oracles``,
-``triangles`` and ``verifier`` load only in the handlers that run them,
-so ``cops``, ``stats`` and ``triangle`` never load the polynomial layer,
-and only ``verifier`` loads the index maps, which ``derive`` never reads.
+exact-int gate; ``json`` loads only for JSON output, and ``dsl`` (with
+``grammar`` and ``poly``), ``oracles``, ``triangles`` and ``verifier``
+load only in the handlers that run them, so ``cops``, ``stats`` and
+``triangle`` never load the polynomial layer, and only ``verifier``
+loads the index maps, which ``derive`` never reads.
 The package loads each export from its home module on first use, and
 ``src/`` defines no public function or class that nothing else in it
 names and the package does not export.
@@ -33,7 +34,9 @@ POLY = {"gramcalc.dsl", "gramcalc.grammar", "gramcalc.poly"}
 
 def loaded_after(code: str) -> set[str]:
     """The modules a fresh interpreter holds after running code."""
-    probe = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    # The list is taken before the probe imports json to print it.
+    probe = f"{code}\nimport sys\nloaded = sorted(sys.modules)\n"
+    probe += "import json\nprint(json.dumps(loaded))"
     done = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": str(SRC)},
@@ -53,9 +56,10 @@ def cli_run(*argv: str) -> str:
 @pytest.mark.parametrize(
     "code, unwanted",
     [
-        ("import gramcalc.cli", {"dataclasses", "inspect", *HEAVY, *POLY}),
+        # json loads only for JSON output.
+        ("import gramcalc.cli", {"dataclasses", "inspect", "json", *HEAVY, *POLY}),
         (cli_run("derive", "--builtin", "g1", "--n", "3"), HEAVY),
-        (cli_run("cops", "--n", "3"), HEAVY - {"gramcalc.oracles"} | POLY),
+        (cli_run("cops", "--n", "3"), HEAVY - {"gramcalc.oracles"} | POLY | {"json"}),
         (cli_run("stats", "--n", "3", "--stat", "las"), HEAVY - {"gramcalc.oracles"} | POLY),
         (cli_run("triangle", "stirling2", "--nmax", "3"), HEAVY - {"gramcalc.triangles"} | POLY),
         # The oracle tables take their rows from oracles.
@@ -65,6 +69,12 @@ def cli_run(*argv: str) -> str:
 )
 def test_start_up_loads_only_what_the_command_runs(code, unwanted):
     assert loaded_after(code) & unwanted == set()
+
+
+def test_json_output_loads_json():
+    # The probe sees json when a command does load it.
+    loaded = loaded_after(cli_run("stats", "--n", "3", "--stat", "las", "--format", "json"))
+    assert "json" in loaded
 
 
 def test_every_export_resolves_to_its_home_module_object():

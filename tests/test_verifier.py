@@ -1,14 +1,18 @@
 """Identity suite runner: reports, notes, overrides, failure localization."""
 
+import random
 import re
+from itertools import product
 
 import pytest
 
-from gramcalc import oracles, verifier
+from gramcalc import dsl, oracles, verifier
 from gramcalc.config import Caps
-from gramcalc.dsl import builtin_grammar, parse_grammar
+from gramcalc.dsl import builtin_grammar, parse_grammar, parse_polynomial
 from gramcalc.errors import BoundExceeded
+from gramcalc.indexmap import extract_coeffs
 from gramcalc.verifier import SUITE_NAMES, run_all, run_suite
+from reference import reference_transport
 
 
 def test_suite_names():
@@ -82,6 +86,49 @@ def test_transport_tables_are_live(monkeypatch, suite, seed, identity):
     monkeypatch.setitem(shifts, (0, 0), (c + 1, ci, cj))
     report = run_suite(suite, nmax=2)
     assert {f.identity for f in report.failures} == {identity}
+
+
+@pytest.mark.parametrize(
+    "suite, seed",
+    [(suite, seed) for suite, seed, _ in TRANSPORT_TABLES],
+    ids=["T1", "T2", "T3", "T4", "T5-even", "T5-odd"],
+)
+def test_transport_matches_the_per_cell_reference(suite, seed):
+    row = verifier._SEEDS[suite]
+    start, imap, table, _ = row.seeds[seed]
+    side = row.nmax + 2
+    levels = builtin_grammar(row.builtin).derive_levels(parse_polynomial(start), row.nmax)
+    grids = [extract_coeffs(p, imap) for p in levels]
+    # Sparse grids with cells beyond the box, as a mutant grammar's levels have.
+    rng = random.Random(f"{suite}-{seed}")
+    for _ in range(20):
+        grid = {
+            (rng.randrange(side + 4), rng.randrange(side + 4)): rng.randint(-9, 9)
+            for _ in range(rng.randrange(12))
+        }
+        grid[side + 1 + rng.randrange(3), rng.randrange(side + 4)] = rng.randint(1, 9)
+        grids.append(grid)
+    box = set(product(range(side + 1), repeat=2))
+    for prev in grids:
+        moved = verifier._transport(table, prev)
+        reached = {(a - di, b - dj) for a, b in prev for di, dj in table}
+        for i, j in box | reached | set(moved):
+            assert moved.get((i, j), 0) == reference_transport(table, prev, i, j), (prev, i, j)
+
+
+def test_each_builtin_is_parsed_once_per_process(monkeypatch):
+    parsed, parse = [], dsl.parse_grammar
+    monkeypatch.setattr(dsl, "parse_grammar", lambda src: parsed.append(src) or parse(src))
+    builtin_grammar.cache_clear()
+    run_all()
+    # g1..g6 and gB, each once, though golden and T5 ask again.
+    assert sorted(parsed) == sorted(dsl.BUILTIN_SOURCES.values())
+    assert builtin_grammar("g1") is builtin_grammar("g1")
+    with pytest.raises(ValueError, match="unknown builtin grammar 'nope'"):
+        builtin_grammar("nope")
+    with pytest.raises(ValueError, match="unknown builtin grammar 'nope'"):
+        builtin_grammar("nope")
+    assert len(parsed) == 7
 
 
 def test_seed_table_matches_the_suites():
