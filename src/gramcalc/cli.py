@@ -11,7 +11,8 @@ A handler returns an iterable of text pieces and its exit code.
 ``_lines``, ``_csv`` and ``_json_text`` make one piece.  ``derive`` text
 chains ``Polynomial.pieces``, one per run of terms with the same first
 letter and exponent, and ``cops`` ``oracles.enumerate_cops``, one per
-prefix block, with the last newline or the JSON object around them.
+first block (per first two when the first is (1) alone), with the last
+newline or the JSON object around them.
 ``main`` writes them with ``writelines`` to stdout or, with --out, to a
 file.  Every check (caps, flags, parsing, printing a value) runs before
 the handler returns, so a refusal writes no byte and creates no --out

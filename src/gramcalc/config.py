@@ -45,7 +45,7 @@ class Caps(_CapFields):
         which enumerate nothing.
     cops: largest n of [n] for the ``enumerate_cops`` listing, whose text
         grows as the number of cops (1,091,670 lines for [9]) but comes
-        out in pieces, one per first block, and the ``cop_stat_table``
+        out in pieces of at most about 2% of it, and the ``cop_stat_table``
         census of cyclically ordered partitions, which lists none of them.
     signed: largest n for ``enumerate_signed``, signed permutations of [n].
     matchings: largest n for ``enumerate_matchings``, perfect matchings of [2n].

@@ -1,4 +1,4 @@
-"""Timings of the derive kernel and the verify suites, for before/after tables.
+"""Timings of the derive kernel, the cops listing and the verify suites.
 
 Usage: python3 tests/kernel_timings.py [--repeat R] [--only SUBSTRING]
 
@@ -18,6 +18,11 @@ a single letter, four letters in a cycle, a constant letter, rule
 coefficients other than 1, and a start whose parts reach different
 rules.  The suites' starts are read from the verifier's seed table, so
 they follow it.  The tests import ``SEEDS`` from here.
+
+The cops rows, labelled ``cops 8 text``, ``cops 8 json`` and ``cops 9
+text``, time reading ``enumerate_cops(n)`` in process one piece at a
+time, the last under ``Caps(cops=9)``; each prints the median with n
+and the length in characters of the largest piece.
 
 The verify rows, labelled ``verify T1`` .. ``verify golden`` and
 ``verify all``, time ``run_suite(name)`` for each suite and ``run_all()``
@@ -76,6 +81,9 @@ OTHERS = (
     ("w -> w + w*x; x -> x + x*y; y -> y + x^2", "w*x + y", 60),
 )
 
+# The (n, form) of the cops listing rows.
+COPS_ROWS = ((8, "text"), (8, "json"), (9, "text"))
+
 # One verify run in a fresh interpreter: prints its seconds, after the
 # imports, and its number of checks.
 VERIFY_RUN = """
@@ -106,7 +114,9 @@ def main() -> int:
     parser.add_argument("--repeat", type=int, default=9)
     parser.add_argument("--only", default="", help="time only cases whose label has this text")
     args = parser.parse_args()
+    from gramcalc.config import Caps
     from gramcalc.dsl import builtin_grammar, parse_grammar, parse_polynomial
+    from gramcalc.oracles import COPS_JSON, COPS_TEXT, enumerate_cops
 
     cases = [
         (f"{name} from {seed}", builtin_grammar(name), seed, depth)
@@ -130,6 +140,19 @@ def main() -> int:
             times.append(time.perf_counter() - t0)
         ms = statistics.median(times) * 1000
         print(f"{label:<68} {depth:>5} {len(level):>6} {ms:>9.3f}")
+    print(f"{'cops listing':<68} {'n':>5} {'piece':>6} {'ms':>9}")
+    forms = {"text": COPS_TEXT, "json": COPS_JSON}
+    for n, form in COPS_ROWS:
+        label = f"cops {n} {form}"
+        if args.only not in label:
+            continue
+        times = []
+        for _ in range(args.repeat):
+            t0 = time.perf_counter()
+            largest = max(map(len, enumerate_cops(n, Caps(cops=n), forms[form])))
+            times.append(time.perf_counter() - t0)
+        ms = statistics.median(times) * 1000
+        print(f"{label:<68} {n:>5} {largest:>6} {ms:>9.3f}")
     print(f"{'verify run':<68} {'nmax':>5} {'checks':>6} {'ms':>9}")
     for name in (*_SEEDS, "all"):
         label = f"verify {name}"

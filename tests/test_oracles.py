@@ -1,6 +1,7 @@
 """List statistics, brute-force enumerators, and the count tables."""
 
 import ast
+import gc
 import itertools
 import json
 import math
@@ -394,6 +395,20 @@ def test_enumerate_cops_refuses_when_called():
     # needs no iteration and comes before any piece is made.
     with pytest.raises(BoundExceeded):
         enumerate_cops(9)
+
+
+@pytest.mark.parametrize("form", [COPS_TEXT, COPS_JSON], ids=["text", "json"])
+def test_finished_listing_leaves_no_garbage(form):
+    # A listing read to its end frees its memo and block texts at once,
+    # not at the cyclic collector's next run.
+    gc.disable()
+    try:
+        gc.collect()
+        for _ in enumerate_cops(6, Caps(), form):
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_cop_stat_table_unknown():
