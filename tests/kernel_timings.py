@@ -16,7 +16,8 @@ suites or the ``derive_deep`` benchmark use, at depth 100 and at depth 8
 not dense simplices: one term per diagonal, letters that vanish,
 a single letter, four letters in a cycle, a constant letter, rule
 coefficients other than 1, and a start whose parts reach different
-rules.  The suites' starts are read from the verifier's seed table, so
+rules; the last two split off an Euler part with c = 2 and with c = -1,
+r = 2.  The suites' starts are read from the verifier's seed table, so
 they follow it.  The tests import ``SEEDS`` from here.
 
 The cops rows, labelled ``cops 8 text``, ``cops 8 json`` and ``cops 9
@@ -79,6 +80,8 @@ OTHERS = (
     ("const c; x -> c*x + x*y; y -> c*y + x*y", "x", 100),
     ("x -> 2*x + x*y; y -> -3*y + x*y", "x", 100),
     ("w -> w + w*x; x -> x + x*y; y -> y + x^2", "w*x + y", 60),
+    ("x -> 2*x + x*y; y -> 2*y + x*y", "x", 100),
+    ("x -> -x + x*y^2; y -> -y + x^2*y", "x", 60),
 )
 
 # The (n, form) of the cops listing rows.

@@ -196,7 +196,7 @@ def _sum_of_terms(terms) -> Polynomial:
     return Polynomial.from_terms((Counter(letters), coeff) for coeff, letters in terms)
 
 
-def _terms_over(letters, degrees):
+def _terms_over(letters, degrees, min_size=0):
     return st.lists(
         st.tuples(
             st.integers(min_value=-3, max_value=3),
@@ -204,6 +204,7 @@ def _terms_over(letters, degrees):
                 lambda d: st.lists(st.sampled_from(letters), min_size=d, max_size=d)
             ),
         ),
+        min_size=min_size,
         max_size=4,
     ).map(_sum_of_terms)
 
@@ -225,6 +226,33 @@ def _grammar_and_start(draw):
     return grammar, start
 
 
+@st.composite
+def _euler_and_start(draw):
+    """A grammar that splits as D = c*E + H, and a start polynomial.
+
+    Every rule l -> ... holds c*l, c in +-1..+-3, and raising terms whose
+    ruled letters have degree 1 + r, r in {-1, 1, 2}, with coefficients of
+    either sign and powers of the constant letter a.  The start mixes
+    ruled degrees 0..3.
+    """
+    c = draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+    r = draw(st.sampled_from((-1, 1, 2)))
+    ruled = draw(st.lists(st.sampled_from("bxy"), min_size=1, unique=True))
+    raising = st.lists(
+        st.tuples(
+            st.integers(min_value=-3, max_value=3),
+            st.lists(st.sampled_from(ruled), min_size=1 + r, max_size=1 + r),
+            st.integers(min_value=0, max_value=2),
+        ).map(lambda t: (t[0], t[1] + ["a"] * t[2])),
+        max_size=3,
+    ).map(_sum_of_terms)
+    rules = {l: c * Polynomial.letter(l) + draw(raising) for l in ruled}
+    grammar = Grammar(rules, constants=["a"])
+    assert grammar._euler_split()[0] == c
+    start = draw(_terms_over(ruled + ["a"], st.integers(min_value=0, max_value=3), min_size=2))
+    return grammar, start
+
+
 # Rule terms x (of x) and -y (of y) share key delta 0 with opposite signs,
 # as 2*x and -3*y do in _MIXED, so each delta-0 entry skips the terms
 # without its letter, and a key that several entries reach can sum to zero.
@@ -240,7 +268,7 @@ _MIXED = "x -> 2*x + x*y; y -> -3*y + x*y"
 # a + x + y at depth 1 the slots are one bit wide, and x -> y and y -> 1
 # move a key by the same packed delta, though they move x by -1 and 0:
 # folded together, y's 1 would land on another row than a's 1.
-@given(_grammar_and_start(), st.integers(min_value=0, max_value=4))
+@given(st.one_of(_grammar_and_start(), _euler_and_start()), st.integers(min_value=0, max_value=4))
 @example((Grammar({}), parse_polynomial("4")), 3)
 @example((parse_grammar("const a; x -> 0"), parse_polynomial("3*a*x^2 + a - x")), 3)
 @example((parse_grammar("x -> 5"), parse_polynomial("x^3 + 2*x - 7")), 3)
@@ -333,7 +361,7 @@ def test_entry_field_sum_reaches_the_degree_bound(c):
     for key, values in runs.items():
         first = packing.unpack({key: 1}).sorted_terms()[0][0]
         row = _row_key(packing, first)
-        cells = packing.polynomial({key: values}).terms()
+        cells = packing.unpack(packing.put({}, {key: values}, 1)).terms()
         assert [_row_key(packing, mono) for mono in cells] == [row] * len(values)
     assert len(runs) == len(rows)
 
@@ -449,17 +477,41 @@ def _mixed_and_start(draw):
     return parse_grammar(_MIXED), draw(_terms_over(["x", "y"], st.integers(0, 3)))
 
 
+# Near misses of the Euler split: a rule term that keeps the degree
+# (x -> y), two raises (x*y and x*y^2), a constant letter in the term
+# that keeps it (q*x), and only terms that keep it (r = 0, so H's levels
+# would share terms).  They must step D itself.
+_NEAR_MISSES = (
+    "x -> x + y; y -> y + x*y",
+    "x -> x + x*y + x*y^2; y -> y + x*y",
+    "const q; x -> q*x + x*y; y -> y + x*y",
+    "x -> x + y; y -> y + x",
+)
+
+
 # The examples leave the builtins' dense simplices: one term per diagonal,
 # letters that vanish and come back, one letter with gaps between its
 # exponents, four letters whose diagonals hold a few cells each, and a
-# constant letter.  A level of more than 500 terms ends the comparison.
+# constant letter.  Then the near misses of the Euler split, and two
+# grammars that split at its edges: x -> 2*x has no raising term, so H is
+# empty, and x -> x + 1 lowers the degree (r = -1), so its H-levels end.
+# A level of more than 500 terms ends the comparison.
 @settings(deadline=None)
-@given(st.one_of(_grammar_and_start(), _mixed_and_start()), st.integers(20, 40))
+@given(
+    st.one_of(_grammar_and_start(), _mixed_and_start(), _euler_and_start()),
+    st.integers(20, 40),
+)
 @example((parse_grammar("x -> x^4*y; y -> x*y^3"), x), 40)
 @example((parse_grammar("x -> 1 + y; y -> x"), x + y), 40)
 @example((parse_grammar("x -> x^10"), x + x**3), 30)
 @example((parse_grammar(_CYCLE), parse_polynomial("a + b*d")), 20)
 @example((parse_grammar("const c; x -> c*x + x*y; y -> -c*y + x*y"), x + y), 40)
+@example((parse_grammar(_NEAR_MISSES[0]), parse_polynomial("x + y^2")), 20)
+@example((parse_grammar(_NEAR_MISSES[1]), parse_polynomial("x + y^2")), 20)
+@example((parse_grammar(_NEAR_MISSES[2]), parse_polynomial("q*x + y^2")), 20)
+@example((parse_grammar(_NEAR_MISSES[3]), x), 20)
+@example((parse_grammar("x -> 2*x; y -> 2*y"), parse_polynomial("x*y + 1")), 40)
+@example((parse_grammar("x -> x + 1; y -> y + 1"), parse_polynomial("x^3*y^2 + x")), 40)
 def test_runs_match_the_scatter_reference(case, n):
     grammar, p = case
     try:
@@ -472,6 +524,8 @@ def test_runs_match_the_scatter_reference(case, n):
     levels = grammar.derive_levels(p, len(expected) - 1)
     for actual, want in zip(levels[1:], expected[1:]):
         assert list(actual.terms().items()) == list(want.terms().items())
+    last = grammar.derive_n(p, len(expected) - 1)
+    assert list(last.terms().items()) == list(expected[-1].terms().items())
 
 
 def _diagonals(level: Polynomial, letters, g: int) -> set:
@@ -518,3 +572,35 @@ def test_runs_follow_the_lowest_letter_when_the_other_never_moves():
     for _ in range(10):
         runs = packing.step(runs)
         assert len(runs) == 1
+
+
+# D = c*E + H (grammar docstring): g1..g5 derive by stepping H alone and
+# weighting its levels; grammars with no such split step D itself.
+@pytest.mark.parametrize(
+    "src, split",
+    [(builtin_grammar(name).to_dsl(), (1, 1)) for name in ("g1", "g2", "g3", "g4")]
+    + [(builtin_grammar("g5").to_dsl(), (1, 2))]
+    + [(builtin_grammar(name).to_dsl(), (0, 0)) for name in ("g6", "gB")]
+    + [(src, (0, 0)) for src in _NEAR_MISSES],
+)
+def test_euler_split_of_the_rules(src, split):
+    assert parse_grammar(src)._euler_split()[:2] == split
+
+
+def test_g1_steps_only_its_raising_rules(monkeypatch):
+    g = builtin_grammar("g1")
+    cells = []
+    step = _Packing.step
+
+    def counted(packing, runs):
+        out = step(packing, runs)
+        cells.append(sum(map(len, out.values())))
+        return out
+
+    monkeypatch.setattr(_Packing, "step", counted)
+    level = g.derive_n(x, 100)
+    assert len(cells) == 100 and sum(cells) == 5_050
+    monkeypatch.undo()
+    levels = g.derive_levels(x, 100)
+    assert levels[-1] == level
+    assert sum(map(len, levels[1:])) == 171_800
